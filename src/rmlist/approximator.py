@@ -29,6 +29,7 @@ from .boolfunc import (
     monomial_table,
     xor_tables,
 )
+from . import scan
 from .derivatives import derive, require_low_weight
 from .errors import (
     ApproximationFailure,
@@ -37,8 +38,8 @@ from .errors import (
     InvariantFailure,
     RadiusError,
 )
+from .scan import EXHAUSTIVE_DECODE_DIMENSION
 
-EXHAUSTIVE_DECODE_DIMENSION = 26
 COEFFICIENT_BOUND_NUMERATOR = 10  # coefficient bound is 10/eps
 
 
@@ -232,9 +233,11 @@ def unique_decode_within(
     """Return the unique degree-<= d codeword within radius of g, or None.
 
     Radius must be below half the minimum distance, which is what makes the
-    answer unique. Backends: exhaustive Gray-code scan of the whole code for
-    dimension <= 26, majority-vote coefficient recovery (top degree first,
-    peeling) otherwise.
+    answer unique. Backends: ``exhaustive`` runs the scan kernel over the
+    whole code and returns its first codeword within the radius (``auto``
+    picks it up to dimension ``EXHAUSTIVE_DECODE_DIMENSION``);
+    ``majority`` recovers coefficients by majority votes, top degree first,
+    peeling each recovered layer.
     """
     if g.n != params.n:
         raise InputError(f"mismatched variable counts {g.n} != {params.n}")
@@ -258,20 +261,14 @@ def unique_decode_within(
 def _decode_exhaustive(
     g: FunctionTable, params: CodeParams, radius: Fraction
 ) -> AnfPolynomial | None:
+    kernel = scan.code_scan(params)
+    max_flips = (radius.numerator * g.size) // radius.denominator
+    hits = scan.within(kernel, scan.to_words(g.bits, kernel.words), max_flips)
+    code, _ = next(hits, (None, None))
+    if code is None:
+        return None
     masks = params.monomial_masks()
-    tables = [monomial_table(params.n, m) for m in masks]
-    size = g.size
-    max_flips = (radius.numerator * size) // radius.denominator
-    diff = g.bits
-    if diff.bit_count() <= max_flips:
-        return AnfPolynomial(params.n, frozenset())
-    for t in range(1, 1 << len(masks)):
-        diff ^= tables[(t & -t).bit_length() - 1]
-        if diff.bit_count() <= max_flips:
-            code = t ^ (t >> 1)
-            sel = frozenset(m for j, m in enumerate(masks) if (code >> j) & 1)
-            return AnfPolynomial(params.n, sel)
-    return None
+    return AnfPolynomial(params.n, frozenset(m for j, m in enumerate(masks) if (code >> j) & 1))
 
 
 def _decode_majority(

@@ -1,11 +1,12 @@
 """Exact weight enumerators, low-weight codeword families, and explicit counting bounds.
 
-The enumerator is the performance core: it walks all 2^dimension coefficient
-vectors in Gray-code order so each step XORs exactly one precomputed monomial
-table into the running truth table, then updates the weight histogram from
-that table. Sharding fixes the high-order coefficient bits, which splits the
-walk into independent sub-walks whose histogram sum is exact and identical
-for any shard count or worker schedule.
+The enumerator is the performance core. It hands every shard to the scan
+kernel (``scan``), which XORs a running base of high monomial tables into a
+precomputed tile of all low combinations and histograms the popcounts.
+Sharding fixes the high-order coefficient bits, which splits the walk into
+independent sub-walks whose histogram sum is exact and identical for any
+shard count or worker schedule. Shards run in worker processes only when the
+scan XORs more than ``scan.POOL_MIN_WORDS`` uint64 words.
 """
 
 from __future__ import annotations
@@ -17,16 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .approximator import sample_count
-from .boolfunc import (
-    AnfPolynomial,
-    CodeParams,
-    anf_to_table,
-    monomial_table,
-)
-from .errors import InputError, InvariantFailure, ScaleError
+import numpy as np
 
-DIMENSION_CAP = 30
+from . import scan
+from .approximator import sample_count
+from .boolfunc import AnfPolynomial, CodeParams, anf_to_table
+from .errors import InputError, InvariantFailure, ScaleError
+from .scan import DIMENSION_CAP
 
 
 @dataclass(frozen=True)
@@ -57,28 +55,21 @@ def accumulative(enumerator: WeightEnumerator, alpha: Fraction) -> int:
     return sum(c for w, c in enumerator.counts.items() if w <= threshold)
 
 
-def _scan_counts(tables: list[int], base: int, counts: list[int]) -> None:
-    # Hot loop: one XOR and one popcount per codeword.
-    tbl = base
-    counts[tbl.bit_count()] += 1
-    for t in range(1, 1 << len(tables)):
-        tbl ^= tables[(t & -t).bit_length() - 1]
-        counts[tbl.bit_count()] += 1
-
-
-def _shard_job(args: tuple[int, int, int, int]) -> dict[int, int]:
-    n, d, shard_bits, shard_index = args
-    params = CodeParams(n, d)
-    masks = params.monomial_masks()
-    tables = [monomial_table(n, m) for m in masks]
-    free = len(masks) - shard_bits
-    base = 0
+def _shard_counts(kernel: scan.CodeScan, shard_bits: int, shard_index: int,
+                  block_length: int) -> np.ndarray:
+    free = len(kernel.tables) - shard_bits
+    base = np.zeros(kernel.words, dtype=np.uint64)
     for j in range(shard_bits):
         if (shard_index >> j) & 1:
-            base ^= tables[free + j]
-    counts = [0] * (params.block_length + 1)
-    _scan_counts(tables[:free], base, counts)
-    return {w: c for w, c in enumerate(counts) if c}
+            base ^= kernel.tables[free + j]
+    return scan.weight_histogram(kernel, base, free, block_length)
+
+
+def _shard_job(args: tuple[int, int, int, int]) -> np.ndarray:
+    n, d, shard_bits, shard_index = args
+    params = CodeParams(n, d)
+    return _shard_counts(scan.code_scan(params), shard_bits, shard_index,
+                         params.block_length)
 
 
 def enumerate_weights(
@@ -98,16 +89,20 @@ def enumerate_weights(
     shard_bits = shards.bit_length() - 1
     if shard_bits > params.dimension:
         raise InputError(f"{shards} shards exceed 2^dimension")
-    jobs = [(params.n, params.d, shard_bits, s) for s in range(shards)]
-    if workers > 1 and shards > 1:
+    # A pool costs more to start than a small scan takes, so small scans run
+    # their shards in-process, in the same order.
+    total = np.zeros(params.block_length + 1, dtype=np.int64)
+    scanned = (1 << params.dimension) * scan.word_count(params.n)
+    if workers > 1 and shards > 1 and scanned > scan.POOL_MIN_WORDS:
+        jobs = [(params.n, params.d, shard_bits, s) for s in range(shards)]
         with multiprocessing.Pool(processes=min(workers, shards)) as pool:
-            partials = pool.map(_shard_job, jobs)
+            for part in pool.imap(_shard_job, jobs):
+                total += part
     else:
-        partials = [_shard_job(job) for job in jobs]
-    counts: dict[int, int] = {}
-    for part in partials:
-        for w, c in part.items():
-            counts[w] = counts.get(w, 0) + c
+        kernel = scan.code_scan(params)
+        for s in range(shards):
+            total += _shard_counts(kernel, shard_bits, s, params.block_length)
+    counts = {w: c for w, c in enumerate(total.tolist()) if c}
     return WeightEnumerator(params=params, block_length=params.block_length,
                             counts=counts)
 

@@ -1,14 +1,17 @@
 """List-decoding balls, list-size estimation over center strategies, and the list bound.
 
-``ball`` is exact: a Gray-code scan over the whole code keeps the XOR with
-the center incrementally, so membership costs one XOR and one popcount per
-codeword. The true list size maximizes the ball over every possible center,
-which is only feasible exhaustively at n <= 4; other strategies are labeled
-lower estimates.
+``ball`` is exact: the scan kernel (``scan``) XORs the center into every
+codeword of the code, a tile of low coefficient combinations at a time, and
+keeps the rows within the radius. ``estimate_list_size`` generates its
+centers lazily and counts each one's ball with ``ball_size``; the kernel
+builds its tables and tile once per code for all of them. The true list size
+maximizes the ball over every possible center, which is only feasible
+exhaustively at n <= 4; other strategies are labeled lower estimates.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,18 +23,16 @@ from .boolfunc import (
     FunctionTable,
     anf_to_table,
     complement,
-    monomial_table,
 )
+from . import scan
 from .enumeration import (
-    DIMENSION_CAP,
     BoundEstimate,
     binomial_le,
     coefficient_choices,
     construct_low_weight_family,
 )
 from .errors import InputError, ScaleError
-
-EXHAUSTIVE_CENTER_VARS = 4
+from .scan import DIMENSION_CAP, EXHAUSTIVE_CENTER_VARS
 
 
 @dataclass(frozen=True)
@@ -61,21 +62,13 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
     _check_scale(params)
     masks = params.monomial_masks()
-    tables = [monomial_table(params.n, m) for m in masks]
+    kernel = scan.code_scan(params)
     size = center.size
     max_flips = (alpha.numerator * size) // alpha.denominator
     members = []
-    diff = center.bits
-    w = diff.bit_count()
-    if w <= max_flips:
-        members.append((AnfPolynomial(params.n, frozenset()), Fraction(w, size)))
-    for t in range(1, 1 << len(masks)):
-        diff ^= tables[(t & -t).bit_length() - 1]
-        w = diff.bit_count()
-        if w <= max_flips:
-            code = t ^ (t >> 1)
-            sel = frozenset(m for j, m in enumerate(masks) if (code >> j) & 1)
-            members.append((AnfPolynomial(params.n, sel), Fraction(w, size)))
+    for code, w in scan.within(kernel, scan.to_words(center.bits, kernel.words), max_flips):
+        sel = frozenset(m for j, m in enumerate(masks) if (code >> j) & 1)
+        members.append((AnfPolynomial(params.n, sel), Fraction(w, size)))
     members.sort(key=lambda item: (item[1], item[0].sort_key()))
     return Ball(center=center, radius=alpha, members=tuple(members))
 
@@ -83,17 +76,9 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
 def ball_size(center_bits: int, alpha: Fraction, params: CodeParams) -> int:
     """Ball cardinality only; same scan as ``ball`` without materializing members."""
     _check_scale(params)
-    masks = params.monomial_masks()
-    tables = [monomial_table(params.n, m) for m in masks]
-    size = params.block_length
-    max_flips = (alpha.numerator * size) // alpha.denominator
-    diff = center_bits
-    count = 1 if diff.bit_count() <= max_flips else 0
-    for t in range(1, 1 << len(masks)):
-        diff ^= tables[(t & -t).bit_length() - 1]
-        if diff.bit_count() <= max_flips:
-            count += 1
-    return count
+    max_flips = (alpha.numerator * params.block_length) // alpha.denominator
+    kernel = scan.code_scan(params)
+    return scan.count_within(kernel, scan.to_words(center_bits, kernel.words), max_flips)
 
 
 def list_decode(received: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
@@ -133,32 +118,37 @@ def estimate_list_size(
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
     _check_scale(params)
     size = params.block_length
-    centers: list[tuple[str, int]] = [("zero", 0)]
     if strategy == "zero":
-        pass
+        others, name_of = (), None
     elif strategy == "random":
         rng = random.Random(seed)
-        centers += [(f"random[{i}]", rng.getrandbits(size)) for i in range(count)]
+        others = (rng.getrandbits(size) for _ in range(count))
+        name_of = lambda i, bits: f"random[{i}]"
     elif strategy == "family":
-        centers += _family_centers(params, count)
+        family = _family_centers(params, count)
+        others = [bits for _, bits in family]
+        name_of = lambda i, bits: family[i][0]
     elif strategy == "exhaustive":
         if params.n > EXHAUSTIVE_CENTER_VARS:
             raise ScaleError(
                 f"exhaustive centers capped at n <= {EXHAUSTIVE_CENTER_VARS}"
             )
-        centers += [(f"exhaustive[{bits}]", bits) for bits in range(1, 1 << size)]
+        others = range(1, 1 << size)
+        name_of = lambda i, bits: f"exhaustive[{bits}]"
     else:
         raise InputError(f"unknown strategy {strategy!r}")
-    best_name, best_bits, best = "zero", 0, -1
-    for name, bits in centers:
+    # Centers are generated lazily and only the best one is named; the
+    # first maximum wins.
+    best_index, best_bits, best = 0, 0, -1
+    for index, bits in enumerate(itertools.chain([0], others)):
         s = ball_size(bits, alpha, params)
         if s > best:
-            best_name, best_bits, best = name, bits, s
+            best_index, best_bits, best = index, bits, s
     return ListSizeEstimate(
         radius=alpha,
         strategy=strategy,
-        centers_tried=len(centers),
-        best_center=best_name,
+        centers_tried=index + 1,
+        best_center="zero" if best_index == 0 else name_of(best_index - 1, best_bits),
         best_center_bits=best_bits,
         best_size=best,
         exhaustive=strategy == "exhaustive",

@@ -1,0 +1,123 @@
+"""The codeword-scan kernel behind enumeration, list-decoding balls and exhaustive decoding.
+
+A codeword of the degree-<= d code is the XOR of the monomial tables its
+coefficient vector selects. The kernel splits that vector into its L low bits
+and the remaining high bits. It precomputes all 2^L low combinations once per
+code, as a ``(2^L, words)`` uint64 tile whose size ``TILE_BYTES`` bounds, and
+walks only the high bits in Gray-code order: each step XORs one high table
+into a running base, XORs the base into the whole tile and takes every row's
+popcount. Callers reduce each block of weights their own way: a histogram, a
+count of rows within a radius, or the rows themselves.
+
+The feasibility caps of every scan are declared here as well.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
+
+from .boolfunc import CodeParams, monomial_table
+
+DIMENSION_CAP = 30  # largest code dimension any scan walks: 2^30 codewords
+EXHAUSTIVE_DECODE_DIMENSION = 26  # "auto" decoding scans the code up to this dimension
+EXHAUSTIVE_CENTER_VARS = 4  # every function is a list-size center only for n <= 4
+TILE_BYTES = 1 << 16  # bound on the tile of low combinations
+# A sharded enumeration starts worker processes only when it XORs more uint64
+# words than this (codewords x words per table). At 3-6 ns per word on two
+# cores, that is where halving the scan first repays the ~30 ms a two-process
+# pool takes to start.
+POOL_MIN_WORDS = 1 << 24
+
+
+def word_count(n: int) -> int:
+    """uint64 words per truth table on n variables (one word holds 2^n < 64 bits too)."""
+    return max(1, (1 << n) // 64)
+
+
+def tile_bits(words: int) -> int:
+    """Largest L whose (2^L, words) uint64 tile fits ``TILE_BYTES`` (at least 0)."""
+    return max(0, (TILE_BYTES // (8 * words)).bit_length() - 1)
+
+
+def to_words(bits: int, words: int) -> np.ndarray:
+    """A truth table's bits as little-endian uint64 words."""
+    return np.frombuffer(bits.to_bytes(8 * words, "little"), dtype="<u8").astype(np.uint64)
+
+
+@dataclass(frozen=True, eq=False)
+class CodeScan:
+    """A code's monomial tables and the tile of their low combinations."""
+
+    tables: np.ndarray  # (dimension, words), in ``monomial_masks`` order
+    tile: np.ndarray  # (2^L, words): row i XORs the tables selected by the bits of i
+
+    @property
+    def words(self) -> int:
+        return self.tables.shape[1]
+
+
+@functools.lru_cache(maxsize=4)
+def code_scan(params: CodeParams) -> CodeScan:
+    """The kernel's read-only set-up for one code, built once and reused by every scan of it."""
+    words = word_count(params.n)
+    tables = np.array([to_words(monomial_table(params.n, m), words)
+                       for m in params.monomial_masks()], dtype=np.uint64)
+    tile = np.zeros((1, words), dtype=np.uint64)
+    for table in tables[:tile_bits(words)]:
+        tile = np.concatenate([tile, tile ^ table])
+    tables.flags.writeable = tile.flags.writeable = False
+    return CodeScan(tables, tile)
+
+
+def weight_blocks(kernel: CodeScan, base: np.ndarray,
+                  free: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Weights of ``base`` XOR every codeword spanned by the first ``free`` tables (all by default).
+
+    Each step yields ``(first, weights)``: ``weights[i]`` belongs to the
+    coefficient vector ``first | i`` over those tables. The high part of
+    ``first`` runs in Gray-code order.
+    """
+    tables = kernel.tables[:free]
+    low = min(len(tables), len(kernel.tile).bit_length() - 1)
+    tile = kernel.tile[:1 << low]
+    high = tables[low:]
+    for t in range(1 << len(high)):
+        if t:
+            base = base ^ high[(t & -t).bit_length() - 1]
+        yield (t ^ (t >> 1)) << low, np.bitwise_count(base ^ tile).sum(axis=-1, dtype=np.intp)
+
+
+def weight_histogram(kernel: CodeScan, base: np.ndarray, free: int,
+                     block_length: int) -> np.ndarray:
+    """Number of scanned codewords of each weight 0..block_length."""
+    counts = np.zeros(block_length + 1, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    rows = 0
+    for _, weights in weight_blocks(kernel, base, free):
+        pending.append(weights)
+        rows += len(weights)
+        # A bincount costs block_length + 1 however few rows it counts, so
+        # small blocks (long tables, small tiles) are counted together.
+        if rows > block_length:
+            counts += np.bincount(np.concatenate(pending), minlength=block_length + 1)
+            pending, rows = [], 0
+    if pending:
+        counts += np.bincount(np.concatenate(pending), minlength=block_length + 1)
+    return counts
+
+
+def within(kernel: CodeScan, base: np.ndarray, max_flips: int) -> Iterator[tuple[int, int]]:
+    """``(coefficient vector, weight)`` of every scanned word of weight <= max_flips, lazily."""
+    for first, weights in weight_blocks(kernel, base):
+        for i in np.flatnonzero(weights <= max_flips).tolist():
+            yield first | i, int(weights[i])
+
+
+def count_within(kernel: CodeScan, base: np.ndarray, max_flips: int) -> int:
+    """Number of scanned words of weight <= max_flips."""
+    return sum(int(np.count_nonzero(weights <= max_flips))
+               for _, weights in weight_blocks(kernel, base))

@@ -1,0 +1,217 @@
+"""The scan kernel against the pure-Python Gray-code walk it replaced.
+
+The oracle walks every coefficient vector in Gray-code order, XORs one
+monomial table (a Python int) into the running word per step and takes one
+popcount per codeword. Codes are chosen around the kernel's tile: dimension
+below, equal to and above its L low bits, blocks shorter than one uint64 word
+(n <= 5) and tables spanning several words (n >= 7).
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import random
+from fractions import Fraction
+from typing import Iterator
+
+import pytest
+
+from rmlist import (
+    AnfPolynomial,
+    CodeParams,
+    FunctionTable,
+    anf_to_table,
+    ball,
+    ball_size,
+    enumerate_weights,
+    estimate_list_size,
+    monomial_table,
+    scan,
+    unique_decode_within,
+)
+from rmlist.enumeration import _shard_job
+from rmlist.listdecode import _family_centers
+
+SMALL_CODES = [
+    (n, d) for n in range(1, 16) for d in range(1, n + 1)
+    if CodeParams(n, d).dimension <= 16
+]
+# Short blocks (n <= 5), multi-word tables (n = 7..11), and dimension below
+# (RM(7,1), RM(8,1)), equal to (RM(9,1)) and above (RM(10,1), RM(11,1),
+# RM(5,2)) the tile's L.
+BALL_CODES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 1), (5, 2),
+              (7, 1), (8, 1), (9, 1), (10, 1), (11, 1)]
+
+
+def gray_walk(params: CodeParams, base: int, free: int | None = None
+              ) -> Iterator[tuple[int, int]]:
+    """(coefficient vector, weight) of base XOR each codeword over the first ``free`` tables."""
+    tables = [monomial_table(params.n, m) for m in params.monomial_masks()][:free]
+    word = base
+    yield 0, word.bit_count()
+    for t in range(1, 1 << len(tables)):
+        word ^= tables[(t & -t).bit_length() - 1]
+        yield t ^ (t >> 1), word.bit_count()
+
+
+def oracle_shard(params: CodeParams, shard_bits: int, shard_index: int) -> dict[int, int]:
+    tables = [monomial_table(params.n, m) for m in params.monomial_masks()]
+    free = len(tables) - shard_bits
+    base = 0
+    for j in range(shard_bits):
+        if (shard_index >> j) & 1:
+            base ^= tables[free + j]
+    counts: dict[int, int] = {}
+    for _, w in gray_walk(params, base, free):
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def oracle_ball(center: FunctionTable, alpha: Fraction, params: CodeParams):
+    masks = params.monomial_masks()
+    max_flips = (alpha.numerator * center.size) // alpha.denominator
+    members = []
+    for code, w in gray_walk(params, center.bits):
+        if w <= max_flips:
+            sel = frozenset(m for j, m in enumerate(masks) if (code >> j) & 1)
+            members.append((AnfPolynomial(params.n, sel), Fraction(w, center.size)))
+    members.sort(key=lambda item: (item[1], item[0].sort_key()))
+    return tuple(members)
+
+
+def oracle_decode(g: FunctionTable, params: CodeParams, radius: Fraction):
+    masks = params.monomial_masks()
+    max_flips = (radius.numerator * g.size) // radius.denominator
+    for code, w in gray_walk(params, g.bits):
+        if w <= max_flips:
+            return AnfPolynomial(params.n, frozenset(m for j, m in enumerate(masks)
+                                                     if (code >> j) & 1))
+    return None
+
+
+def noisy_codeword(params: CodeParams, flips: int, rng: random.Random) -> FunctionTable:
+    masks = params.monomial_masks()
+    word = anf_to_table(AnfPolynomial(params.n, frozenset(
+        m for m in masks if rng.getrandbits(1)))).bits
+    for v in rng.sample(range(params.block_length), flips):
+        word ^= 1 << v
+    return FunctionTable(params.n, word)
+
+
+def test_codes_straddle_the_tile():
+    assert scan.tile_bits(scan.word_count(5)) == 13  # one word, 8192-row tile
+    for n, relation in [(7, -1), (8, -1), (9, 0), (10, 1), (11, 1)]:
+        dim = CodeParams(n, 1).dimension
+        low = scan.tile_bits(scan.word_count(n))
+        assert (dim > low) - (dim < low) == relation
+    assert CodeParams(5, 2).dimension > scan.tile_bits(1)
+
+
+@pytest.mark.parametrize("n,d", SMALL_CODES)
+def test_histograms_match_gray_walk_for_every_shard(n, d):
+    params = CodeParams(n, d)
+    total = oracle_shard(params, 0, 0)
+    for shard_bits in range(params.dimension + 1):
+        if shard_bits <= 4:  # each shard fixes the high coefficient bits
+            for index in range(1 << shard_bits):
+                got = _shard_job((n, d, shard_bits, index)).tolist()
+                assert {w: c for w, c in enumerate(got) if c} == oracle_shard(
+                    params, shard_bits, index)
+        if shard_bits <= 4 or params.dimension <= 8:
+            assert enumerate_weights(params, shards=1 << shard_bits).counts == total
+
+
+@pytest.mark.parametrize("n,d", BALL_CODES)
+def test_balls_match_gray_walk(n, d):
+    params = CodeParams(n, d)
+    rng = random.Random(n * 31 + d)
+    alphas = [Fraction(0), Fraction(1, 8), Fraction(1, 4)]
+    if params.dimension <= 12:  # balls holding most of the code
+        alphas += [Fraction(1, 2), Fraction(1)]
+    for flips in (0, 1, params.block_length // 8, params.block_length // 2):
+        center = noisy_codeword(params, flips, rng)
+        for alpha in alphas:
+            expected = oracle_ball(center, alpha, params)
+            assert ball(center, alpha, params).members == expected
+            assert ball_size(center.bits, alpha, params) == len(expected)
+
+
+@pytest.mark.parametrize("n,d", BALL_CODES)
+def test_exhaustive_decode_matches_gray_walk(n, d):
+    params = CodeParams(n, d)
+    rng = random.Random(n * 17 + d)
+    # The largest radius below half the minimum distance.
+    max_flips = -(-params.block_length // (1 << (d + 1))) - 1
+    radius = Fraction(max_flips, params.block_length)
+    for flips in (0, max_flips, max_flips + 1, params.block_length // 2):
+        g = noisy_codeword(params, flips, rng)
+        assert unique_decode_within(g, params, radius, "exhaustive") == oracle_decode(
+            g, params, radius)
+
+
+def oracle_estimate(alpha: Fraction, params: CodeParams, strategy: str, count: int,
+                    seed: int) -> tuple:
+    size = params.block_length
+    centers = [("zero", 0)]
+    if strategy == "random":
+        rng = random.Random(seed)
+        centers += [(f"random[{i}]", rng.getrandbits(size)) for i in range(count)]
+    elif strategy == "family":
+        centers += _family_centers(params, count)
+    elif strategy == "exhaustive":
+        centers += [(f"exhaustive[{bits}]", bits) for bits in range(1, 1 << size)]
+    max_flips = (alpha.numerator * size) // alpha.denominator
+    best = ("zero", 0, -1)
+    for name, bits in centers:
+        s = sum(1 for _, w in gray_walk(params, bits) if w <= max_flips)
+        if s > best[2]:
+            best = (name, bits, s)
+    return (len(centers), *best)
+
+
+@pytest.mark.parametrize("n,d,strategy,count", [
+    (3, 1, "exhaustive", 0),  # ties everywhere: the first maximum must win
+    (3, 2, "exhaustive", 0),
+    (3, 2, "random", 200),
+    (4, 2, "random", 40),
+    (5, 2, "random", 3),  # dimension above L
+    (4, 1, "family", 6),
+    (8, 1, "family", 4),  # multi-word centers
+    (4, 3, "zero", 0),
+])
+def test_estimates_match_center_by_center_scan(n, d, strategy, count):
+    params = CodeParams(n, d)
+    for alpha in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)):
+        got = estimate_list_size(alpha, params, strategy, count=count, seed=5)
+        assert (got.centers_tried, got.best_center, got.best_center_bits,
+                got.best_size) == oracle_estimate(alpha, params, strategy, count, 5)
+
+
+def test_pool_starts_only_above_threshold(monkeypatch):
+    started = []
+    start_pool = multiprocessing.Pool
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["processes"])
+        return start_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    # 2^22 one-word codewords: scanned in-process.
+    assert enumerate_weights(CodeParams(6, 2), shards=4, workers=2).total() == 1 << 22
+    assert started == []
+    # 2^26 one-word codewords, and 2^16 codewords of 512 words each: pooled.
+    for n, d in [(5, 3), (15, 1)]:
+        params = CodeParams(n, d)
+        pooled = enumerate_weights(params, shards=4, workers=2)
+        assert pooled.counts == enumerate_weights(params, shards=4).counts
+        assert pooled.total() == 1 << params.dimension
+    assert started == [2, 2]
+
+
+def test_weight_blocks_cover_every_coefficient_vector_once():
+    params = CodeParams(10, 1)  # tile of 2^9 rows, two high bits
+    kernel = scan.code_scan(params)
+    seen = [first | i for first, weights in
+            scan.weight_blocks(kernel, scan.to_words(0, kernel.words))
+            for i in range(len(weights))]
+    assert sorted(seen) == list(range(1 << params.dimension))
