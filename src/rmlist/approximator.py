@@ -23,22 +23,22 @@ from .boolfunc import (
     CodeParams,
     FunctionTable,
     anf_to_table,
-    bias,
     distance,
     evaluate,
     monomial_table,
     xor_tables,
 )
 from . import scan
-from .derivatives import derive, require_low_weight
+from .derivatives import CHUNK_BITS, derivative_chunks, point_counts, require_low_weight
 from .errors import (
     ApproximationFailure,
     DegenerateBiasError,
     InputError,
     InvariantFailure,
     RadiusError,
+    ScaleError,
 )
-from .scan import EXHAUSTIVE_DECODE_DIMENSION
+from .scan import APPROX_TABLE_BITS_CAP, EXHAUSTIVE_DECODE_DIMENSION
 
 COEFFICIENT_BOUND_NUMERATOR = 10  # coefficient bound is 10/eps
 
@@ -127,48 +127,82 @@ def _retry_seed(seed: int, retry: int) -> int:
     return (seed << 32) | retry
 
 
+def _require_table_bits(m: int, n: int) -> None:
+    """Exit with ``ScaleError`` before building m derivative tables of 2^n bits past the cap."""
+    if m << n > APPROX_TABLE_BITS_CAP:
+        raise ScaleError(
+            f"approximator capped at m * 2^n <= 2^{APPROX_TABLE_BITS_CAP.bit_length() - 1} "
+            f"derivative-table bits (got m={m}, n={n})"
+        )
+
+
+def _rounded_coefficient(prefix_weights: tuple[int, ...], size: int, int_bound: int) -> int:
+    """Product of the inverse prefix biases, rounded half away from zero and bounds-checked."""
+    coeff = Fraction(1)
+    for w in prefix_weights:
+        if 2 * w == size:
+            raise DegenerateBiasError(
+                "zero prefix bias under the low-weight precondition"
+            )
+        coeff /= Fraction(size - 2 * w, size)
+    s = _round_half_away(coeff)
+    if abs(s) > int_bound:
+        raise InvariantFailure(
+            f"rounded coefficient {s} exceeds bound {int_bound}"
+        )
+    return s
+
+
+def _function_tables(n: int, tables: np.ndarray) -> list[FunctionTable]:
+    """The rows of ``(rows, words)`` uint64 tables as ``FunctionTable`` values."""
+    raw = tables.astype("<u8", copy=False).tobytes()
+    step = 8 * tables.shape[1]
+    return [FunctionTable(n, int.from_bytes(raw[i:i + step], "little"))
+            for i in range(0, len(raw), step)]
+
+
 def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxResult:
     """Sample direction tuples, round the exact coefficients, retry until within delta.
 
-    Deterministic for a given (f, params): retry t draws from its own derived
-    seed, so samples could also be generated independently per index.
+    Deterministic for a given (f, params): retry t draws its m direction
+    tuples up front from its own derived seed, so samples could also be
+    generated independently per index. ``derivative_chunks`` derives them a
+    chunk at a time. A sample's coefficient, the product of its inverse
+    prefix biases rounded half away from zero, depends only on its prefix
+    weights, so it is computed exactly once per distinct weight tuple. A zero
+    prefix bias or a coefficient past the bound raises at the first sample
+    that has it. Builds past ``APPROX_TABLE_BITS_CAP`` raise ``ScaleError``
+    before any table exists.
     """
     require_low_weight(f, params.k, params.eps)
-    m = params.samples
-    n = f.n
+    m, n, k = params.samples, f.n, params.k
+    _require_table_bits(m, n)
     int_bound = int(params.coefficient_bound) + 1
+    rounded: dict[tuple[int, ...], int] = {}
     best: tuple[Fraction, SampledApproximator] | None = None
     for retry in range(params.retry_budget):
         rng = random.Random(_retry_seed(params.seed, retry))
-        directions = []
-        coeffs = []
-        tables = []
-        for _ in range(m):
-            tup = tuple(rng.getrandbits(n) for _ in range(params.k))
-            cur = f
-            coeff = Fraction(1)
-            for a in tup:
-                b = bias(cur)
-                if b == 0:
-                    raise DegenerateBiasError(
-                        "zero prefix bias under the low-weight precondition"
-                    )
-                coeff /= b
-                cur = derive(cur, a)
-            s = _round_half_away(coeff)
-            if abs(s) > int_bound:
-                raise InvariantFailure(
-                    f"rounded coefficient {s} exceeds bound {int_bound}"
-                )
-            directions.append(tup)
-            coeffs.append(s)
-            tables.append(cur)
+        flat = [rng.getrandbits(n) for _ in range(m * k)]
+        coeffs: list[int] = []
+        tables: list[FunctionTable] = []
+        for chunk, weights in derivative_chunks(f, np.array(flat).reshape(m, k)):
+            keys, first, inverse = np.unique(weights, axis=0, return_index=True,
+                                             return_inverse=True)
+            values = [0] * len(keys)
+            # In order of first occurrence, so the first offending sample raises.
+            for i in np.argsort(first).tolist():
+                key = tuple(keys[i].tolist())
+                if key not in rounded:
+                    rounded[key] = _rounded_coefficient(key, f.size, int_bound)
+                values[i] = rounded[key]
+            coeffs += [values[i] for i in inverse.ravel().tolist()]
+            tables += _function_tables(n, chunk)
         approx = SampledApproximator(
             n=n,
-            k=params.k,
+            k=k,
             seed=params.seed,
             base=f,
-            directions=tuple(directions),
+            directions=tuple(zip(*[iter(flat)] * k)),
             coefficients=tuple(coeffs),
             tables=tuple(tables),
         )
@@ -194,22 +228,25 @@ def eval_approximator(approx: SampledApproximator, x: int) -> int:
 
 
 def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
-    """Per-point integer sums of s_i * (-1)^{h_i(x)}, exact in int64."""
-    size = 1 << approx.n
-    acc = np.zeros(size, dtype=np.int64)
-    chunk = max(1, (1 << 22) // size)
+    """Per-point integer sums of s_i * (-1)^{h_i(x)}, exact in int64.
+
+    Tables are packed into uint64 words a chunk at a time. Within a chunk,
+    the n_c samples of one coefficient c add c * (n_c - 2 * ones_c(x)), where
+    ones_c(x) counts their tables that are 1 at x: an integer column count
+    over their unpacked tables.
+    """
+    words = scan.word_count(approx.n)
+    acc = np.zeros(1 << approx.n, dtype=np.int64)
     coeffs = np.array(approx.coefficients, dtype=np.int64)
-    byte_len = max(1, size // 8)
-    for start in range(0, approx.m, chunk):
-        stop = min(start + chunk, approx.m)
-        rows = np.zeros((stop - start, size), dtype=np.uint8)
-        for i in range(start, stop):
-            raw = np.frombuffer(
-                approx.tables[i].bits.to_bytes(byte_len, "little"), dtype=np.uint8
-            )
-            rows[i - start] = np.unpackbits(raw, bitorder="little")[:size]
-        s = coeffs[start:stop]
-        acc += s.sum() - 2 * (s @ rows.astype(np.int64))
+    rows = max(1, CHUNK_BITS >> approx.n)
+    for start in range(0, approx.m, rows):
+        raw = b"".join(t.bits.to_bytes(8 * words, "little")
+                       for t in approx.tables[start:start + rows])
+        tables = np.frombuffer(raw, dtype="<u8").reshape(-1, words)
+        s = coeffs[start:start + rows]
+        for c in np.unique(s).tolist():
+            chosen = tables[s == c]
+            acc += c * (len(chosen) - 2 * point_counts(chosen, approx.n))
     return acc
 
 
@@ -308,13 +345,14 @@ def _decode_majority(
     return None
 
 
+def _record_header(approx: SampledApproximator) -> dict:
+    return {"n": approx.n, "k": approx.k, "m": approx.m, "seed": approx.seed}
+
+
 def serialize_approximator(approx: SampledApproximator) -> dict:
     """JSON-ready record; derivative tables are recomputable and not stored."""
     return {
-        "n": approx.n,
-        "k": approx.k,
-        "m": approx.m,
-        "seed": approx.seed,
+        **_record_header(approx),
         "samples": [
             {"directions": list(t), "coefficient": s}
             for t, s in zip(approx.directions, approx.coefficients)
@@ -323,20 +361,33 @@ def serialize_approximator(approx: SampledApproximator) -> dict:
 
 
 def load_approximator(record: dict, base: FunctionTable) -> SampledApproximator:
-    """Rebuild an approximator from its record plus the base function."""
+    """Rebuild an approximator from its record plus the base function.
+
+    The record must hold ``m`` samples of ``k`` directions in [0, 2^n) each;
+    ``derivative_chunks`` rebuilds their tables, under the same
+    ``APPROX_TABLE_BITS_CAP`` as a build.
+    """
     if record["n"] != base.n:
         raise InputError("record n does not match base function")
-    directions = tuple(tuple(s["directions"]) for s in record["samples"])
-    coeffs = tuple(int(s["coefficient"]) for s in record["samples"])
-    tables = []
+    samples = record["samples"]
+    if record["m"] != len(samples):
+        raise InputError(f"record m={record['m']} differs from its {len(samples)} samples")
+    _require_table_bits(len(samples), base.n)
+    k = record["k"]
+    directions = tuple(tuple(s["directions"]) for s in samples)
     for tup in directions:
-        cur = base
+        if len(tup) != k:
+            raise InputError(f"direction tuple {list(tup)} does not have k={k} entries")
         for a in tup:
-            cur = derive(cur, a)
-        tables.append(cur)
+            if type(a) is not int or not 0 <= a < base.size:
+                raise InputError(f"direction {a!r} out of range for n={base.n}")
+    coeffs = tuple(int(s["coefficient"]) for s in samples)
+    tables: list[FunctionTable] = []
+    for chunk, _ in derivative_chunks(base, np.array(directions).reshape(len(samples), k)):
+        tables += _function_tables(base.n, chunk)
     return SampledApproximator(
         n=base.n,
-        k=record["k"],
+        k=k,
         seed=record["seed"],
         base=base,
         directions=directions,
@@ -347,7 +398,20 @@ def load_approximator(record: dict, base: FunctionTable) -> SampledApproximator:
 
 def approximator_json(approx: SampledApproximator, achieved: Fraction,
                       retries_used: int) -> str:
-    record = serialize_approximator(approx)
-    record["achieved_distance"] = str(achieved)
-    record["retries_used"] = retries_used
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    """The record with its achieved distance and retries, byte for byte as
+    ``json.dumps(record, sort_keys=True, indent=2) + "\\n"`` writes it.
+
+    Only the header goes through ``json.dumps``; the samples, the bulk of the
+    record, are written from one fixed per-sample template.
+    """
+    header = {**_record_header(approx), "achieved_distance": str(achieved),
+              "retries_used": retries_used, "samples": []}
+    text = json.dumps(header, sort_keys=True, indent=2)
+    if not approx.m:
+        return text + "\n"
+    directions = ("[\n" + ",\n".join(["        %d"] * approx.k) + "\n      ]"
+                  if approx.k else "[]")
+    template = '    {\n      "coefficient": %d,\n      "directions": ' + directions + "\n    }"
+    block = ",\n".join(template % (s, *t)
+                       for s, t in zip(approx.coefficients, approx.directions))
+    return text.replace('"samples": []', '"samples": [\n' + block + "\n  ]", 1) + "\n"

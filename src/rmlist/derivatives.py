@@ -3,6 +3,8 @@
 The central objects:
 
 * ``derive`` / ``derive_iterated`` - f_a(x) = f(x+a) + f(x) and its k-fold iteration.
+* ``derivative_chunks`` - the batched kernel: order-k derivatives of one function
+  along many direction tuples at once, as uint64 tables with their prefix weights.
 * ``representation_coefficient`` - the product of inverse prefix biases that lets a
   low-weight function be written as an expectation of its order-k derivatives.
 * ``verify_derivative_representation`` - checks that expectation identity exactly,
@@ -16,11 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boolfunc import FunctionTable, bias, translate, weight
+from . import scan
+from .boolfunc import FunctionTable, _low_block_mask, bias, translate, weight
 from .errors import (
     DegenerateBiasError,
     InputError,
@@ -31,6 +34,10 @@ from .errors import (
 
 EXHAUSTIVE_TUPLE_BITS = 24  # cap on n*k for exhaustive tuple enumeration
 EXHAUSTIVE_POINT_VARS = 12
+CHUNK_BITS = 1 << 22  # bound on the table bits of one chunk of ``derivative_chunks``
+# Levels 0..5 of a translation move points inside one uint64 word: each swaps
+# the blocks of 2^i points selected by this mask with their upper neighbours.
+_WORD_MASKS = tuple(np.uint64(_low_block_mask(6, i)) for i in range(6))
 
 
 def derive(f: FunctionTable, a: int) -> FunctionTable:
@@ -48,6 +55,65 @@ def derive_iterated(f: FunctionTable, directions: Sequence[int]) -> FunctionTabl
     for a in directions:
         cur = derive(cur, a)
     return cur
+
+
+def _translate_rows(tables: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """Row r of ``(rows, words)`` uint64 tables translated by its own direction a[r]."""
+    tables = tables.copy()
+    moved = np.empty_like(tables)
+    for i in range(min(n, 6)):
+        # A masked delta swap, in place: in the rows whose direction has bit
+        # i, the blocks of 2^i points the mask selects trade places with the
+        # blocks above them.
+        shift = np.uint64(1 << i)
+        np.right_shift(tables, shift, out=moved)
+        moved ^= tables
+        moved &= _WORD_MASKS[i]
+        moved &= np.where((a >> i) & 1, ~np.uint64(0), np.uint64(0))[:, None]
+        tables ^= moved
+        moved <<= shift
+        tables ^= moved
+    if n > 6:  # the higher levels permute whole words
+        index = np.arange(tables.shape[1]) ^ (a >> 6)[:, None]
+        tables = np.take_along_axis(tables, index, axis=1)
+    return tables
+
+
+def derivative_chunks(
+    f: FunctionTable, directions: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Order-k derivatives of f along each row of a ``(rows, k)`` direction array, chunk by chunk.
+
+    Yields ``(tables, weights)`` for consecutive chunks of the rows, each of
+    at most ``CHUNK_BITS`` table bits: ``tables[i]`` is the derivative along
+    the chunk's i-th direction tuple as little-endian uint64 words
+    (``scan.to_words`` layout), and ``weights[i, j]`` is the number of ones
+    of its j-th prefix f, f_{a_1}, ..., f_{a_1..a_{k-1}}. Every count is an
+    integer popcount.
+    """
+    directions = np.asarray(directions, dtype=np.int64)
+    outside = (directions < 0) | (directions >= f.size)
+    if outside.any():
+        raise InputError(f"direction {directions[outside][0]} out of range for n={f.n}")
+    words = scan.word_count(f.n)
+    base = scan.to_words(f.bits, words)
+    rows = max(1, CHUNK_BITS >> f.n)
+    for start in range(0, len(directions), rows):
+        chunk = directions[start:start + rows]
+        tables = np.broadcast_to(base, (len(chunk), words))
+        weights = np.empty(chunk.shape, dtype=np.int64)
+        for j in range(chunk.shape[1]):
+            weights[:, j] = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+            tables = tables ^ _translate_rows(tables, chunk[:, j], f.n)
+        yield np.ascontiguousarray(tables), weights
+
+
+def point_counts(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per point x, how many rows of ``(rows, words)`` uint64 tables are 1 at x (int64)."""
+    raw = tables.astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, count=1 << n, bitorder="little")
+    # The smallest unsigned type that holds the row count sums fastest and exactly.
+    return bits.sum(axis=0, dtype=np.min_scalar_type(len(bits))).astype(np.int64)
 
 
 def low_weight_threshold(k: int, eps: Fraction) -> Fraction:
@@ -185,34 +251,21 @@ def verify_derivative_representation(
 def single_derivative_identity(g: FunctionTable) -> IdentityReport:
     """Check (-1)^g(x) == (1/bias(g)) * E_a[(-1)^{g_a(x)}] at every point.
 
-    The direction average is accumulated honestly (one derivative table per
-    direction) so the check is not circular.
+    The direction average is accumulated honestly, so the check is not
+    circular: ``derivative_chunks`` builds one derivative table per direction
+    a in [0, 2^n), and at each point x the sum over a of (-1)^{g_a(x)} is
+    2^n minus twice the number of those tables that are 1 at x.
     """
     size = g.size
-    w = g.bits.bit_count()
-    bias_num = size - 2 * w
+    bias_num = size - 2 * g.bits.bit_count()
     if bias_num == 0:
         raise ZeroBiasError("balanced function: identity undefined")
-    if size >= 512:
-        vals = np.array(g.to_values(), dtype=np.int64)
-        idx = np.arange(size)
-        acc = np.zeros(size, dtype=np.int64)
-        for a in range(size):
-            acc += 1 - 2 * (vals[idx ^ a] ^ vals)
-        acc_list = acc.tolist()
-    else:
-        acc_list = [0] * size
-        for a in range(size):
-            d = derive(g, a).bits
-            for x in range(size):
-                acc_list[x] += 1 - 2 * ((d >> x) & 1)
-    # (acc/size) / bias - sign = (acc - sign*bias_num) / bias_num
-    max_num = 0
-    for x in range(size):
-        sign = 1 - 2 * ((g.bits >> x) & 1)
-        dev = abs(acc_list[x] - sign * bias_num)
-        if dev > max_num:
-            max_num = dev
+    ones = np.zeros(size, dtype=np.int64)
+    for tables, _ in derivative_chunks(g, np.arange(size).reshape(size, 1)):
+        ones += point_counts(tables, g.n)
+    signs = 1 - 2 * point_counts(scan.to_words(g.bits, scan.word_count(g.n))[None, :], g.n)
+    # (acc/size) / bias - sign = (acc - sign*bias_num) / bias_num, acc = size - 2*ones
+    max_num = int(np.abs(size - 2 * ones - signs * bias_num).max())
     return IdentityReport(
         max_deviation=Fraction(max_num, abs(bias_num)),
         max_abs_coefficient=Fraction(size, abs(bias_num)),

@@ -9,7 +9,8 @@ into a running base, XORs the base into the whole tile and takes every row's
 popcount. Callers reduce each block of weights their own way: a histogram, a
 count of rows within a radius, or the rows themselves.
 
-The feasibility caps of every scan are declared here as well.
+The feasibility caps of every scan, and the cap on an approximator's
+derivative tables, are declared here as well.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .boolfunc import CodeParams, monomial_table
 DIMENSION_CAP = 30  # largest code dimension any scan walks: 2^30 codewords
 EXHAUSTIVE_DECODE_DIMENSION = 26  # "auto" decoding scans the code up to this dimension
 EXHAUSTIVE_CENTER_VARS = 4  # every function is a list-size center only for n <= 4
+# An approximator builds and keeps m derivative tables of 2^n bits: m * 2^n
+# is capped at 2^32 bits (512 MiB of tables).
+APPROX_TABLE_BITS_CAP = 1 << 32
 TILE_BYTES = 1 << 16  # bound on the tile of low combinations
 # A sharded enumeration starts worker processes only when it XORs more uint64
 # words than this (codewords x words per table). At 3-6 ns per word on two

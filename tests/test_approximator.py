@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rmlist import (
     AnfPolynomial,
     ApproximationFailure,
     ApproximatorParams,
+    ApproxResult,
     CodeParams,
+    DegenerateBiasError,
     FunctionTable,
     InputError,
     RadiusError,
@@ -18,8 +22,10 @@ from rmlist import (
     WeightTooLargeError,
     anf_to_table,
     approximator_table,
+    bias,
     build_approximator,
     candidate_from_received,
+    derive_iterated,
     distance,
     eval_approximator,
     load_approximator,
@@ -29,8 +35,88 @@ from rmlist import (
     unique_decode_within,
     xor_tables,
 )
+from rmlist import approximator
+from rmlist.approximator import _signed_accumulation, approximator_json
+from rmlist.derivatives import derive
+from rmlist.errors import InvariantFailure, ScaleError
 
 from conftest import random_table, table_of
+
+
+def direct_accumulation(approx: SampledApproximator) -> list[int]:
+    """Oracle: sum over samples of s_i * (1 - 2 h_i(x)), point by point."""
+    return [sum(s * (1 - 2 * ((h.bits >> x) & 1))
+                for s, h in zip(approx.coefficients, approx.tables))
+            for x in range(1 << approx.n)]
+
+
+def dense_table(approx: SampledApproximator) -> FunctionTable:
+    """Oracle weighted majority from a dense (m, 2^n) sign matrix."""
+    size = 1 << approx.n
+    byte_len = max(1, size // 8)
+    raw = b"".join(h.bits.to_bytes(byte_len, "little") for h in approx.tables)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, byte_len),
+                         axis=1, count=size, bitorder="little")
+    acc = np.array(approx.coefficients, dtype=np.int64) @ (1 - 2 * bits.astype(np.int64))
+    return FunctionTable(approx.n, sum(1 << x for x in range(size) if acc[x] < 0))
+
+
+def per_sample_build(f: FunctionTable, params: ApproximatorParams, table=dense_table,
+                     check_weight: bool = True) -> ApproxResult:
+    """Oracle: the per-sample build loop, one bigint derivative and one bias at a time."""
+    if check_weight:
+        approximator.require_low_weight(f, params.k, params.eps)
+    m = params.samples
+    n = f.n
+    int_bound = int(params.coefficient_bound) + 1
+    best = None
+    for retry in range(params.retry_budget):
+        rng = random.Random((params.seed << 32) | retry)
+        directions, coeffs, tables = [], [], []
+        for _ in range(m):
+            tup = tuple(rng.getrandbits(n) for _ in range(params.k))
+            cur = f
+            coeff = Fraction(1)
+            for a in tup:
+                b = bias(cur)
+                if b == 0:
+                    raise DegenerateBiasError(
+                        "zero prefix bias under the low-weight precondition"
+                    )
+                coeff /= b
+                cur = derive(cur, a)
+            s = approximator._round_half_away(coeff)
+            if abs(s) > int_bound:
+                raise InvariantFailure(
+                    f"rounded coefficient {s} exceeds bound {int_bound}"
+                )
+            directions.append(tup)
+            coeffs.append(s)
+            tables.append(cur)
+        approx = SampledApproximator(n=n, k=params.k, seed=params.seed, base=f,
+                                     directions=tuple(directions),
+                                     coefficients=tuple(coeffs), tables=tuple(tables))
+        achieved = distance(f, table(approx))
+        if best is None or achieved < best[0]:
+            best = (achieved, approx)
+        if achieved <= params.delta:
+            return ApproxResult(approx, achieved, retry + 1)
+    raise ApproximationFailure(
+        f"no sample batch reached distance {params.delta} within "
+        f"{params.retry_budget} retries (best: {best[0]})",
+        best_distance=best[0],
+        retries_used=params.retry_budget,
+    )
+
+
+def outcome(build, f, params, **kw):
+    """A build's result, or the class, message and diagnostics of what it raised."""
+    try:
+        return build(f, params, **kw)
+    except ApproximationFailure as exc:
+        return type(exc), str(exc), exc.best_distance, exc.retries_used
+    except (InputError, InvariantFailure) as exc:
+        return type(exc), str(exc)
 
 
 class TestParams:
@@ -132,6 +218,65 @@ class TestBuild:
                 assert (post >= 0) == (target == 1)
 
 
+def low_weight_corpus(seed: int):
+    """Seeded (f, params) over n = 1..9 and k = 1..3, each f just below the weight gate."""
+    rng = random.Random(seed)
+    for n in range(1, 10):
+        for k in range(1, 4):
+            eps = rng.choice([Fraction(3, 4), Fraction(9, 10)])
+            limit = Fraction(1 << n, 1 << k) * (1 - eps)  # f needs fewer ones than this
+            ones = rng.randrange(math.ceil(limit))
+            f = FunctionTable(n, sum(1 << x for x in rng.sample(range(1 << n), ones)))
+            delta = rng.choice([Fraction(1, 2), Fraction(1, 4)])
+            params = ApproximatorParams(k=k, eps=eps, delta=delta, seed=rng.getrandbits(16),
+                                        retry_budget=3)
+            yield f, params
+
+
+class TestBuildAgainstPerSampleLoop:
+    def test_low_weight_corpus(self):
+        for f, params in low_weight_corpus(31):
+            expected = outcome(per_sample_build, f, params)
+            assert outcome(build_approximator, f, params) == expected
+
+    def test_errors_raise_at_the_same_sample(self, monkeypatch):
+        # Lifting the weight gate lets zero prefix biases and oversized
+        # coefficients occur; both builds must stop at the same first sample.
+        monkeypatch.setattr(approximator, "require_low_weight", lambda *args: None)
+        rng = random.Random(32)
+        seen = set()
+        for n in range(2, 10):
+            for k in range(1, 4):
+                f = random_table(n, rng)
+                params = ApproximatorParams(k=k, eps=Fraction(9, 10), delta=Fraction(1, 2),
+                                            seed=rng.getrandbits(16), retry_budget=1)
+                new = outcome(build_approximator, f, params)
+                assert new == outcome(per_sample_build, f, params, check_weight=False)
+                seen.add(new[0] if isinstance(new, tuple) else ApproxResult)
+        assert {DegenerateBiasError, InvariantFailure, ApproxResult} <= seen
+
+    def test_retries_and_failure(self, monkeypatch):
+        # With m >= sample_count the majority was exact on every input tried,
+        # so no delta forces a retry; a table that misses 0, 5/8 or 3/4 of the
+        # points, as the drawn directions decide, drives both paths instead.
+        def drifting_table(approx: SampledApproximator) -> FunctionTable:
+            misses = (0, 5, 6)[sum(map(sum, approx.directions)) % 3] * approx.base.size // 8
+            return FunctionTable(approx.n, approx.base.bits ^ ((1 << misses) - 1))
+
+        monkeypatch.setattr(approximator, "approximator_table", drifting_table)
+        outcomes = []
+        for f, params in low_weight_corpus(33):
+            if f.n < 3:
+                continue
+            params = ApproximatorParams(k=params.k, eps=params.eps, delta=Fraction(1, 2),
+                                        seed=params.seed, retry_budget=2)
+            new = outcome(build_approximator, f, params)
+            assert new == outcome(per_sample_build, f, params, table=drifting_table)
+            outcomes.append(new)
+        assert any(isinstance(o, ApproxResult) and o.retries_used > 1 for o in outcomes)
+        assert any(isinstance(o, tuple) and o[0] is ApproximationFailure for o in outcomes)
+
+
 class TestEval:
     def manual(self, n, coeffs, tables, base=None):
         return SampledApproximator(
@@ -169,6 +314,21 @@ class TestEval:
         t = approximator_table(approx)
         for x in range(8):
             assert (t.bits >> x) & 1 == eval_approximator(approx, x)
+
+    def test_accumulation_matches_direct_sum(self, monkeypatch):
+        rng = random.Random(4)
+        shapes = [
+            self.manual(2, [1, 1], [FunctionTable.zero(2)] * 2),
+            self.manual(2, [1], [FunctionTable.ones(2)]),
+            self.manual(2, [1, -1], [FunctionTable.zero(2)] * 2),  # a tie everywhere
+            self.manual(3, [1], [table_of(3, [1])]),
+            self.manual(3, [2, -1, 1, 1, -3], [random_table(3, rng) for _ in range(5)]),
+            self.manual(7, [3, -3, 1, 2, -1, 3, -2], [random_table(7, rng) for _ in range(7)]),
+        ]
+        for approx in shapes:
+            assert _signed_accumulation(approx).tolist() == direct_accumulation(approx)
+        monkeypatch.setattr(approximator, "CHUNK_BITS", 2 * 128)  # two tables per chunk
+        assert _signed_accumulation(shapes[-1]).tolist() == direct_accumulation(shapes[-1])
 
 
 class TestCandidate:
@@ -266,6 +426,66 @@ class TestSerialization:
         record = serialize_approximator(result.approximator)
         with pytest.raises(InputError):
             load_approximator(record, FunctionTable.zero(4))
+
+    def order_two_record(self):
+        rng = random.Random(6)
+        samples = [{"directions": [rng.randrange(16), rng.randrange(16)],
+                    "coefficient": rng.randint(-3, 3)} for _ in range(9)]
+        record = {"n": 4, "k": 2, "m": 9, "seed": 1, "samples": samples}
+        return record, table_of(4, [1, 2, 3])
+
+    def test_round_trip_order_two(self):
+        record, f = self.order_two_record()
+        loaded = load_approximator(record, f)
+        assert serialize_approximator(loaded) == record
+        assert loaded.tables == tuple(derive_iterated(f, t) for t in loaded.directions)
+
+    def test_rejects_direction_tuple_of_wrong_length(self):
+        record, f = self.order_two_record()
+        record["samples"][5]["directions"] = record["samples"][5]["directions"][:1]
+        with pytest.raises(InputError, match="k=2"):
+            load_approximator(record, f)
+
+    def test_rejects_direction_out_of_range(self):
+        for bad in (16, -1, 1 << 70, "3"):
+            record, f = self.order_two_record()
+            record["samples"][7]["directions"][1] = bad
+            with pytest.raises(InputError, match="out of range"):
+                load_approximator(record, f)
+
+    def test_rejects_m_that_differs_from_samples(self):
+        record, f = self.order_two_record()
+        record["m"] += 1
+        with pytest.raises(InputError, match="m="):
+            load_approximator(record, f)
+
+    def test_table_bits_cap(self):
+        # 4097 tables of 2^20 bits pass the 2^32-bit cap; nothing is built.
+        params = ApproximatorParams(k=1, eps=Fraction(1, 2), delta=Fraction(1, 4), seed=0)
+        with pytest.raises(ScaleError):
+            build_approximator(FunctionTable.zero(20), params)
+        record = {"n": 20, "k": 1, "m": 4097, "seed": 0,
+                  "samples": [{"directions": [0], "coefficient": 1}] * 4097}
+        with pytest.raises(ScaleError):
+            load_approximator(record, FunctionTable.zero(20))
+
+    def test_json_matches_json_dumps(self):
+        rng = random.Random(5)
+        for k in range(0, 4):
+            for m in (0, 1, 6):
+                directions = tuple(tuple(rng.randrange(32) for _ in range(k)) for _ in range(m))
+                approx = SampledApproximator(
+                    n=5, k=k, seed=rng.getrandbits(20), base=FunctionTable.zero(5),
+                    directions=directions,
+                    coefficients=tuple(rng.randint(-40, 40) for _ in range(m)),
+                    tables=(FunctionTable.zero(5),) * m,
+                )
+                achieved, retries = Fraction(rng.randrange(32), 32), rng.randint(1, 10)
+                record = serialize_approximator(approx)
+                record["achieved_distance"] = str(achieved)
+                record["retries_used"] = retries
+                expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+                assert approximator_json(approx, achieved, retries) == expected
 
 
 def test_end_to_end_small_pipeline():

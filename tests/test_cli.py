@@ -45,6 +45,14 @@ class TestExitCodes:
     def test_scale_error_exit(self, outdir):
         assert run("enum", "--n", "6", "--d", "3", "--out", "e.csv") == 3
 
+    def test_approx_table_cap_exit(self, outdir):
+        # m = 17745 tables of 2^20 bits is past the 2^32-bit cap: exit 3, no files.
+        write_function_file("zero.txt", FunctionTable.zero(20))
+        assert run("approx", "--function", "zero.txt", "--k", "1", "--eps", "1/2",
+                   "--delta", "1/4", "--out", "a.json") == 3
+        assert not Path("a.json").exists()
+        assert not Path("a.json.manifest.json").exists()
+
     def test_weight_gate_exit(self, outdir):
         write_function_file("ones.txt", FunctionTable.ones(3))
         code = run("approx", "--function", "ones.txt", "--k", "1",

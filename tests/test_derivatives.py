@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,7 +27,12 @@ from rmlist import (
     weight,
 )
 
-from conftest import random_table_below_weight, table_of
+from rmlist import derivatives
+from rmlist.derivatives import derivative_chunks, point_counts
+from rmlist.errors import InputError
+from rmlist.scan import to_words, word_count
+
+from conftest import random_table, random_table_below_weight, table_of
 
 
 def iterated_by_subset_sums(f: FunctionTable, directions) -> FunctionTable:
@@ -171,7 +177,7 @@ class TestSingleDerivativeIdentity:
             assert single_derivative_identity(g).max_deviation == 0
 
     def test_numpy_path_matches_loop_path(self, rng: random.Random):
-        # n=5 stays on the loop path, n=9 takes the vectorized path
+        # n=9: derivative tables of eight words each
         g = FunctionTable(9, rng.getrandbits(512) | 1)
         if bias(g) != 0:
             assert single_derivative_identity(g).max_deviation == 0
@@ -184,6 +190,72 @@ class TestSingleDerivativeIdentity:
     def test_sweep_rejects_large_n(self):
         with pytest.raises(ScaleError):
             verify_single_derivative_exhaustive(5)
+
+
+def kernel_rows(f: FunctionTable, directions) -> tuple[list[int], list[list[int]]]:
+    """All chunks of the batched kernel, as table bits and prefix weights per row."""
+    tables, weights = [], []
+    for chunk, chunk_weights in derivative_chunks(f, np.array(directions)):
+        assert chunk.dtype == np.uint64 and chunk.shape[1] == word_count(f.n)
+        tables += [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in chunk]
+        weights += chunk_weights.tolist()
+    return tables, weights
+
+
+def per_direction_rows(f: FunctionTable, directions) -> tuple[list[int], list[list[int]]]:
+    """Oracle: derive_iterated one tuple at a time, prefix weights from its prefixes."""
+    tables = [derive_iterated(f, tup).bits for tup in directions]
+    weights = [[derive_iterated(f, tup[:j]).bits.bit_count() for j in range(len(tup))]
+               for tup in directions]
+    return tables, weights
+
+
+class TestDerivativeKernel:
+    def test_matches_derive_iterated(self):
+        rng = random.Random(20)
+        for n in range(1, 11):
+            size = 1 << n
+            for k in range(1, 4):
+                f = random_table(n, rng)
+                directions = [(0,) * k, (size - 1,) * k]
+                directions += [tuple(rng.randrange(size) for _ in range(k)) for _ in range(12)]
+                assert kernel_rows(f, directions) == per_direction_rows(f, directions)
+
+    def test_chunks_split_at_the_table_bit_bound(self, monkeypatch):
+        monkeypatch.setattr(derivatives, "CHUNK_BITS", 3 * 64)  # three one-word tables
+        rng = random.Random(21)
+        f = random_table(6, rng)
+        directions = [(rng.randrange(64), rng.randrange(64)) for _ in range(10)]
+        sizes = [len(chunk) for chunk, _ in derivative_chunks(f, np.array(directions))]
+        assert sizes == [3, 3, 3, 1]
+        assert kernel_rows(f, directions) == per_direction_rows(f, directions)
+
+    @given(
+        st.integers(1, 10).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, (1 << (1 << n)) - 1),
+            st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)
+                     .map(tuple), min_size=1, max_size=6),
+        ))
+    )
+    def test_property_matches_derive_iterated(self, case):
+        n, bits, directions = case
+        k = len(directions[0])
+        directions = [(tup * 3)[:k] for tup in directions]  # one order k per call
+        f = FunctionTable(n, bits)
+        assert kernel_rows(f, directions) == per_direction_rows(f, directions)
+
+    def test_rejects_out_of_range_direction(self):
+        f = FunctionTable(3, 0b1011)
+        for bad in (8, -1):
+            with pytest.raises(InputError, match="out of range"):
+                next(derivative_chunks(f, np.array([[1, 2], [3, bad]])))
+
+    def test_point_counts(self):
+        rows = [FunctionTable(7, bits) for bits in (0, (1 << 128) - 1, 0b1010 << 64)]
+        words = np.array([to_words(t.bits, word_count(7)) for t in rows])
+        expected = [sum((t.bits >> x) & 1 for t in rows) for x in range(128)]
+        assert point_counts(words, 7).tolist() == expected
 
 
 def naive_representation_check(f: FunctionTable, k: int, eps: Fraction):
