@@ -7,8 +7,11 @@ The central objects:
   along many direction tuples at once, as uint64 tables with their prefix weights.
 * ``representation_coefficient`` - the product of inverse prefix biases that lets a
   low-weight function be written as an expectation of its order-k derivatives.
-* ``verify_derivative_representation`` - checks that expectation identity exactly,
-  in rational arithmetic, over all 2^(nk) direction tuples and all 2^n points.
+* ``verify_derivative_representation`` - checks that expectation identity exactly
+  over all 2^(nk) direction tuples and all 2^n points. It needs only integers: the
+  identity follows, by induction on the depth, from the integer single-derivative
+  identity sum_a (-1)^{g_a(x)} = (2^n - 2 wt(g)) (-1)^{g(x)} at every distinct
+  prefix derivative g of depth below k, which ``prefix_levels`` walks a level at a time.
 * ``check_bias_bounds`` - the prefix-bias lower bounds that make the coefficients finite.
 * ``single_derivative_identity`` - the order-1 identity for any non-balanced function.
 """
@@ -27,6 +30,7 @@ from .boolfunc import FunctionTable, _low_block_mask, bias, translate, weight
 from .errors import (
     DegenerateBiasError,
     InputError,
+    InvariantFailure,
     ScaleError,
     WeightTooLargeError,
     ZeroBiasError,
@@ -108,12 +112,87 @@ def derivative_chunks(
         yield np.ascontiguousarray(tables), weights
 
 
+def _point_bits(tables: np.ndarray, n: int) -> np.ndarray:
+    """``(rows, 2^n)`` uint8 values of ``(rows, words)`` uint64 tables, point by point."""
+    raw = tables.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=1 << n, bitorder="little")
+
+
+def _block_counts(tables: np.ndarray, n: int, blocks: int) -> np.ndarray:
+    """``(blocks, 2^n)`` int64: per point, how many rows of each of ``blocks`` equal
+    consecutive blocks of ``(rows, words)`` uint64 tables are 1 there."""
+    bits = _point_bits(tables, n).reshape(blocks, -1, 1 << n)
+    # The smallest unsigned type that holds a block's row count sums fastest and exactly.
+    return bits.sum(axis=1, dtype=np.min_scalar_type(bits.shape[1])).astype(np.int64)
+
+
 def point_counts(tables: np.ndarray, n: int) -> np.ndarray:
     """Per point x, how many rows of ``(rows, words)`` uint64 tables are 1 at x (int64)."""
-    raw = tables.astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, count=1 << n, bitorder="little")
-    # The smallest unsigned type that holds the row count sums fastest and exactly.
-    return bits.sum(axis=0, dtype=np.min_scalar_type(len(bits))).astype(np.int64)
+    return _block_counts(tables, n, 1)[0]
+
+
+def _extended(tuples: np.ndarray, size: int) -> np.ndarray:
+    """Each row of a ``(p, t)`` direction array followed by every a in [0, size), row-major."""
+    p, t = tuples.shape
+    out = np.empty((p, size, t + 1), dtype=np.int64)
+    out[:, :, :t] = tuples[:, None, :]
+    out[:, :, t] = np.arange(size)
+    return out.reshape(-1, t + 1)
+
+
+def _extension_counts(f: FunctionTable, tuples: np.ndarray) -> np.ndarray:
+    """``ones[i, x]``: how many a in [0, 2^n) have (f_{tuples[i]})_a(x) = 1.
+
+    Derives every row of ``tuples`` extended by all 2^n directions through
+    ``derivative_chunks``, in blocks of rows whose extensions fill at most
+    one chunk: a chunk holds all of a block's extensions, or, when one row's
+    extensions span several chunks, part of that one row's.
+    """
+    size = f.size
+    ones = np.zeros((len(tuples), size), dtype=np.int64)
+    block = max(1, CHUNK_BITS >> (2 * f.n))
+    for first in range(0, len(tuples), block):
+        part = tuples[first:first + block]
+        for tables, _ in derivative_chunks(f, _extended(part, size)):
+            ones[first:first + len(part)] += _block_counts(tables, f.n, len(part))
+    return ones
+
+
+@dataclass(frozen=True)
+class PrefixLevel:
+    """The distinct depth-t derivatives f_{a_1..a_t} of f, in order of first occurrence.
+
+    Rows follow the extensions of the previous level's tuples, parent-major
+    and then by the new direction a; ``tuples[i]`` is the first of them that
+    derives ``tables[i]``, and ``inverse[r]`` names the distinct derivative
+    that extension r derives (``None`` at depth 0, whose one row is f).
+    """
+
+    tables: np.ndarray  # (p, words) uint64
+    tuples: np.ndarray  # (p, t) int64
+    inverse: np.ndarray | None
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.bitwise_count(self.tables).sum(axis=1, dtype=np.int64)
+
+
+def prefix_levels(f: FunctionTable, depth: int) -> Iterator[PrefixLevel]:
+    """The levels t = 0..depth-1 of distinct prefix derivatives of f, one at a time."""
+    level = PrefixLevel(scan.to_words(f.bits, scan.word_count(f.n))[None, :],
+                        np.zeros((1, 0), dtype=np.int64), None)
+    for t in range(depth):
+        yield level
+        if t + 1 < depth:
+            directions = _extended(level.tuples, f.size)
+            children = np.concatenate([tables for tables, _ in derivative_chunks(f, directions)])
+            _, first, inverse = np.unique(children, axis=0, return_index=True,
+                                          return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            level = PrefixLevel(children[first[order]], directions[first[order]],
+                                rank[inverse.reshape(-1)])
 
 
 def low_weight_threshold(k: int, eps: Fraction) -> Fraction:
@@ -185,8 +264,22 @@ class IdentityReport:
         }
 
 
-def _sign_vector(bits: int, size: int) -> list[int]:
-    return [1 - 2 * ((bits >> x) & 1) for x in range(size)]
+def _derived_bits_cap(bits: int, what: str) -> None:
+    """``ScaleError`` before a check derives more than ``DERIVED_TABLE_BITS_CAP`` table bits."""
+    if bits > scan.DERIVED_TABLE_BITS_CAP:
+        raise ScaleError(
+            f"{what} capped at 2^{scan.DERIVED_TABLE_BITS_CAP.bit_length() - 1} "
+            f"derived table bits (needs 2^{bits.bit_length() - 1})"
+        )
+
+
+def _max_over_parents(scales: list[Fraction], inverse: np.ndarray, size: int) -> list[Fraction]:
+    """Per distinct child, the largest scale of a parent whose extension derives it."""
+    values = sorted(set(scales))
+    rank = {v: i for i, v in enumerate(values)}
+    best = np.full(int(inverse.max()) + 1, -1, dtype=np.int64)
+    np.maximum.at(best, inverse, np.repeat([rank[s] for s in scales], size))
+    return [values[r] for r in best.tolist()]
 
 
 def verify_derivative_representation(
@@ -194,11 +287,18 @@ def verify_derivative_representation(
 ) -> IdentityReport:
     """Check (-1)^f(x) == E over all order-k tuples of [coeff * (-1)^derivative(x)].
 
-    The expectation is computed exactly: the sum over all 2^(nk) tuples is
-    factored prefix-by-prefix (each level averages over one direction and
-    divides by that prefix bias), which is algebraically identical to the
-    flat sum and keeps everything in Fraction arithmetic. Deviation must be
-    exactly zero for in-contract inputs.
+    The check is exact and uses only integers. At a prefix g with bias
+    numerator B(g) = 2^n - 2 wt(g) != 0, the single-derivative identity
+    sum_a (-1)^{g_a(x)} = B(g) (-1)^{g(x)} is an equality of integers. By
+    induction on the depth, the average over the tuples below g of
+    coeff * (-1)^derivative equals (-1)^g whenever that equality holds at g
+    and at every distinct prefix below it, so ``max_deviation`` is 0 once every
+    level of ``prefix_levels`` f, ..., depth k-1 passes. A level that fails
+    can only be a kernel bug and raises ``InvariantFailure``; a zero B raises
+    ``DegenerateBiasError``.
+
+    ``max_abs_coefficient`` is the largest product of 2^n/|B| along a path
+    of prefixes, carried as one ``Fraction`` per distinct prefix.
     """
     require_low_weight(f, k, eps)
     n = f.n
@@ -208,41 +308,26 @@ def verify_derivative_representation(
             f"and n <= {EXHAUSTIVE_POINT_VARS} (got n={n}, k={k})"
         )
     size = f.size
-    memo: dict[tuple[int, int], tuple[list, Fraction]] = {}
-
-    def level(bits: int, j: int) -> tuple[list, Fraction]:
-        """Values of the depth-j averaged representation of g, plus max coefficient."""
-        key = (bits, j)
-        if key in memo:
-            return memo[key]
-        if j == 0:
-            result = (_sign_vector(bits, size), Fraction(1))
-        else:
-            b = Fraction(size - 2 * bits.bit_count(), size)
-            if b == 0:
-                raise DegenerateBiasError(
-                    "zero prefix bias under the low-weight precondition"
-                )
-            g = FunctionTable(n, bits)
-            sums = [0] * size
-            max_child = Fraction(0)
-            for a in range(size):
-                child_vals, child_max = level(derive(g, a).bits, j - 1)
-                if child_max > max_child:
-                    max_child = child_max
-                for x in range(size):
-                    sums[x] += child_vals[x]
-            scale = size * b
-            result = ([Fraction(s) / scale for s in sums], max_child / abs(b))
-        memo[key] = result
-        return result
-
-    values, max_coeff = level(f.bits, k)
-    signs = _sign_vector(f.bits, size)
-    max_dev = max(abs(values[x] - signs[x]) for x in range(size))
+    _derived_bits_cap(size ** (k + 1), f"representation check at n={n}, k={k}")
+    scales = [Fraction(1)]
+    for level in prefix_levels(f, k):
+        if level.inverse is not None:
+            scales = _max_over_parents(scales, level.inverse, size)
+        biases = size - 2 * level.weights
+        if not biases.all():
+            raise DegenerateBiasError(
+                "zero prefix bias under the low-weight precondition"
+            )
+        scales = [s * Fraction(size, abs(b)) for s, b in zip(scales, biases.tolist())]
+        signs = 1 - 2 * _point_bits(level.tables, n).astype(np.int64)
+        ones = _extension_counts(f, level.tuples)
+        if not np.array_equal(size - 2 * ones, biases[:, None] * signs):
+            raise InvariantFailure(
+                f"single-derivative identity failed at a depth-{level.tuples.shape[1]} prefix"
+            )
     return IdentityReport(
-        max_deviation=max_dev,
-        max_abs_coefficient=max_coeff,
+        max_deviation=Fraction(0),
+        max_abs_coefficient=max(scales),
         tuples_checked=size**k,
         points_checked=size,
     )
@@ -254,12 +339,14 @@ def single_derivative_identity(g: FunctionTable) -> IdentityReport:
     The direction average is accumulated honestly, so the check is not
     circular: ``derivative_chunks`` builds one derivative table per direction
     a in [0, 2^n), and at each point x the sum over a of (-1)^{g_a(x)} is
-    2^n minus twice the number of those tables that are 1 at x.
+    2^n minus twice the number of those tables that are 1 at x. Those tables
+    total 4^n bits, under ``DERIVED_TABLE_BITS_CAP``.
     """
     size = g.size
     bias_num = size - 2 * g.bits.bit_count()
     if bias_num == 0:
         raise ZeroBiasError("balanced function: identity undefined")
+    _derived_bits_cap(size * size, f"single-derivative identity at n={g.n}")
     ones = np.zeros(size, dtype=np.int64)
     for tables, _ in derivative_chunks(g, np.arange(size).reshape(size, 1)):
         ones += point_counts(tables, g.n)
@@ -378,65 +465,45 @@ def check_bias_bounds(
 ) -> BiasBoundReport:
     """Check bias(f_{a_1..a_s}) >= 1 - 2^(s+1-k) (1 - eps) for every prefix length s < k.
 
-    Exhaustive over all tuples when n*s stays within the feasibility cap (or
-    when forced); otherwise seeded random tuples with the same assertions.
-    Violations are reported, not raised: a non-empty list would falsify the
-    underlying math and is treated as a test failure by callers.
+    Exhaustive over all tuples when n*s stays within the feasibility cap and
+    the walk's derived tables, at most 2^(nk) bits, within
+    ``DERIVED_TABLE_BITS_CAP`` (or when forced, up to that cap); otherwise
+    seeded random tuples with the same assertions. Violations are reported,
+    not raised: a non-empty list would falsify the underlying math and is
+    treated as a test failure by callers.
     """
     require_low_weight(f, k, eps)
     n = f.n
     size = f.size
     if exhaustive is None:
-        exhaustive = n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
+        exhaustive = (n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
+                      and size**k <= scan.DERIVED_TABLE_BITS_CAP)
+    if exhaustive:
+        _derived_bits_cap(size**k, f"exhaustive bias bounds at n={n}, k={k}")
     rng = random.Random(seed)
+    levels = prefix_levels(f, k) if exhaustive else None
     checks = []
     for s in range(k):
         bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
-        violations = []
-        min_bias = Fraction(1)
-        if s == 0:
-            tuples = [()]
-        elif exhaustive:
-            tuples = None  # enumerate distinct prefix functions below
+        if levels is not None:
+            # Every tuple of length s, through one representative per distinct prefix.
+            level = next(levels)
+            tuples = [tuple(t) for t in level.tuples.tolist()]
+            biases = [Fraction(size - 2 * w, size) for w in level.weights.tolist()]
+            checked = size**s
         else:
-            tuples = [
+            tuples = [()] if s == 0 else [
                 tuple(rng.getrandbits(n) for _ in range(s)) for _ in range(samples)
             ]
-        if tuples is not None:
+            biases = [_prefix_bias(f, t) for t in tuples]
             checked = len(tuples)
-            for t in tuples:
-                b = _prefix_bias(f, t)
-                if b < min_bias:
-                    min_bias = b
-                if b < bound:
-                    violations.append((t, b))
-        else:
-            # Exhaustive: walk distinct derivative functions level by level,
-            # keeping one representative tuple per function for reporting.
-            checked = size**s
-            layer = {f.bits: ()}
-            for _ in range(s):
-                nxt = {}
-                for bits, rep in layer.items():
-                    g = FunctionTable(n, bits)
-                    for a in range(size):
-                        db = derive(g, a).bits
-                        if db not in nxt:
-                            nxt[db] = rep + (a,)
-                layer = nxt
-            for bits, rep in layer.items():
-                b = Fraction(size - 2 * bits.bit_count(), size)
-                if b < min_bias:
-                    min_bias = b
-                if b < bound:
-                    violations.append((rep, b))
         checks.append(
             BiasBoundCheck(
                 prefix_length=s,
                 bound=bound,
-                min_bias=min_bias,
+                min_bias=min([Fraction(1), *biases]),
                 tuples_checked=checked,
-                violations=tuple(violations),
+                violations=tuple((t, b) for t, b in zip(tuples, biases) if b < bound),
             )
         )
     return BiasBoundReport(k=k, eps=eps, exhaustive=exhaustive, checks=tuple(checks))

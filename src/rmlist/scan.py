@@ -9,8 +9,8 @@ into a running base, XORs the base into the whole tile and takes every row's
 popcount. Callers reduce each block of weights their own way: a histogram, a
 count of rows within a radius, or the rows themselves.
 
-The feasibility caps of every scan, and the cap on an approximator's
-derivative tables, are declared here as well.
+The feasibility caps of every scan, and the caps on the derivative tables of
+an approximator and of an identity check, are declared here as well.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ EXHAUSTIVE_CENTER_VARS = 4  # every function is a list-size center only for n <=
 # An approximator builds and keeps m derivative tables of 2^n bits: m * 2^n
 # is capped at 2^32 bits (512 MiB of tables).
 APPROX_TABLE_BITS_CAP = 1 << 32
+# An identity check derives a 2^n-bit table for every direction tuple it
+# walks, chunk by chunk: it runs only while those tables total at most 2^32
+# bits (4^n for the single-derivative identity, so n <= 16).
+DERIVED_TABLE_BITS_CAP = 1 << 32
 TILE_BYTES = 1 << 16  # bound on the tile of low combinations
 # A sharded enumeration starts worker processes only when it XORs more uint64
 # words than this (codewords x words per table). At 3-6 ns per word on two

@@ -183,6 +183,41 @@ class TestVerifyCommand:
         assert run("verify", "representation", "--k", "1", "--eps", "1/2",
                    "--out", "v.json") == 2
 
+    @pytest.mark.parametrize(
+        "function,k,eps,digest",
+        [
+            (FunctionTable(3, 128), "2", "1/4",  # x1x2x3
+             "389c7ba16eb2b237b350490f69cec476b3eb9a7d4e2690e655cd7896e8f8d993"),
+            (FunctionTable(6, 6758152515158529), "2", "1/4",  # 8 ones drawn by random.Random(71)
+             "c28445f426bb598491b439e273195127db053a839d7d86b1cc69306125a5ade2"),
+            (FunctionTable(6, 158329682788864), "2", "1/3",  # 4 ones drawn by random.Random(72)
+             "8e7f2b5adb0fb460cbfb19df0c38027c04237e5353eec7e8daf49f0759775c03"),
+        ],
+    )
+    def test_representation_bytes_unchanged(self, outdir, function, k, eps, digest):
+        # Digests of the output written by the rational-arithmetic check.
+        write_function_file("f.txt", function)
+        assert run("verify", "representation", "--function", "f.txt",
+                   "--k", k, "--eps", eps, "--out", "v.json") == 0
+        assert sha256_file("v.json") == digest
+        assert load_manifest("v.json.manifest.json").outputs == {"v.json": digest}
+
+    @pytest.mark.parametrize(
+        "identity,n,extra",
+        [
+            # 4^17 derived table bits
+            ("single-der", 17, ()),
+            # n*k = 24 and n = 12 pass the tuple caps; 2^(12*3) derived table bits do not
+            ("representation", 12, ("--k", "2", "--eps", "1/2")),
+        ],
+    )
+    def test_derived_table_cap_exit(self, outdir, identity, n, extra):
+        write_function_file("f.txt", FunctionTable(n, 1))
+        assert run("verify", identity, "--function", "f.txt", *extra,
+                   "--out", "v.json") == 3
+        assert not Path("v.json").exists()
+        assert not Path("v.json.manifest.json").exists()
+
 
 class TestBoundsCommand:
     def test_table_contains_both_formulas(self, outdir, capsys):

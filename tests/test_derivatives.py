@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rmlist import (
+    DegenerateBiasError,
     FunctionTable,
+    InvariantFailure,
     ScaleError,
     WeightTooLargeError,
     ZeroBiasError,
@@ -28,8 +31,14 @@ from rmlist import (
 )
 
 from rmlist import derivatives
-from rmlist.derivatives import derivative_chunks, point_counts
-from rmlist.errors import InputError
+from rmlist.derivatives import (
+    BiasBoundCheck,
+    BiasBoundReport,
+    IdentityReport,
+    derivative_chunks,
+    point_counts,
+)
+from rmlist.errors import InputError, RmlistError
 from rmlist.scan import to_words, word_count
 
 from conftest import random_table, random_table_below_weight, table_of
@@ -279,6 +288,85 @@ def naive_representation_check(f: FunctionTable, k: int, eps: Fraction):
     return max_dev, max_abs
 
 
+def fraction_representation(f: FunctionTable, k: int, eps: Fraction) -> IdentityReport:
+    """Oracle: the identity averaged prefix by prefix in ``Fraction`` arithmetic, memoised by table."""
+    derivatives.require_low_weight(f, k, eps)
+    n = f.n
+    if n * k > derivatives.EXHAUSTIVE_TUPLE_BITS or n > derivatives.EXHAUSTIVE_POINT_VARS:
+        raise ScaleError(
+            f"exhaustive verification capped at n*k <= {derivatives.EXHAUSTIVE_TUPLE_BITS} "
+            f"and n <= {derivatives.EXHAUSTIVE_POINT_VARS} (got n={n}, k={k})"
+        )
+    size = f.size
+    memo: dict[tuple[int, int], tuple[list, Fraction]] = {}
+
+    def signs(bits: int) -> list[int]:
+        return [1 - 2 * ((bits >> x) & 1) for x in range(size)]
+
+    def level(bits: int, j: int) -> tuple[list, Fraction]:
+        """Values of the depth-j averaged representation of g, plus max coefficient."""
+        key = (bits, j)
+        if key in memo:
+            return memo[key]
+        if j == 0:
+            result = (signs(bits), Fraction(1))
+        else:
+            b = Fraction(size - 2 * bits.bit_count(), size)
+            if b == 0:
+                raise DegenerateBiasError(
+                    "zero prefix bias under the low-weight precondition"
+                )
+            g = FunctionTable(n, bits)
+            sums = [0] * size
+            max_child = Fraction(0)
+            for a in range(size):
+                child_vals, child_max = level(derive(g, a).bits, j - 1)
+                if child_max > max_child:
+                    max_child = child_max
+                for x in range(size):
+                    sums[x] += child_vals[x]
+            scale = size * b
+            result = ([Fraction(s) / scale for s in sums], max_child / abs(b))
+        memo[key] = result
+        return result
+
+    values, max_coeff = level(f.bits, k)
+    expected = signs(f.bits)
+    return IdentityReport(
+        max_deviation=max(abs(values[x] - expected[x]) for x in range(size)),
+        max_abs_coefficient=max_coeff,
+        tuples_checked=size**k,
+        points_checked=size,
+    )
+
+
+def outcome(check, *args):
+    """A check's report, or the class and message of the error it raised."""
+    try:
+        return check(*args)
+    except RmlistError as exc:
+        return type(exc), str(exc)
+
+
+def low_weight_corpus(seed: int, per_case: dict[tuple[int, int], int]):
+    """Seeded ``(f, k, eps)`` with wt(f) < 2^-k (1 - eps), ``per_case[(n, k)]`` of each.
+
+    Each f has the most ones the gate allows, or one fewer.
+    """
+    rng = random.Random(seed)
+    for (n, k), count in per_case.items():
+        for _ in range(count):
+            eps = Fraction(rng.randrange(1, 10), 10)
+            most = math.ceil((1 << n) * (1 - eps) / (1 << k)) - 1
+            ones = rng.sample(range(1 << n), max(0, most - rng.randrange(2)))
+            yield FunctionTable(n, sum(1 << x for x in ones)), k, eps
+
+
+# Every (n, k) with n = 1..6 and k = 1..3; the oracle takes about 1.5 s at n=6, k=3.
+CORPUS = {(n, k): 1 if (n, k) == (6, 3) else 3 if n == 6 else 5
+          for n in range(1, 7) for k in range(1, 4)}
+
+
 class TestVerifyRepresentation:
     def test_zero_function(self):
         report = verify_derivative_representation(FunctionTable.zero(3), 2, Fraction(1, 2))
@@ -322,6 +410,93 @@ class TestVerifyRepresentation:
     def test_scale_cap(self):
         with pytest.raises(ScaleError):
             verify_derivative_representation(FunctionTable.zero(9), 3, Fraction(1, 2))
+
+    def test_matches_fraction_oracle(self):
+        checked = 0
+        for f, k, eps in low_weight_corpus(70, CORPUS):
+            report = verify_derivative_representation(f, k, eps)
+            assert report == fraction_representation(f, k, eps)
+            checked += f.bits != 0
+        assert checked >= 25  # small n at larger k admits only f = 0
+
+    def test_matches_oracle_across_chunk_boundaries(self, monkeypatch):
+        # Three one-word tables per chunk: the 2^n extensions of one prefix
+        # start and end inside chunks and span several of them.
+        monkeypatch.setattr(derivatives, "CHUNK_BITS", 3 * 64)
+        for f, k, eps in low_weight_corpus(71, {(5, 2): 4, (7, 1): 3, (4, 3): 3}):
+            assert verify_derivative_representation(f, k, eps) == fraction_representation(f, k, eps)
+
+    def test_zero_bias_raises_like_oracle(self, monkeypatch):
+        # Unreachable under the weight gate; lift it for both checks.
+        monkeypatch.setattr(derivatives, "require_low_weight", lambda *args: None)
+        rng = random.Random(72)
+        kinds = set()
+        for n in range(1, 6):
+            for k in range(1, 4):
+                for _ in range(6):
+                    f = random_table(n, rng)
+                    new = outcome(verify_derivative_representation, f, k, Fraction(1, 2))
+                    assert new == outcome(fraction_representation, f, k, Fraction(1, 2))
+                    kinds.add(new[0] if isinstance(new, tuple) else IdentityReport)
+        assert kinds == {DegenerateBiasError, IdentityReport}
+
+    def test_coefficient_takes_the_largest_parent(self):
+        # No corpus input tried so far reaches a maximal path through a child
+        # whose first or last parent is not its largest, so check it directly:
+        # parents of scale 1, 3, 2 with two extensions each.
+        scales = [Fraction(1), Fraction(3), Fraction(2)]
+        inverse = np.array([0, 1, 1, 2, 2, 0])
+        assert derivatives._max_over_parents(scales, inverse, 2) == [2, 3, 3]
+
+    def test_corrupted_kernel_bit_is_an_invariant_failure(self, monkeypatch):
+        kernel = derivatives.derivative_chunks
+
+        def corrupted(f, directions):
+            for i, (tables, weights) in enumerate(kernel(f, directions)):
+                if i == 0:
+                    tables[-1, 0] ^= np.uint64(1 << 3)
+                yield tables, weights
+
+        monkeypatch.setattr(derivatives, "derivative_chunks", corrupted)
+        f = FunctionTable(6, 6758152515158529)
+        with pytest.raises(InvariantFailure, match="single-derivative identity failed"):
+            verify_derivative_representation(f, 2, Fraction(1, 4))
+
+    def test_derived_table_cap(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("derived a table past the cap")
+
+        monkeypatch.setattr(derivatives, "derivative_chunks", no_kernel)
+        # n*k = 24 and n = 12 pass the tuple caps; 2^36 derived table bits do not.
+        with pytest.raises(ScaleError, match="needs 2\\^36"):
+            verify_derivative_representation(FunctionTable(12, 1), 2, Fraction(1, 2))
+        with pytest.raises(ScaleError, match="needs 2\\^34"):
+            single_derivative_identity(FunctionTable(17, 1))
+
+
+def dict_walk_bias_bounds(f: FunctionTable, k: int, eps: Fraction) -> BiasBoundReport:
+    """Oracle: the exhaustive bias bounds, one bigint ``derive`` per direction into a dict."""
+    size = f.size
+    checks = []
+    for s in range(k):
+        bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
+        layer = {f.bits: ()}
+        for _ in range(s):
+            nxt = {}
+            for bits, rep in layer.items():
+                g = FunctionTable(f.n, bits)
+                for a in range(size):
+                    nxt.setdefault(derive(g, a).bits, rep + (a,))
+            layer = nxt
+        violations = []
+        min_bias = Fraction(1)
+        for bits, rep in layer.items():
+            b = Fraction(size - 2 * bits.bit_count(), size)
+            min_bias = min(min_bias, b)
+            if b < bound:
+                violations.append((rep, b))
+        checks.append(BiasBoundCheck(s, bound, min_bias, size**s, tuple(violations)))
+    return BiasBoundReport(k=k, eps=eps, exhaustive=True, checks=tuple(checks))
 
 
 class TestBiasBounds:
@@ -368,3 +543,34 @@ class TestBiasBounds:
     def test_rejects_overweight(self):
         with pytest.raises(WeightTooLargeError):
             check_bias_bounds(FunctionTable.ones(3), 1, Fraction(1, 2))
+
+    def test_walk_capped_by_derived_table_bits(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("derived a table past the cap")
+
+        monkeypatch.setattr(derivatives, "derivative_chunks", no_kernel)
+        # n*(k-1) = 17 is within the tuple cap; the walk's 2^34 derived bits are not.
+        f = FunctionTable(17, 1)
+        report = check_bias_bounds(f, 2, Fraction(1, 2), samples=3, seed=5)
+        assert not report.exhaustive
+        assert report.checks[1].tuples_checked == 3
+        with pytest.raises(ScaleError, match="needs 2\\^34"):
+            check_bias_bounds(f, 2, Fraction(1, 2), exhaustive=True)
+
+    def test_matches_dict_walk(self):
+        for f, k, eps in low_weight_corpus(73, CORPUS):
+            assert check_bias_bounds(f, k, eps) == dict_walk_bias_bounds(f, k, eps)
+
+    def test_violations_match_dict_walk(self, monkeypatch):
+        # Heavy functions break the bounds; the gate is lifted to reach them.
+        monkeypatch.setattr(derivatives, "require_low_weight", lambda *args: None)
+        rng = random.Random(74)
+        violated = 0
+        for n in range(2, 6):
+            for k in (2, 3):
+                for _ in range(4):
+                    f = random_table(n, rng)
+                    report = check_bias_bounds(f, k, Fraction(1, 3), exhaustive=True)
+                    assert report == dict_walk_bias_bounds(f, k, Fraction(1, 3))
+                    violated += report.violation_count > 0
+        assert violated > 10
