@@ -11,7 +11,7 @@ The central objects:
   over all 2^(nk) direction tuples and all 2^n points. It needs only integers: the
   identity follows, by induction on the depth, from the integer single-derivative
   identity sum_a (-1)^{g_a(x)} = (2^n - 2 wt(g)) (-1)^{g(x)} at every distinct
-  prefix derivative g of depth below k, which ``prefix_levels`` walks a level at a time.
+  prefix derivative g of depth below k, checked one level of distinct prefixes at a time.
 * ``check_bias_bounds`` - the prefix-bias lower bounds that make the coefficients finite.
 * ``single_derivative_identity`` - the order-1 identity for any non-balanced function.
 """
@@ -140,59 +140,46 @@ def _extended(tuples: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(-1, t + 1)
 
 
-def _extension_counts(f: FunctionTable, tuples: np.ndarray) -> np.ndarray:
-    """``ones[i, x]``: how many a in [0, 2^n) have (f_{tuples[i]})_a(x) = 1.
+def _extensions(
+    f: FunctionTable, tuples: np.ndarray, keep: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Derive every row of ``tuples`` extended by all 2^n directions, once.
 
-    Derives every row of ``tuples`` extended by all 2^n directions through
-    ``derivative_chunks``, in blocks of rows whose extensions fill at most
-    one chunk: a chunk holds all of a block's extensions, or, when one row's
-    extensions span several chunks, part of that one row's.
+    Returns ``ones[i, x]``, how many a in [0, 2^n) have (f_{tuples[i]})_a(x) = 1,
+    and, if ``keep``, the derived tables themselves in ``_extended`` order.
+    The rows go through ``derivative_chunks`` in blocks whose extensions
+    fill at most one chunk: a chunk holds all of a block's extensions, or,
+    when one row's extensions span several chunks, part of that one row's.
     """
     size = f.size
     ones = np.zeros((len(tuples), size), dtype=np.int64)
+    children = []
     block = max(1, CHUNK_BITS >> (2 * f.n))
     for first in range(0, len(tuples), block):
         part = tuples[first:first + block]
         for tables, _ in derivative_chunks(f, _extended(part, size)):
             ones[first:first + len(part)] += _block_counts(tables, f.n, len(part))
-    return ones
+            if keep:
+                children.append(tables)
+    return ones, np.concatenate(children) if keep else None
 
 
-@dataclass(frozen=True)
-class PrefixLevel:
-    """The distinct depth-t derivatives f_{a_1..a_t} of f, in order of first occurrence.
+def _distinct_children(
+    children: np.ndarray, tuples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``children`` (the tables of ``_extended(tuples, 2^n)``).
 
-    Rows follow the extensions of the previous level's tuples, parent-major
-    and then by the new direction a; ``tuples[i]`` is the first of them that
-    derives ``tables[i]``, and ``inverse[r]`` names the distinct derivative
-    that extension r derives (``None`` at depth 0, whose one row is f).
+    Returns them in order of first occurrence with, for each, the first
+    extended tuple that derives it, and ``inverse[r]``: the distinct row that
+    extension r derives.
     """
-
-    tables: np.ndarray  # (p, words) uint64
-    tuples: np.ndarray  # (p, t) int64
-    inverse: np.ndarray | None
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.bitwise_count(self.tables).sum(axis=1, dtype=np.int64)
-
-
-def prefix_levels(f: FunctionTable, depth: int) -> Iterator[PrefixLevel]:
-    """The levels t = 0..depth-1 of distinct prefix derivatives of f, one at a time."""
-    level = PrefixLevel(scan.to_words(f.bits, scan.word_count(f.n))[None, :],
-                        np.zeros((1, 0), dtype=np.int64), None)
-    for t in range(depth):
-        yield level
-        if t + 1 < depth:
-            directions = _extended(level.tuples, f.size)
-            children = np.concatenate([tables for tables, _ in derivative_chunks(f, directions)])
-            _, first, inverse = np.unique(children, axis=0, return_index=True,
-                                          return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            level = PrefixLevel(children[first[order]], directions[first[order]],
-                                rank[inverse.reshape(-1)])
+    _, first, inverse = np.unique(children, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    parent, a = np.divmod(first[order], len(children) // len(tuples))
+    return (children[first[order]], np.column_stack([tuples[parent], a]),
+            rank[inverse.reshape(-1)])
 
 
 def low_weight_threshold(k: int, eps: Fraction) -> Fraction:
@@ -293,7 +280,7 @@ def verify_derivative_representation(
     induction on the depth, the average over the tuples below g of
     coeff * (-1)^derivative equals (-1)^g whenever that equality holds at g
     and at every distinct prefix below it, so ``max_deviation`` is 0 once every
-    level of ``prefix_levels`` f, ..., depth k-1 passes. A level that fails
+    level of distinct prefixes, depth 0 to k-1, passes. A level that fails
     can only be a kernel bug and raises ``InvariantFailure``; a zero B raises
     ``DegenerateBiasError``.
 
@@ -309,22 +296,28 @@ def verify_derivative_representation(
         )
     size = f.size
     _derived_bits_cap(size ** (k + 1), f"representation check at n={n}, k={k}")
+    tables = scan.to_words(f.bits, scan.word_count(n))[None, :]
+    tuples = np.zeros((1, 0), dtype=np.int64)
     scales = [Fraction(1)]
-    for level in prefix_levels(f, k):
-        if level.inverse is not None:
-            scales = _max_over_parents(scales, level.inverse, size)
-        biases = size - 2 * level.weights
+    for depth in range(k):
+        # ``tables`` holds the distinct depth-``depth`` prefixes, each reached
+        # first by the matching row of ``tuples``, and ``scales`` the largest
+        # coefficient of a path down to each.
+        biases = size - 2 * np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
         if not biases.all():
             raise DegenerateBiasError(
                 "zero prefix bias under the low-weight precondition"
             )
         scales = [s * Fraction(size, abs(b)) for s, b in zip(scales, biases.tolist())]
-        signs = 1 - 2 * _point_bits(level.tables, n).astype(np.int64)
-        ones = _extension_counts(f, level.tuples)
+        ones, children = _extensions(f, tuples, keep=depth + 1 < k)
+        signs = 1 - 2 * _point_bits(tables, n).astype(np.int64)
         if not np.array_equal(size - 2 * ones, biases[:, None] * signs):
             raise InvariantFailure(
-                f"single-derivative identity failed at a depth-{level.tuples.shape[1]} prefix"
+                f"single-derivative identity failed at a depth-{depth} prefix"
             )
+        if children is not None:
+            tables, tuples, inverse = _distinct_children(children, tuples)
+            scales = _max_over_parents(scales, inverse, size)
     return IdentityReport(
         max_deviation=Fraction(0),
         max_abs_coefficient=max(scales),
@@ -465,45 +458,65 @@ def check_bias_bounds(
 ) -> BiasBoundReport:
     """Check bias(f_{a_1..a_s}) >= 1 - 2^(s+1-k) (1 - eps) for every prefix length s < k.
 
-    Exhaustive over all tuples when n*s stays within the feasibility cap and
-    the walk's derived tables, at most 2^(nk) bits, within
-    ``DERIVED_TABLE_BITS_CAP`` (or when forced, up to that cap); otherwise
-    seeded random tuples with the same assertions. Violations are reported,
-    not raised: a non-empty list would falsify the underlying math and is
-    treated as a test failure by callers.
+    Exhaustive over all tuples when n*s stays within the feasibility cap (or
+    when forced); otherwise seeded random tuples with the same assertions.
+    Violations are reported, not raised: a non-empty list would falsify the
+    underlying math and is treated as a test failure by callers.
     """
     require_low_weight(f, k, eps)
     n = f.n
     size = f.size
     if exhaustive is None:
-        exhaustive = (n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
-                      and size**k <= scan.DERIVED_TABLE_BITS_CAP)
-    if exhaustive:
-        _derived_bits_cap(size**k, f"exhaustive bias bounds at n={n}, k={k}")
+        exhaustive = n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
     rng = random.Random(seed)
-    levels = prefix_levels(f, k) if exhaustive else None
     checks = []
     for s in range(k):
         bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
-        if levels is not None:
-            # Every tuple of length s, through one representative per distinct prefix.
-            level = next(levels)
-            tuples = [tuple(t) for t in level.tuples.tolist()]
-            biases = [Fraction(size - 2 * w, size) for w in level.weights.tolist()]
-            checked = size**s
+        violations = []
+        min_bias = Fraction(1)
+        if s == 0:
+            tuples = [()]
+        elif exhaustive:
+            tuples = None  # enumerate distinct prefix functions below
         else:
-            tuples = [()] if s == 0 else [
+            tuples = [
                 tuple(rng.getrandbits(n) for _ in range(s)) for _ in range(samples)
             ]
-            biases = [_prefix_bias(f, t) for t in tuples]
+        if tuples is not None:
             checked = len(tuples)
+            for t in tuples:
+                b = _prefix_bias(f, t)
+                if b < min_bias:
+                    min_bias = b
+                if b < bound:
+                    violations.append((t, b))
+        else:
+            # Exhaustive: walk distinct derivative functions level by level,
+            # keeping one representative tuple per function for reporting.
+            checked = size**s
+            layer = {f.bits: ()}
+            for _ in range(s):
+                nxt = {}
+                for bits, rep in layer.items():
+                    g = FunctionTable(n, bits)
+                    for a in range(size):
+                        db = derive(g, a).bits
+                        if db not in nxt:
+                            nxt[db] = rep + (a,)
+                layer = nxt
+            for bits, rep in layer.items():
+                b = Fraction(size - 2 * bits.bit_count(), size)
+                if b < min_bias:
+                    min_bias = b
+                if b < bound:
+                    violations.append((rep, b))
         checks.append(
             BiasBoundCheck(
                 prefix_length=s,
                 bound=bound,
-                min_bias=min([Fraction(1), *biases]),
+                min_bias=min_bias,
                 tuples_checked=checked,
-                violations=tuple((t, b) for t, b in zip(tuples, biases) if b < bound),
+                violations=tuple(violations),
             )
         )
     return BiasBoundReport(k=k, eps=eps, exhaustive=exhaustive, checks=tuple(checks))

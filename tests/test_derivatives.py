@@ -31,13 +31,7 @@ from rmlist import (
 )
 
 from rmlist import derivatives
-from rmlist.derivatives import (
-    BiasBoundCheck,
-    BiasBoundReport,
-    IdentityReport,
-    derivative_chunks,
-    point_counts,
-)
+from rmlist.derivatives import IdentityReport, derivative_chunks, point_counts
 from rmlist.errors import InputError, RmlistError
 from rmlist.scan import to_words, word_count
 
@@ -462,6 +456,24 @@ class TestVerifyRepresentation:
         with pytest.raises(InvariantFailure, match="single-derivative identity failed"):
             verify_derivative_representation(f, 2, Fraction(1, 4))
 
+    def test_derives_each_distinct_prefix_extension_once(self, monkeypatch):
+        kernel = derivatives.derivative_chunks
+        derived = []
+
+        def counting(f, directions):
+            derived.append(len(directions))
+            return kernel(f, directions)
+
+        monkeypatch.setattr(derivatives, "derivative_chunks", counting)
+        f, k = FunctionTable(6, sum(1 << x for x in (0, 5, 17, 40, 63))), 3
+        verify_derivative_representation(f, k, Fraction(1, 8))
+        # Distinct prefixes at depths 0..k-1, each extended by all 2^n directions.
+        level, distinct = {f.bits}, 1
+        for _ in range(k - 1):
+            level = {derive(FunctionTable(6, bits), a).bits for bits in level for a in range(64)}
+            distinct += len(level)
+        assert sum(derived) == distinct * 64
+
     def test_derived_table_cap(self, monkeypatch):
         def no_kernel(*args):
             raise AssertionError("derived a table past the cap")
@@ -472,31 +484,6 @@ class TestVerifyRepresentation:
             verify_derivative_representation(FunctionTable(12, 1), 2, Fraction(1, 2))
         with pytest.raises(ScaleError, match="needs 2\\^34"):
             single_derivative_identity(FunctionTable(17, 1))
-
-
-def dict_walk_bias_bounds(f: FunctionTable, k: int, eps: Fraction) -> BiasBoundReport:
-    """Oracle: the exhaustive bias bounds, one bigint ``derive`` per direction into a dict."""
-    size = f.size
-    checks = []
-    for s in range(k):
-        bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
-        layer = {f.bits: ()}
-        for _ in range(s):
-            nxt = {}
-            for bits, rep in layer.items():
-                g = FunctionTable(f.n, bits)
-                for a in range(size):
-                    nxt.setdefault(derive(g, a).bits, rep + (a,))
-            layer = nxt
-        violations = []
-        min_bias = Fraction(1)
-        for bits, rep in layer.items():
-            b = Fraction(size - 2 * bits.bit_count(), size)
-            min_bias = min(min_bias, b)
-            if b < bound:
-                violations.append((rep, b))
-        checks.append(BiasBoundCheck(s, bound, min_bias, size**s, tuple(violations)))
-    return BiasBoundReport(k=k, eps=eps, exhaustive=True, checks=tuple(checks))
 
 
 class TestBiasBounds:
@@ -543,34 +530,3 @@ class TestBiasBounds:
     def test_rejects_overweight(self):
         with pytest.raises(WeightTooLargeError):
             check_bias_bounds(FunctionTable.ones(3), 1, Fraction(1, 2))
-
-    def test_walk_capped_by_derived_table_bits(self, monkeypatch):
-        def no_kernel(*args):
-            raise AssertionError("derived a table past the cap")
-
-        monkeypatch.setattr(derivatives, "derivative_chunks", no_kernel)
-        # n*(k-1) = 17 is within the tuple cap; the walk's 2^34 derived bits are not.
-        f = FunctionTable(17, 1)
-        report = check_bias_bounds(f, 2, Fraction(1, 2), samples=3, seed=5)
-        assert not report.exhaustive
-        assert report.checks[1].tuples_checked == 3
-        with pytest.raises(ScaleError, match="needs 2\\^34"):
-            check_bias_bounds(f, 2, Fraction(1, 2), exhaustive=True)
-
-    def test_matches_dict_walk(self):
-        for f, k, eps in low_weight_corpus(73, CORPUS):
-            assert check_bias_bounds(f, k, eps) == dict_walk_bias_bounds(f, k, eps)
-
-    def test_violations_match_dict_walk(self, monkeypatch):
-        # Heavy functions break the bounds; the gate is lifted to reach them.
-        monkeypatch.setattr(derivatives, "require_low_weight", lambda *args: None)
-        rng = random.Random(74)
-        violated = 0
-        for n in range(2, 6):
-            for k in (2, 3):
-                for _ in range(4):
-                    f = random_table(n, rng)
-                    report = check_bias_bounds(f, k, Fraction(1, 3), exhaustive=True)
-                    assert report == dict_walk_bias_bounds(f, k, Fraction(1, 3))
-                    violated += report.violation_count > 0
-        assert violated > 10
