@@ -169,17 +169,12 @@ def _distinct_children(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of ``children`` (the tables of ``_extended(tuples, 2^n)``).
 
-    Returns them in order of first occurrence with, for each, the first
-    extended tuple that derives it, and ``inverse[r]``: the distinct row that
-    extension r derives.
+    Returns them with, for each, the first extended tuple that derives it,
+    and ``inverse[r]``: the distinct row that extension r derives.
     """
     _, first, inverse = np.unique(children, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    parent, a = np.divmod(first[order], len(children) // len(tuples))
-    return (children[first[order]], np.column_stack([tuples[parent], a]),
-            rank[inverse.reshape(-1)])
+    parent, a = np.divmod(first, len(children) // len(tuples))
+    return children[first], np.column_stack([tuples[parent], a]), inverse.reshape(-1)
 
 
 def low_weight_threshold(k: int, eps: Fraction) -> Fraction:
