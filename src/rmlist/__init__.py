@@ -41,7 +41,6 @@ from .approximator import (
     approximator_table,
     build_approximator,
     candidate_from_received,
-    eval_approximator,
     load_approximator,
     sample_count,
     serialize_approximator,

@@ -10,6 +10,7 @@ down uniquely, which ``unique_decode_within`` then recovers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -24,12 +25,11 @@ from .boolfunc import (
     FunctionTable,
     anf_to_table,
     distance,
-    evaluate,
     monomial_table,
     xor_tables,
 )
 from . import scan
-from .derivatives import CHUNK_BITS, derivative_chunks, point_counts, require_low_weight
+from .derivatives import derivative_chunks, point_counts, require_low_weight
 from .errors import (
     ApproximationFailure,
     DegenerateBiasError,
@@ -43,14 +43,54 @@ from .scan import APPROX_TABLE_BITS_CAP, EXHAUSTIVE_DECODE_DIMENSION
 COEFFICIENT_BOUND_NUMERATOR = 10  # coefficient bound is 10/eps
 
 
+def _atanh_bounds(z: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= atanh(z) <= hi for 0 <= z < 1, from the first ``terms`` series terms.
+
+    The tail of sum_j z^(2j+1) / (2j+1) past ``terms`` terms is at most the
+    first omitted power over (2 terms + 1), times the geometric factor 1/(1 - z^2).
+    """
+    total, power = Fraction(0), z
+    for j in range(terms):
+        total += power / (2 * j + 1)
+        power *= z * z
+    return total, total + power / ((2 * terms + 1) * (1 - z * z))
+
+
+def _ln_bounds(q: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= ln(q) <= hi for rational q >= 1.
+
+    q = 2^e r with 1 <= r < 2, and ln(q) = e ln(2) + ln(r), where
+    ln(2) = 2 atanh(1/3) and ln(r) = 2 atanh((r-1)/(r+1)), both with z <= 1/3.
+    """
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if q < 2**e:
+        e -= 1
+    r = q / 2**e
+    two_lo, two_hi = _atanh_bounds(Fraction(1, 3), terms)
+    r_lo, r_hi = _atanh_bounds((r - 1) / (r + 1), terms)
+    return 2 * (e * two_lo + r_lo), 2 * (e * two_hi + r_hi)
+
+
 def sample_count(eps: Fraction, delta: Fraction) -> int:
-    """Smallest sample count the Chernoff argument needs: ceil(32 C^2 ln(1/delta))."""
+    """Smallest sample count the Chernoff argument needs: ceil(32 C^2 ln(1/delta)).
+
+    Exact: ln(1/delta) is bracketed between rationals, with twice as many
+    series terms each round, until both ends give the same ceiling. The
+    loop ends because 32 C^2 ln(1/delta) is irrational (ln of a rational
+    other than 1 is transcendental), so it is never an integer.
+    """
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0, 1), got {eps}")
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
     c = Fraction(COEFFICIENT_BOUND_NUMERATOR) / eps
-    return math.ceil(32 * float(c * c) * math.log(1 / float(delta)))
+    scale = 32 * c * c
+    terms = 8
+    while True:
+        lo, hi = _ln_bounds(1 / delta, terms)
+        if math.ceil(scale * lo) == math.ceil(scale * hi):
+            return math.ceil(scale * lo)
+        terms *= 2
 
 
 @dataclass(frozen=True)
@@ -95,7 +135,13 @@ class ApproximatorParams:
 
 @dataclass(frozen=True)
 class SampledApproximator:
-    """Weighted majority over m sampled order-k derivatives of a base function."""
+    """Weighted majority over m sampled order-k derivatives of a base function.
+
+    Only the base, the m direction tuples and their rounded coefficients are
+    kept. The derivative tables are not: ``approximator_table`` re-derives
+    them from ``directions`` a kernel chunk at a time whenever the majority
+    is evaluated.
+    """
 
     n: int
     k: int
@@ -103,7 +149,6 @@ class SampledApproximator:
     base: FunctionTable
     directions: tuple[tuple[int, ...], ...]
     coefficients: tuple[int, ...]
-    tables: tuple[FunctionTable, ...]
 
     @property
     def m(self) -> int:
@@ -128,7 +173,7 @@ def _retry_seed(seed: int, retry: int) -> int:
 
 
 def _require_table_bits(m: int, n: int) -> None:
-    """Exit with ``ScaleError`` before building m derivative tables of 2^n bits past the cap."""
+    """Exit with ``ScaleError`` when m derivative tables of 2^n bits pass the cap."""
     if m << n > APPROX_TABLE_BITS_CAP:
         raise ScaleError(
             f"approximator capped at m * 2^n <= 2^{APPROX_TABLE_BITS_CAP.bit_length() - 1} "
@@ -153,12 +198,15 @@ def _rounded_coefficient(prefix_weights: tuple[int, ...], size: int, int_bound: 
     return s
 
 
-def _function_tables(n: int, tables: np.ndarray) -> list[FunctionTable]:
-    """The rows of ``(rows, words)`` uint64 tables as ``FunctionTable`` values."""
-    raw = tables.astype("<u8", copy=False).tobytes()
-    step = 8 * tables.shape[1]
-    return [FunctionTable(n, int.from_bytes(raw[i:i + step], "little"))
-            for i in range(0, len(raw), step)]
+def _prefix_weights(f: FunctionTable, directions: np.ndarray) -> np.ndarray:
+    """``(m, k)`` int64: the weights of the k prefixes f, f_{a_1}, ..., f_{a_1..a_{k-1}}
+    of each direction tuple, derived only to depth k-1 (at k=1, not at all)."""
+    m, k = directions.shape
+    if k == 1:
+        return np.full((m, 1), f.bits.bit_count(), dtype=np.int64)
+    parts = [np.column_stack([weights, np.bitwise_count(tables).sum(axis=1, dtype=np.int64)])
+             for tables, weights in derivative_chunks(f, directions[:, :-1])]
+    return np.concatenate(parts)
 
 
 def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxResult:
@@ -166,13 +214,15 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
 
     Deterministic for a given (f, params): retry t draws its m direction
     tuples up front from its own derived seed, so samples could also be
-    generated independently per index. ``derivative_chunks`` derives them a
-    chunk at a time. A sample's coefficient, the product of its inverse
-    prefix biases rounded half away from zero, depends only on its prefix
-    weights, so it is computed exactly once per distinct weight tuple. A zero
-    prefix bias or a coefficient past the bound raises at the first sample
-    that has it. Builds past ``APPROX_TABLE_BITS_CAP`` raise ``ScaleError``
-    before any table exists.
+    generated independently per index. A sample's coefficient, the product
+    of its inverse prefix biases rounded half away from zero, depends only
+    on its prefix weights, which ``derivative_chunks`` gives by deriving to
+    depth k-1; it is computed exactly once per distinct weight tuple, in
+    order of first occurrence, so a zero prefix bias or a coefficient past
+    the bound raises at the first sample that has it. No derivative table is
+    kept: ``approximator_table`` re-derives them for the achieved distance.
+    Builds past ``APPROX_TABLE_BITS_CAP`` raise ``ScaleError`` before any
+    table is derived.
     """
     require_low_weight(f, params.k, params.eps)
     m, n, k = params.samples, f.n, params.k
@@ -183,28 +233,22 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
     for retry in range(params.retry_budget):
         rng = random.Random(_retry_seed(params.seed, retry))
         flat = [rng.getrandbits(n) for _ in range(m * k)]
-        coeffs: list[int] = []
-        tables: list[FunctionTable] = []
-        for chunk, weights in derivative_chunks(f, np.array(flat).reshape(m, k)):
-            keys, first, inverse = np.unique(weights, axis=0, return_index=True,
-                                             return_inverse=True)
-            values = [0] * len(keys)
-            # In order of first occurrence, so the first offending sample raises.
-            for i in np.argsort(first).tolist():
-                key = tuple(keys[i].tolist())
-                if key not in rounded:
-                    rounded[key] = _rounded_coefficient(key, f.size, int_bound)
-                values[i] = rounded[key]
-            coeffs += [values[i] for i in inverse.ravel().tolist()]
-            tables += _function_tables(n, chunk)
+        weights = _prefix_weights(f, np.array(flat, dtype=np.int64).reshape(m, k))
+        keys, first, inverse = np.unique(weights, axis=0, return_index=True,
+                                         return_inverse=True)
+        values = [0] * len(keys)
+        for i in np.argsort(first).tolist():
+            key = tuple(keys[i].tolist())
+            if key not in rounded:
+                rounded[key] = _rounded_coefficient(key, f.size, int_bound)
+            values[i] = rounded[key]
         approx = SampledApproximator(
             n=n,
             k=k,
             seed=params.seed,
             base=f,
             directions=tuple(zip(*[iter(flat)] * k)),
-            coefficients=tuple(coeffs),
-            tables=tuple(tables),
+            coefficients=tuple(values[i] for i in inverse.ravel().tolist()),
         )
         achieved = distance(f, approximator_table(approx))
         if best is None or achieved < best[0]:
@@ -219,31 +263,23 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
     )
 
 
-def eval_approximator(approx: SampledApproximator, x: int) -> int:
-    """Weighted-majority bit at one point; a tied sum (>= 0) encodes bit 0."""
-    total = 0
-    for s, h in zip(approx.coefficients, approx.tables):
-        total += s * (1 - 2 * evaluate(h, x))
-    return 0 if total >= 0 else 1
-
-
 def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
     """Per-point integer sums of s_i * (-1)^{h_i(x)}, exact in int64.
 
-    Tables are packed into uint64 words a chunk at a time. Within a chunk,
-    the n_c samples of one coefficient c add c * (n_c - 2 * ones_c(x)), where
-    ones_c(x) counts their tables that are 1 at x: an integer column count
-    over their unpacked tables.
+    ``derivative_chunks`` re-derives the sample tables h_i from the base and
+    the directions, and each chunk is folded into the sums as it comes:
+    within a chunk, the n_c samples of one coefficient c add
+    c * (n_c - 2 * ones_c(x)), where ones_c(x) counts their tables that are 1
+    at x, an integer column count.
     """
-    words = scan.word_count(approx.n)
     acc = np.zeros(1 << approx.n, dtype=np.int64)
     coeffs = np.array(approx.coefficients, dtype=np.int64)
-    rows = max(1, CHUNK_BITS >> approx.n)
-    for start in range(0, approx.m, rows):
-        raw = b"".join(t.bits.to_bytes(8 * words, "little")
-                       for t in approx.tables[start:start + rows])
-        tables = np.frombuffer(raw, dtype="<u8").reshape(-1, words)
-        s = coeffs[start:start + rows]
+    directions = np.fromiter(itertools.chain.from_iterable(approx.directions), dtype=np.int64,
+                             count=approx.m * approx.k).reshape(approx.m, approx.k)
+    start = 0
+    for tables, _ in derivative_chunks(approx.base, directions):
+        s = coeffs[start:start + len(tables)]
+        start += len(tables)
         for c in np.unique(s).tolist():
             chosen = tables[s == c]
             acc += c * (len(chosen) - 2 * point_counts(chosen, approx.n))
@@ -311,28 +347,29 @@ def _decode_exhaustive(
 def _decode_majority(
     g: FunctionTable, params: CodeParams, radius: Fraction
 ) -> AnfPolynomial | None:
-    """Classical majority-vote decoding: each top-degree coefficient is the
-    majority of subcube parities over the cosets of that monomial's subcube;
-    recovered layers are XORed out before moving down a degree."""
+    """Classical majority-logic decoding, top degree first.
+
+    Once the layers above degree deg are peeled off the residual, each coset
+    of the subcube spanned by a degree-deg monomial's variables votes with
+    the parity of the residual over it, and the coefficient is 1 when more
+    than half of the 2^(n-deg) cosets vote 1. With the residual unpacked once
+    per degree into a ``(2,)*n`` uint8 cube, variable i on axis n-1-i, every
+    coset's parity is one XOR reduction over the monomial's axes. Recovered
+    layers are XORed out before moving down a degree; the constant is 1 when
+    the final residual has more ones than zeros, and the result stands only
+    if it lies within the radius of g.
+    """
     n, size = params.n, g.size
     residual = g.bits
     recovered: set[int] = set()
     for deg in range(params.d, 0, -1):
+        raw = np.frombuffer(residual.to_bytes(max(1, size // 8), "little"), dtype=np.uint8)
+        cube = np.unpackbits(raw, count=size, bitorder="little").reshape((2,) * n)
         layer: list[int] = []
         for mask in (m for m in range(size) if m.bit_count() == deg):
-            comp = (size - 1) ^ mask
-            par = bytearray(size)
-            for v in range(size):
-                par[v & comp] ^= (residual >> v) & 1
-            votes = total = 0
-            sub = comp
-            while True:
-                votes += par[sub]
-                total += 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & comp
-            if 2 * votes > total:
+            axes = tuple(n - 1 - i for i in range(n) if (mask >> i) & 1)
+            votes = int(np.bitwise_xor.reduce(cube, axis=axes).sum())
+            if 2 * votes > 1 << (n - deg):
                 layer.append(mask)
         for mask in layer:
             residual ^= monomial_table(n, mask)
@@ -363,9 +400,9 @@ def serialize_approximator(approx: SampledApproximator) -> dict:
 def load_approximator(record: dict, base: FunctionTable) -> SampledApproximator:
     """Rebuild an approximator from its record plus the base function.
 
-    The record must hold ``m`` samples of ``k`` directions in [0, 2^n) each;
-    ``derivative_chunks`` rebuilds their tables, under the same
-    ``APPROX_TABLE_BITS_CAP`` as a build.
+    The record must hold ``m`` samples of ``k`` directions in [0, 2^n) each,
+    within the same ``APPROX_TABLE_BITS_CAP`` as a build. Nothing is derived
+    here; ``approximator_table`` derives the tables when asked.
     """
     if record["n"] != base.n:
         raise InputError("record n does not match base function")
@@ -381,18 +418,13 @@ def load_approximator(record: dict, base: FunctionTable) -> SampledApproximator:
         for a in tup:
             if type(a) is not int or not 0 <= a < base.size:
                 raise InputError(f"direction {a!r} out of range for n={base.n}")
-    coeffs = tuple(int(s["coefficient"]) for s in samples)
-    tables: list[FunctionTable] = []
-    for chunk, _ in derivative_chunks(base, np.array(directions).reshape(len(samples), k)):
-        tables += _function_tables(base.n, chunk)
     return SampledApproximator(
         n=base.n,
         k=k,
         seed=record["seed"],
         base=base,
         directions=directions,
-        coefficients=coeffs,
-        tables=tuple(tables),
+        coefficients=tuple(int(s["coefficient"]) for s in samples),
     )
 
 

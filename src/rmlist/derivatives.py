@@ -370,23 +370,25 @@ class SweepReport:
 def verify_single_derivative_exhaustive(n: int) -> SweepReport:
     """Run the single-derivative identity over every function on n variables.
 
-    Vectorized over the 2^(2^n) functions at once; all accumulations are
-    integer-exact (sums of +-1 in int64), so the reported deviation is exact.
-    Capped at n <= 4 (65536 functions).
+    Vectorized over the 2^(2^n) functions at once. For every direction a,
+    the derivative tables at all points are added into per-point counts of
+    ones; all arithmetic is integer-exact in small dtypes (tables and counts
+    in uint8, at most 2^n = 16 per point, signed values in int16), so the
+    reported deviation is exact. Capped at n <= 4 (65536 functions).
     """
     if not 1 <= n <= 4:
         raise ScaleError("exhaustive function sweep capped at n <= 4")
     size = 1 << n
     count = 1 << size
     funcs = np.arange(count, dtype=np.uint32)
-    table_bits = ((funcs[:, None] >> np.arange(size)[None, :]) & 1).astype(np.int64)
-    acc = np.zeros((count, size), dtype=np.int64)
+    table_bits = ((funcs[:, None] >> np.arange(size)[None, :]) & 1).astype(np.uint8)
+    ones = np.zeros((count, size), dtype=np.uint8)
     points = np.arange(size)
     for a in range(size):
-        acc += 1 - 2 * (table_bits[:, points ^ a] ^ table_bits)
-    w = table_bits.sum(axis=1)
-    bias_num = size - 2 * w
-    signs = 1 - 2 * table_bits
+        ones += table_bits[:, points ^ a] ^ table_bits
+    acc = size - 2 * ones.astype(np.int16)
+    bias_num = size - 2 * table_bits.sum(axis=1, dtype=np.int16)
+    signs = 1 - 2 * table_bits.astype(np.int16)
     dev_num = np.abs(acc - signs * bias_num[:, None])
     nonzero = bias_num != 0
     max_dev = Fraction(0)

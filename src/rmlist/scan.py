@@ -26,8 +26,10 @@ from .boolfunc import CodeParams, monomial_table
 DIMENSION_CAP = 30  # largest code dimension any scan walks: 2^30 codewords
 EXHAUSTIVE_DECODE_DIMENSION = 26  # "auto" decoding scans the code up to this dimension
 EXHAUSTIVE_CENTER_VARS = 4  # every function is a list-size center only for n <= 4
-# An approximator builds and keeps m derivative tables of 2^n bits: m * 2^n
-# is capped at 2^32 bits (512 MiB of tables).
+# An approximator keeps no derivative tables: it re-derives its m tables of
+# 2^n bits, a chunk at a time, each time it evaluates its majority. m * 2^n is
+# capped at 2^32 bits to bound that time (a k=1 build at the cap, n=16 with
+# m=65,536, takes about 1.6 s per retry on a 2-core VM, in under 50 MiB).
 APPROX_TABLE_BITS_CAP = 1 << 32
 # An identity check derives a 2^n-bit table for every direction tuple it
 # walks, chunk by chunk: it runs only while those tables total at most 2^32

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,15 +28,16 @@ from rmlist import (
     candidate_from_received,
     derive_iterated,
     distance,
-    eval_approximator,
+    evaluate,
     load_approximator,
+    monomial_table,
     sample_count,
     serialize_approximator,
     table_to_anf,
     unique_decode_within,
     xor_tables,
 )
-from rmlist import approximator
+from rmlist import approximator, derivatives
 from rmlist.approximator import _signed_accumulation, approximator_json
 from rmlist.derivatives import derive
 from rmlist.errors import InvariantFailure, ScaleError
@@ -43,10 +45,24 @@ from rmlist.errors import InvariantFailure, ScaleError
 from conftest import random_table, table_of
 
 
+def sample_tables(approx: SampledApproximator) -> list[FunctionTable]:
+    """Oracle: each sample's derivative table, one bigint ``derive_iterated`` at a time."""
+    return [derive_iterated(approx.base, t) for t in approx.directions]
+
+
+def eval_approximator(approx: SampledApproximator, x: int) -> int:
+    """Oracle: the weighted-majority bit at one point; a tied sum (>= 0) encodes bit 0."""
+    total = 0
+    for s, h in zip(approx.coefficients, sample_tables(approx)):
+        total += s * (1 - 2 * evaluate(h, x))
+    return 0 if total >= 0 else 1
+
+
 def direct_accumulation(approx: SampledApproximator) -> list[int]:
     """Oracle: sum over samples of s_i * (1 - 2 h_i(x)), point by point."""
+    tables = sample_tables(approx)
     return [sum(s * (1 - 2 * ((h.bits >> x) & 1))
-                for s, h in zip(approx.coefficients, approx.tables))
+                for s, h in zip(approx.coefficients, tables))
             for x in range(1 << approx.n)]
 
 
@@ -54,7 +70,7 @@ def dense_table(approx: SampledApproximator) -> FunctionTable:
     """Oracle weighted majority from a dense (m, 2^n) sign matrix."""
     size = 1 << approx.n
     byte_len = max(1, size // 8)
-    raw = b"".join(h.bits.to_bytes(byte_len, "little") for h in approx.tables)
+    raw = b"".join(h.bits.to_bytes(byte_len, "little") for h in sample_tables(approx))
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, byte_len),
                          axis=1, count=size, bitorder="little")
     acc = np.array(approx.coefficients, dtype=np.int64) @ (1 - 2 * bits.astype(np.int64))
@@ -72,7 +88,7 @@ def per_sample_build(f: FunctionTable, params: ApproximatorParams, table=dense_t
     best = None
     for retry in range(params.retry_budget):
         rng = random.Random((params.seed << 32) | retry)
-        directions, coeffs, tables = [], [], []
+        directions, coeffs = [], []
         for _ in range(m):
             tup = tuple(rng.getrandbits(n) for _ in range(params.k))
             cur = f
@@ -92,10 +108,9 @@ def per_sample_build(f: FunctionTable, params: ApproximatorParams, table=dense_t
                 )
             directions.append(tup)
             coeffs.append(s)
-            tables.append(cur)
         approx = SampledApproximator(n=n, k=params.k, seed=params.seed, base=f,
                                      directions=tuple(directions),
-                                     coefficients=tuple(coeffs), tables=tuple(tables))
+                                     coefficients=tuple(coeffs))
         achieved = distance(f, table(approx))
         if best is None or achieved < best[0]:
             best = (achieved, approx)
@@ -124,6 +139,39 @@ class TestParams:
         c = 20.0  # eps = 1/2
         expected = math.ceil(32 * c * c * math.log(32))
         assert sample_count(Fraction(1, 2), Fraction(1, 32)) == expected == 44362
+
+    def test_sample_count_matches_float_formula(self):
+        # Every (eps, delta) the tests and the benchmark use lies in the first
+        # grid. At eps = 1/100 and 1/1000, most deltas need more series terms
+        # than the first bracket holds.
+        grid = sorted({Fraction(a, b) for b in range(2, 11) for a in range(1, b)})
+        halvings = [Fraction(1, 1 << j) for j in range(1, 41)]
+        cases = [(eps, delta) for eps in grid for delta in grid + halvings[3:]]
+        cases += [(eps, delta) for eps in (Fraction(1, 100), Fraction(1, 1000))
+                  for delta in halvings + [2 / (1 + 1 / h) for h in halvings]]
+        for eps, delta in cases:
+            c = 10 / eps
+            expected = math.ceil(32 * float(c * c) * math.log(1 / float(delta)))
+            assert sample_count(eps, delta) == expected, (eps, delta)
+
+    def test_sample_count_uses_no_float_log(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("float logarithm called")
+
+        monkeypatch.setattr(math, "log", forbidden)
+        assert sample_count(Fraction(1, 2), Fraction(1, 32)) == 44362
+        assert sample_count(Fraction(9, 10), Fraction(2, 7)) == 4950
+
+    def test_ln_bounds_bracket_and_tighten(self):
+        assert approximator._ln_bounds(Fraction(1), 3) == (0, 0)
+        for q in (Fraction(2), Fraction(3), Fraction(32), Fraction(10, 7), Fraction(1 << 40, 3)):
+            widths = []
+            for terms in (1, 2, 4, 8, 16):
+                lo, hi = approximator._ln_bounds(q, terms)
+                assert lo - 1e-9 <= math.log(q) <= hi + 1e-9
+                widths.append(hi - lo)
+            assert all(a > b > 0 for a, b in zip(widths, widths[1:]))
+            assert widths[-1] < Fraction(1, 10**12)
 
     def test_for_code_sets_quarter_min_distance(self):
         p = ApproximatorParams.for_code(CodeParams(8, 3), k=1, eps=Fraction(1, 2), seed=1)
@@ -198,7 +246,7 @@ class TestBuild:
         # instrumented run: per point, the exact-coefficient average and the
         # rounded-integer average differ by at most 1/2, and any point whose
         # exact average is within 1/4 of the target sign stays correct
-        from rmlist import evaluate, representation_coefficient
+        from rmlist import representation_coefficient
 
         f = table_of(4, [1, 2, 3])
         params = small_params(k=1, eps=Fraction(1, 2), delta=Fraction(1, 4), seed=2)
@@ -208,14 +256,31 @@ class TestBuild:
             representation_coefficient(f, tup, params.eps).value
             for tup in approx.directions
         ]
+        tables = sample_tables(approx)
         for x in range(f.size):
-            signs = [1 - 2 * evaluate(h, x) for h in approx.tables]
+            signs = [1 - 2 * evaluate(h, x) for h in tables]
             pre = sum(a * s for a, s in zip(exact, signs)) / m
             post = Fraction(sum(c * s for c, s in zip(approx.coefficients, signs)), m)
             assert abs(pre - post) <= Fraction(1, 2)
             target = 1 - 2 * evaluate(f, x)
             if abs(pre - target) < Fraction(1, 4):
                 assert (post >= 0) == (target == 1)
+
+
+def test_build_keeps_no_tables():
+    # m * 2^n / 8 bytes is the packed size of the m derivative tables alone,
+    # so a build that kept them could not stay below it.
+    n, m = 12, 32768
+    f = FunctionTable(n, sum(1 << x for x in range(1 << n) if x & 7 == 7))
+    params = ApproximatorParams(k=1, eps=Fraction(1, 2), delta=Fraction(1, 2), seed=1, m=m)
+    tracemalloc.start()
+    try:
+        result = build_approximator(f, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.approximator.m == m
+    assert peak < m * (1 << n) // 8
 
 
 def low_weight_corpus(seed: int):
@@ -278,56 +343,63 @@ class TestBuildAgainstPerSampleLoop:
 
 
 class TestEval:
-    def manual(self, n, coeffs, tables, base=None):
+    def manual(self, base, coeffs, directions):
+        """An approximator from a base function, coefficients and direction tuples."""
         return SampledApproximator(
-            n=n, k=1, seed=0,
-            base=base or FunctionTable.zero(n),
-            directions=tuple((0,) for _ in coeffs),
+            n=base.n, k=len(directions[0]), seed=0, base=base,
+            directions=tuple(tuple(t) for t in directions),
             coefficients=tuple(coeffs),
-            tables=tuple(tables),
         )
 
     def test_all_positive_at_zero_values(self):
-        approx = self.manual(2, [1, 1], [FunctionTable.zero(2)] * 2)
+        # Any derivative along a = 0 is the zero table.
+        approx = self.manual(table_of(2, [1]), [1, 1], [(0,), (0,)])
         assert eval_approximator(approx, 0) == 0
 
     def test_single_negative_sample(self):
-        approx = self.manual(2, [1], [FunctionTable.ones(2)])
+        # x1 along e1 is the ones table.
+        approx = self.manual(table_of(2, [1]), [1], [(1,)])
+        assert sample_tables(approx) == [FunctionTable.ones(2)]
         assert eval_approximator(approx, 1) == 1
 
     def test_tie_maps_to_zero_bit(self):
-        approx = self.manual(2, [1, -1], [FunctionTable.zero(2)] * 2)
+        approx = self.manual(table_of(2, [1, 2]), [1, -1], [(0,), (0,)])
         assert eval_approximator(approx, 0) == 0
         assert approximator_table(approx) == FunctionTable.zero(2)
 
     def test_single_sample_copies_table(self):
+        # x1x2 along e2 is x1.
         x1 = table_of(3, [1])
-        approx = self.manual(3, [1], [x1])
+        approx = self.manual(table_of(3, [1, 2]), [1], [(2,)])
+        assert sample_tables(approx) == [x1]
         assert approximator_table(approx) == x1
         for x in range(8):
             assert eval_approximator(approx, x) == (x & 1)
 
     def test_table_matches_pointwise_eval(self):
         rng = random.Random(3)
-        tables = [random_table(3, rng) for _ in range(5)]
-        approx = self.manual(3, [2, -1, 1, 1, -3], tables)
-        t = approximator_table(approx)
-        for x in range(8):
-            assert (t.bits >> x) & 1 == eval_approximator(approx, x)
+        for k in (1, 2):
+            approx = self.manual(random_table(3, rng), [2, -1, 1, 1, -3],
+                                 [[rng.randrange(8) for _ in range(k)] for _ in range(5)])
+            t = approximator_table(approx)
+            for x in range(8):
+                assert (t.bits >> x) & 1 == eval_approximator(approx, x)
 
     def test_accumulation_matches_direct_sum(self, monkeypatch):
         rng = random.Random(4)
         shapes = [
-            self.manual(2, [1, 1], [FunctionTable.zero(2)] * 2),
-            self.manual(2, [1], [FunctionTable.ones(2)]),
-            self.manual(2, [1, -1], [FunctionTable.zero(2)] * 2),  # a tie everywhere
-            self.manual(3, [1], [table_of(3, [1])]),
-            self.manual(3, [2, -1, 1, 1, -3], [random_table(3, rng) for _ in range(5)]),
-            self.manual(7, [3, -3, 1, 2, -1, 3, -2], [random_table(7, rng) for _ in range(7)]),
+            self.manual(table_of(2, [1]), [1, 1], [(0,), (0,)]),
+            self.manual(table_of(2, [1]), [1], [(1,)]),
+            self.manual(table_of(2, [1, 2]), [1, -1], [(0,), (0,)]),  # a tie everywhere
+            self.manual(table_of(3, [1, 2]), [1], [(2,)]),
+            self.manual(random_table(3, rng), [2, -1, 1, 1, -3],
+                        [(rng.randrange(8),) for _ in range(5)]),
+            self.manual(random_table(7, rng), [3, -3, 1, 2, -1, 3, -2],
+                        [(rng.randrange(128), rng.randrange(128)) for _ in range(7)]),
         ]
         for approx in shapes:
             assert _signed_accumulation(approx).tolist() == direct_accumulation(approx)
-        monkeypatch.setattr(approximator, "CHUNK_BITS", 2 * 128)  # two tables per chunk
+        monkeypatch.setattr(derivatives, "CHUNK_BITS", 2 * 128)  # two tables per chunk
         assert _signed_accumulation(shapes[-1]).tolist() == direct_accumulation(shapes[-1])
 
 
@@ -409,6 +481,74 @@ class TestUniqueDecode:
                                  Fraction(1, 32), backend="nope")
 
 
+def loop_decode_majority(g: FunctionTable, params: CodeParams, radius: Fraction,
+                         ties: list[int]) -> AnfPolynomial | None:
+    """Oracle: majority-logic decoding with one Python loop over the points per
+    monomial; appends every monomial whose vote is tied to ``ties``."""
+    n, size = params.n, g.size
+    residual = g.bits
+    recovered: set[int] = set()
+    for deg in range(params.d, 0, -1):
+        layer: list[int] = []
+        for mask in (m for m in range(size) if m.bit_count() == deg):
+            comp = (size - 1) ^ mask
+            par = bytearray(size)
+            for v in range(size):
+                par[v & comp] ^= (residual >> v) & 1
+            votes = total = 0
+            sub = comp
+            while True:
+                votes += par[sub]
+                total += 1
+                if sub == 0:
+                    break
+                sub = (sub - 1) & comp
+            if 2 * votes > total:
+                layer.append(mask)
+            elif 2 * votes == total:
+                ties.append(mask)
+        for mask in layer:
+            residual ^= monomial_table(n, mask)
+            recovered.add(mask)
+    if residual.bit_count() > size // 2:
+        recovered.add(0)
+    p = AnfPolynomial(n, frozenset(recovered))
+    if distance(g, anf_to_table(p)) <= radius:
+        return p
+    return None
+
+
+class TestMajorityAgainstLoop:
+    def test_seeded_corpus(self):
+        # Noise up to the radius, up to twice it, and up to a quarter of the points.
+        rng = random.Random(41)
+        ties: list[int] = []
+        results = []
+        for n in range(1, 11):
+            for d in range(1, n):
+                code = CodeParams(n, d)
+                masks = code.monomial_masks()
+                radius = Fraction(1, 1 << (d + 1)) - Fraction(1, 1 << n)
+                limit = (radius.numerator << n) // radius.denominator
+                for flips in (limit, min(2 * limit + 1, 1 << (n - 1)), 1 << max(0, n - 2)):
+                    for _ in range(1 if n >= 9 else 3):
+                        p = AnfPolynomial(n, frozenset(m for m in masks if rng.random() < 0.5))
+                        bits = anf_to_table(p).bits
+                        for v in rng.sample(range(1 << n), rng.randint(0, flips)):
+                            bits ^= 1 << v
+                        g = FunctionTable(n, bits)
+                        # Radius 1 keeps every decoded word, ties included.
+                        decoded = loop_decode_majority(g, code, Fraction(1), ties)
+                        assert approximator._decode_majority(g, code, Fraction(1)) == decoded
+                        new = unique_decode_within(g, code, radius, backend="majority")
+                        assert new == (decoded if distance(g, anf_to_table(decoded)) <= radius
+                                       else None)
+                        results.append(new)
+        assert ties
+        assert None in results
+        assert any(r is not None for r in results)
+
+
 class TestSerialization:
     def test_round_trip(self):
         f = table_of(4, [1, 2, 3])
@@ -418,7 +558,7 @@ class TestSerialization:
         loaded = load_approximator(record, f)
         assert loaded.directions == result.approximator.directions
         assert loaded.coefficients == result.approximator.coefficients
-        assert loaded.tables == result.approximator.tables
+        assert sample_tables(loaded) == sample_tables(result.approximator)
         assert approximator_table(loaded) == approximator_table(result.approximator)
 
     def test_rejects_wrong_base(self):
@@ -438,7 +578,8 @@ class TestSerialization:
         record, f = self.order_two_record()
         loaded = load_approximator(record, f)
         assert serialize_approximator(loaded) == record
-        assert loaded.tables == tuple(derive_iterated(f, t) for t in loaded.directions)
+        assert loaded.base == f
+        assert approximator_table(loaded) == dense_table(loaded)
 
     def test_rejects_direction_tuple_of_wrong_length(self):
         record, f = self.order_two_record()
@@ -478,7 +619,6 @@ class TestSerialization:
                     n=5, k=k, seed=rng.getrandbits(20), base=FunctionTable.zero(5),
                     directions=directions,
                     coefficients=tuple(rng.randint(-40, 40) for _ in range(m)),
-                    tables=(FunctionTable.zero(5),) * m,
                 )
                 achieved, retries = Fraction(rng.randrange(32), 32), rng.randint(1, 10)
                 record = serialize_approximator(approx)

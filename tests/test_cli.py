@@ -125,6 +125,31 @@ class TestApproxCommand:
         assert record["achieved_distance"] == "0"
         assert len(record["samples"]) == record["m"]
 
+    @pytest.mark.parametrize(
+        "function,k,eps,delta,seed,digest",
+        [
+            (FunctionTable(6, 0x8080808080808080), "1", "1/2", "1/4", "9",  # x1x2x3
+             "33668594ec59b583d36bffe0493012c743be03733015fab124fadd3e925657e7"),
+            (FunctionTable(5, 1 << 13), "2", "3/4", "1/2", "5",
+             "31bb4b8bd8637331371c488169efc4b8f0103b9a5ca8d00c2ce38ccfdb597cb0"),
+            (FunctionTable(8, (1 << 3) | (1 << 100) | (1 << 201)), "3", "9/10", "1/2", "7",
+             "f481c08c151106facc336ffe8e131c1af98ba823be4374072af77f82c1139803"),
+            (anf_to_table(AnfPolynomial.from_variable_lists(10, [[1, 2, 4]])),
+             "1", "1/2", "1/8", "1",
+             "799a19d64839b13ed99ced8fce86f91e729ae485ac5ca088e8760a6eca862e5e"),
+            (FunctionTable(7, sum(1 << x for x in (2, 19, 40, 77, 90, 111, 127))),
+             "2", "3/4", "1/4", "11",
+             "b3379826174d707af6959e83587e325d5089592a96444a70fadfaa7f8ffbbddf"),
+        ],
+    )
+    def test_output_bytes_unchanged(self, outdir, function, k, eps, delta, seed, digest):
+        # Digests of the records written by the build that kept its derivative tables.
+        write_function_file("f.txt", function)
+        assert run("approx", "--function", "f.txt", "--k", k, "--eps", eps,
+                   "--delta", delta, "--seed", seed, "--out", "a.json") == 0
+        assert sha256_file("a.json") == digest
+        assert load_manifest("a.json.manifest.json").outputs == {"a.json": digest}
+
     def test_deterministic_output(self, outdir):
         p = AnfPolynomial.from_variable_lists(4, [[1, 2, 3]])
         write_function_file("f.txt", anf_to_table(p))

@@ -31,7 +31,7 @@ from rmlist import (
 )
 
 from rmlist import derivatives
-from rmlist.derivatives import IdentityReport, derivative_chunks, point_counts
+from rmlist.derivatives import IdentityReport, SweepReport, derivative_chunks, point_counts
 from rmlist.errors import InputError, RmlistError
 from rmlist.scan import to_words, word_count
 
@@ -154,6 +154,29 @@ class TestRepresentationCoefficient:
                 assert abs(c.value) <= Fraction(10) / eps
 
 
+def int64_sweep(n: int) -> SweepReport:
+    """Oracle: the exhaustive single-derivative sweep as sums of +-1 in int64."""
+    size = 1 << n
+    count = 1 << size
+    funcs = np.arange(count, dtype=np.uint32)
+    table_bits = ((funcs[:, None] >> np.arange(size)[None, :]) & 1).astype(np.int64)
+    acc = np.zeros((count, size), dtype=np.int64)
+    points = np.arange(size)
+    for a in range(size):
+        acc += 1 - 2 * (table_bits[:, points ^ a] ^ table_bits)
+    bias_num = size - 2 * table_bits.sum(axis=1)
+    dev_num = np.abs(acc - (1 - 2 * table_bits) * bias_num[:, None])
+    nonzero = bias_num != 0
+    max_dev = Fraction(0)
+    row_max = dev_num[nonzero].max(axis=1)
+    if row_max.any():
+        max_dev = max(Fraction(int(a), int(b))
+                      for a, b in zip(row_max, np.abs(bias_num[nonzero])) if a)
+    return SweepReport(n=n, functions_checked=int(nonzero.sum()),
+                       zero_bias_skipped=int(count - nonzero.sum()),
+                       max_deviation=max_dev, points_checked=size)
+
+
 class TestSingleDerivativeIdentity:
     def test_and_gate_inner_expectation(self):
         # at x = 3: E_a[(-1)^{g_a(3)}] = -1/2, scaled by 1/bias = 2 gives -1
@@ -184,6 +207,10 @@ class TestSingleDerivativeIdentity:
         g = FunctionTable(9, rng.getrandbits(512) | 1)
         if bias(g) != 0:
             assert single_derivative_identity(g).max_deviation == 0
+
+    def test_sweep_matches_int64_sweep(self):
+        for n in range(1, 5):
+            assert verify_single_derivative_exhaustive(n) == int64_sweep(n)
 
     def test_sweep_small(self):
         report = verify_single_derivative_exhaustive(3)
