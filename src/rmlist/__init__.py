@@ -63,7 +63,6 @@ from .listdecode import (
     ball,
     ball_size,
     estimate_list_size,
-    list_decode,
     list_size_bound,
 )
 from .grm import (

@@ -29,16 +29,15 @@ from .boolfunc import (
     xor_tables,
 )
 from . import scan
-from .derivatives import derivative_chunks, point_counts, require_low_weight
+from .caps import EXHAUSTIVE_DECODE_DIMENSION
+from .derivatives import derivative_chunks, point_counts, require_derived_bits, require_low_weight
 from .errors import (
     ApproximationFailure,
     DegenerateBiasError,
     InputError,
     InvariantFailure,
     RadiusError,
-    ScaleError,
 )
-from .scan import APPROX_TABLE_BITS_CAP, EXHAUSTIVE_DECODE_DIMENSION
 
 COEFFICIENT_BOUND_NUMERATOR = 10  # coefficient bound is 10/eps
 
@@ -172,15 +171,6 @@ def _retry_seed(seed: int, retry: int) -> int:
     return (seed << 32) | retry
 
 
-def _require_table_bits(m: int, n: int) -> None:
-    """Exit with ``ScaleError`` when m derivative tables of 2^n bits pass the cap."""
-    if m << n > APPROX_TABLE_BITS_CAP:
-        raise ScaleError(
-            f"approximator capped at m * 2^n <= 2^{APPROX_TABLE_BITS_CAP.bit_length() - 1} "
-            f"derivative-table bits (got m={m}, n={n})"
-        )
-
-
 def _rounded_coefficient(prefix_weights: tuple[int, ...], size: int, int_bound: int) -> int:
     """Product of the inverse prefix biases, rounded half away from zero and bounds-checked."""
     coeff = Fraction(1)
@@ -221,12 +211,12 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
     order of first occurrence, so a zero prefix bias or a coefficient past
     the bound raises at the first sample that has it. No derivative table is
     kept: ``approximator_table`` re-derives them for the achieved distance.
-    Builds past ``APPROX_TABLE_BITS_CAP`` raise ``ScaleError`` before any
-    table is derived.
+    Builds whose m tables of 2^n bits pass ``DERIVED_TABLE_BITS_CAP`` raise
+    ``ScaleError`` before any table is derived.
     """
     require_low_weight(f, params.k, params.eps)
     m, n, k = params.samples, f.n, params.k
-    _require_table_bits(m, n)
+    require_derived_bits(m << n, f"approximator at m={m}, n={n}")
     int_bound = int(params.coefficient_bound) + 1
     rounded: dict[tuple[int, ...], int] = {}
     best: tuple[Fraction, SampledApproximator] | None = None
@@ -401,15 +391,16 @@ def load_approximator(record: dict, base: FunctionTable) -> SampledApproximator:
     """Rebuild an approximator from its record plus the base function.
 
     The record must hold ``m`` samples of ``k`` directions in [0, 2^n) each,
-    within the same ``APPROX_TABLE_BITS_CAP`` as a build. Nothing is derived
+    within the same ``DERIVED_TABLE_BITS_CAP`` as a build. Nothing is derived
     here; ``approximator_table`` derives the tables when asked.
     """
     if record["n"] != base.n:
         raise InputError("record n does not match base function")
     samples = record["samples"]
-    if record["m"] != len(samples):
-        raise InputError(f"record m={record['m']} differs from its {len(samples)} samples")
-    _require_table_bits(len(samples), base.n)
+    m = len(samples)
+    if record["m"] != m:
+        raise InputError(f"record m={record['m']} differs from its {m} samples")
+    require_derived_bits(m << base.n, f"approximator at m={m}, n={base.n}")
     k = record["k"]
     directions = tuple(tuple(s["directions"]) for s in samples)
     for tup in directions:

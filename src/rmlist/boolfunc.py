@@ -16,9 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError
+from .caps import ALL_FUNCTIONS_VARS, MAX_VARIABLES
+from .errors import InputError, ScaleError
 
-MAX_VARIABLES = 30
+
+def _require_variables(n: int) -> None:
+    if not 1 <= n <= MAX_VARIABLES:
+        raise InputError(f"n must be in [1, {MAX_VARIABLES}], got {n}")
+
+
+def require_all_functions(n: int, what: str) -> None:
+    """``ScaleError`` unless every function on n variables may be walked."""
+    if not 1 <= n <= ALL_FUNCTIONS_VARS:
+        raise ScaleError(f"{what} capped at n <= {ALL_FUNCTIONS_VARS}")
 
 
 @dataclass(frozen=True)
@@ -29,8 +39,7 @@ class CodeParams:
     d: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise InputError(f"n must be in [1, {MAX_VARIABLES}], got {self.n}")
+        _require_variables(self.n)
         if not 1 <= self.d <= self.n:
             raise InputError(f"d must be in [1, n={self.n}], got {self.d}")
 
@@ -61,8 +70,7 @@ class FunctionTable:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise InputError(f"n must be in [1, {MAX_VARIABLES}], got {self.n}")
+        _require_variables(self.n)
         if self.bits < 0 or self.bits.bit_length() > (1 << self.n):
             raise InputError("table bits out of range for n")
 
@@ -104,8 +112,7 @@ class AnfPolynomial:
     monomials: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise InputError(f"n must be in [1, {MAX_VARIABLES}], got {self.n}")
+        _require_variables(self.n)
         object.__setattr__(self, "monomials", frozenset(self.monomials))
         for m in self.monomials:
             if not 0 <= m < (1 << self.n):

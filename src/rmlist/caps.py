@@ -1,0 +1,33 @@
+"""Every feasibility cap of rmlist, declared once, with the reason for its value.
+
+Past a cap a call raises before it allocates: ``ScaleError`` (exit 3) or,
+for the variable and field counts, ``InputError`` (exit 2). Two entries only
+choose a method: ``EXHAUSTIVE_DECODE_DIMENSION`` and ``EXHAUSTIVE_TUPLE_BITS``.
+Each is compared in the one function named beside it; none is configurable.
+"""
+
+# A truth table is one Python int of 2^n bits: 128 MiB at n=30.
+# ``boolfunc._require_variables``.
+MAX_VARIABLES = 30
+# Largest code dimension a codeword scan walks; RM(7,2), dimension 29, takes
+# about 17 s on a 2-core VM. ``scan.require_dimension``.
+DIMENSION_CAP = 30
+# "auto" unique decoding scans the code up to this dimension and uses majority
+# logic past it. ``approximator.unique_decode_within``.
+EXHAUSTIVE_DECODE_DIMENSION = 26
+# Every function on n <= 4 variables is 65,536 functions: the single-derivative
+# sweep and exhaustive list-size centers. ``boolfunc.require_all_functions``.
+ALL_FUNCTIONS_VARS = 4
+# Derivative-table bits one call derives: m * 2^n for an approximator, 4^n for
+# the single-derivative identity, 2^(n(k+1)) for the representation check and
+# 2^(nk) for the exhaustive bias-bounds walk. This bounds time: a k=1
+# approximator at the cap (n=16) builds in 1.6 s. ``derivatives.require_derived_bits``.
+DERIVED_TABLE_BITS_CAP = 1 << 32
+# ``check_bias_bounds`` walks every direction tuple while n*(k-1) <= 24 and
+# samples past it. ``derivatives.check_bias_bounds``.
+EXHAUSTIVE_TUPLE_BITS = 24
+# Prime fields up to F_7 keep value tables small. ``grm._require_field``.
+MAX_FIELD = 7
+# q^dimension <= 2^24 codewords: at 2.4 to 4.2 us each, at most about 70 s.
+# ``grm.grm_enumerate_weights``.
+ENUM_CAP_BITS = 24

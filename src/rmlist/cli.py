@@ -51,7 +51,7 @@ from .grm import (
     grm_weight,
     weight_thresholds,
 )
-from .listdecode import list_decode, list_size_bound
+from .listdecode import ball, list_size_bound
 from .manifest import (
     RunManifest,
     load_manifest,
@@ -94,7 +94,7 @@ def _run_listdecode(params: dict, out: Path) -> dict:
         raise InputError(
             "alpha >= 1 lists the entire code; pass --allow-full to confirm"
         )
-    result = list_decode(center, alpha, code)
+    result = ball(center, alpha, code)
     out.write_text(ball_csv(result))
     return {"members": result.size}
 

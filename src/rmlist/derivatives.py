@@ -26,7 +26,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import scan
-from .boolfunc import FunctionTable, _low_block_mask, bias, translate, weight
+from .boolfunc import FunctionTable, _low_block_mask, bias, require_all_functions, translate, weight
+from .caps import DERIVED_TABLE_BITS_CAP, EXHAUSTIVE_TUPLE_BITS
 from .errors import (
     DegenerateBiasError,
     InputError,
@@ -36,8 +37,6 @@ from .errors import (
     ZeroBiasError,
 )
 
-EXHAUSTIVE_TUPLE_BITS = 24  # cap on n*k for exhaustive tuple enumeration
-EXHAUSTIVE_POINT_VARS = 12
 CHUNK_BITS = 1 << 22  # bound on the table bits of one chunk of ``derivative_chunks``
 # Levels 0..5 of a translation move points inside one uint64 word: each swaps
 # the blocks of 2^i points selected by this mask with their upper neighbours.
@@ -246,11 +245,12 @@ class IdentityReport:
         }
 
 
-def _derived_bits_cap(bits: int, what: str) -> None:
-    """``ScaleError`` before a check derives more than ``DERIVED_TABLE_BITS_CAP`` table bits."""
-    if bits > scan.DERIVED_TABLE_BITS_CAP:
+def require_derived_bits(bits: int, what: str) -> None:
+    """``ScaleError`` before a check or an approximator derives more than
+    ``DERIVED_TABLE_BITS_CAP`` derivative-table bits."""
+    if bits > DERIVED_TABLE_BITS_CAP:
         raise ScaleError(
-            f"{what} capped at 2^{scan.DERIVED_TABLE_BITS_CAP.bit_length() - 1} "
+            f"{what} capped at 2^{DERIVED_TABLE_BITS_CAP.bit_length() - 1} "
             f"derived table bits (needs 2^{bits.bit_length() - 1})"
         )
 
@@ -283,14 +283,8 @@ def verify_derivative_representation(
     of prefixes, carried as one ``Fraction`` per distinct prefix.
     """
     require_low_weight(f, k, eps)
-    n = f.n
-    if n * k > EXHAUSTIVE_TUPLE_BITS or n > EXHAUSTIVE_POINT_VARS:
-        raise ScaleError(
-            f"exhaustive verification capped at n*k <= {EXHAUSTIVE_TUPLE_BITS} "
-            f"and n <= {EXHAUSTIVE_POINT_VARS} (got n={n}, k={k})"
-        )
-    size = f.size
-    _derived_bits_cap(size ** (k + 1), f"representation check at n={n}, k={k}")
+    n, size = f.n, f.size
+    require_derived_bits(size ** (k + 1), f"representation check at n={n}, k={k}")
     tables = scan.to_words(f.bits, scan.word_count(n))[None, :]
     tuples = np.zeros((1, 0), dtype=np.int64)
     scales = [Fraction(1)]
@@ -334,7 +328,7 @@ def single_derivative_identity(g: FunctionTable) -> IdentityReport:
     bias_num = size - 2 * g.bits.bit_count()
     if bias_num == 0:
         raise ZeroBiasError("balanced function: identity undefined")
-    _derived_bits_cap(size * size, f"single-derivative identity at n={g.n}")
+    require_derived_bits(size * size, f"single-derivative identity at n={g.n}")
     ones = np.zeros(size, dtype=np.int64)
     for tables, _ in derivative_chunks(g, np.arange(size).reshape(size, 1)):
         ones += point_counts(tables, g.n)
@@ -374,10 +368,9 @@ def verify_single_derivative_exhaustive(n: int) -> SweepReport:
     the derivative tables at all points are added into per-point counts of
     ones; all arithmetic is integer-exact in small dtypes (tables and counts
     in uint8, at most 2^n = 16 per point, signed values in int16), so the
-    reported deviation is exact. Capped at n <= 4 (65536 functions).
+    reported deviation is exact. Capped at ``ALL_FUNCTIONS_VARS`` variables.
     """
-    if not 1 <= n <= 4:
-        raise ScaleError("exhaustive function sweep capped at n <= 4")
+    require_all_functions(n, "exhaustive function sweep")
     size = 1 << n
     count = 1 << size
     funcs = np.arange(count, dtype=np.uint32)
@@ -455,8 +448,10 @@ def check_bias_bounds(
 ) -> BiasBoundReport:
     """Check bias(f_{a_1..a_s}) >= 1 - 2^(s+1-k) (1 - eps) for every prefix length s < k.
 
-    Exhaustive over all tuples when n*s stays within the feasibility cap (or
+    Exhaustive over all tuples when n*(k-1) <= ``EXHAUSTIVE_TUPLE_BITS`` (or
     when forced); otherwise seeded random tuples with the same assertions.
+    The exhaustive walk derives at most 2^(nk) table bits and raises
+    ``ScaleError`` before its first derivative past ``DERIVED_TABLE_BITS_CAP``.
     Violations are reported, not raised: a non-empty list would falsify the
     underlying math and is treated as a test failure by callers.
     """
@@ -465,31 +460,15 @@ def check_bias_bounds(
     size = f.size
     if exhaustive is None:
         exhaustive = n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
+    if exhaustive:
+        require_derived_bits(size**k, f"exhaustive bias-bounds walk at n={n}, k={k}")
     rng = random.Random(seed)
     checks = []
     for s in range(k):
         bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
-        violations = []
-        min_bias = Fraction(1)
-        if s == 0:
-            tuples = [()]
-        elif exhaustive:
-            tuples = None  # enumerate distinct prefix functions below
-        else:
-            tuples = [
-                tuple(rng.getrandbits(n) for _ in range(s)) for _ in range(samples)
-            ]
-        if tuples is not None:
-            checked = len(tuples)
-            for t in tuples:
-                b = _prefix_bias(f, t)
-                if b < min_bias:
-                    min_bias = b
-                if b < bound:
-                    violations.append((t, b))
-        else:
-            # Exhaustive: walk distinct derivative functions level by level,
-            # keeping one representative tuple per function for reporting.
+        if s and exhaustive:
+            # Walk distinct derivative functions level by level, keeping one
+            # representative tuple per function for reporting.
             checked = size**s
             layer = {f.bits: ()}
             for _ in range(s):
@@ -497,30 +476,23 @@ def check_bias_bounds(
                 for bits, rep in layer.items():
                     g = FunctionTable(n, bits)
                     for a in range(size):
-                        db = derive(g, a).bits
-                        if db not in nxt:
-                            nxt[db] = rep + (a,)
+                        nxt.setdefault(derive(g, a).bits, rep + (a,))
                 layer = nxt
-            for bits, rep in layer.items():
-                b = Fraction(size - 2 * bits.bit_count(), size)
-                if b < min_bias:
-                    min_bias = b
-                if b < bound:
-                    violations.append((rep, b))
+            biases = [(rep, Fraction(size - 2 * bits.bit_count(), size))
+                      for bits, rep in layer.items()]
+        else:
+            tuples = [tuple(rng.getrandbits(n) for _ in range(s))
+                      for _ in range(samples if s else 1)]
+            checked = len(tuples)
+            biases = [(t, bias(derive_iterated(f, t))) for t in tuples]
         checks.append(
             BiasBoundCheck(
                 prefix_length=s,
                 bound=bound,
-                min_bias=min_bias,
+                min_bias=min((b for _, b in biases), default=Fraction(1)),
                 tuples_checked=checked,
-                violations=tuple(violations),
+                violations=tuple((t, b) for t, b in biases if b < bound),
             )
         )
     return BiasBoundReport(k=k, eps=eps, exhaustive=exhaustive, checks=tuple(checks))
 
-
-def _prefix_bias(f: FunctionTable, directions: Sequence[int]) -> Fraction:
-    cur = f
-    for a in directions:
-        cur = derive(cur, a)
-    return Fraction(cur.size - 2 * cur.bits.bit_count(), cur.size)

@@ -23,8 +23,7 @@ import numpy as np
 from . import scan
 from .approximator import sample_count
 from .boolfunc import AnfPolynomial, CodeParams, anf_to_table
-from .errors import InputError, InvariantFailure, ScaleError
-from .scan import DIMENSION_CAP
+from .errors import InputError, InvariantFailure
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,7 @@ def enumerate_weights(
     ``shards`` must be a power of two; each shard fixes that many high-order
     coefficient bits. Results are identical for every shard/worker count.
     """
-    if params.dimension > DIMENSION_CAP:
-        raise ScaleError(
-            f"dimension {params.dimension} exceeds the enumeration cap {DIMENSION_CAP}"
-        )
+    scan.require_dimension(params)
     if shards < 1 or shards & (shards - 1):
         raise InputError(f"shards must be a power of two, got {shards}")
     shard_bits = shards.bit_length() - 1
@@ -288,8 +284,6 @@ def growth_probe(d: int, k: int, eps: Fraction, n_values) -> list[GrowthRow]:
     rows = []
     for n in n_values:
         params = CodeParams(n, d)
-        if params.dimension > DIMENSION_CAP:
-            raise ScaleError(f"dimension {params.dimension} over cap at n={n}")
         if not 1 <= k <= d:
             raise InputError(f"k must be in [1, d={d}], got {k}")
         enum = enumerate_weights(params)

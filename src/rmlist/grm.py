@@ -20,15 +20,18 @@ from typing import Iterator
 import numpy as np
 
 from .boolfunc import FunctionTable
+from .caps import ENUM_CAP_BITS, MAX_FIELD
 from .enumeration import WeightEnumerator
 from .errors import InputError, InvariantFailure, ScaleError
-
-MAX_FIELD = 7
-ENUM_CAP_BITS = 24  # q^dimension <= 2^24
 
 
 def _is_prime(q: int) -> bool:
     return q >= 2 and all(q % p for p in range(2, int(math.isqrt(q)) + 1))
+
+
+def _require_field(q: int) -> None:
+    if not (2 <= q <= MAX_FIELD and _is_prime(q)):
+        raise InputError(f"q must be a prime in [2, {MAX_FIELD}], got {q}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,7 @@ class GrmParams:
     d: int
 
     def __post_init__(self) -> None:
-        if not (_is_prime(self.q) and 2 <= self.q <= MAX_FIELD):
-            raise InputError(f"q must be a prime in [2, {MAX_FIELD}], got {self.q}")
+        _require_field(self.q)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.d <= self.n * (self.q - 1):
@@ -167,8 +169,7 @@ def _split_degree(q: int, d: int) -> tuple[int, int]:
 
 def weight_thresholds(q: int, d: int) -> list[Threshold]:
     """Distance cut-offs r_1..r_d at which the counting exponent is expected to jump."""
-    if not (_is_prime(q) and 2 <= q <= MAX_FIELD):
-        raise InputError(f"q must be a prime in [2, {MAX_FIELD}], got {q}")
+    _require_field(q)
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
     out = []

@@ -23,6 +23,7 @@ from .boolfunc import (
     FunctionTable,
     anf_to_table,
     complement,
+    require_all_functions,
 )
 from . import scan
 from .enumeration import (
@@ -31,8 +32,7 @@ from .enumeration import (
     coefficient_choices,
     construct_low_weight_family,
 )
-from .errors import InputError, ScaleError
-from .scan import DIMENSION_CAP, EXHAUSTIVE_CENTER_VARS
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,16 @@ class Ball:
         return len(self.members)
 
 
-def _check_scale(params: CodeParams) -> None:
-    if params.dimension > DIMENSION_CAP:
-        raise ScaleError(
-            f"dimension {params.dimension} exceeds the scan cap {DIMENSION_CAP}"
-        )
-
-
 def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
-    """All degree-<= d codewords within relative distance alpha of the center."""
+    """All degree-<= d codewords within relative distance alpha of the center,
+    sorted by distance, then canonical ANF order."""
     alpha = Fraction(alpha)
     if center.n != params.n:
         raise InputError(f"mismatched variable counts {center.n} != {params.n}")
     if not 0 <= alpha <= 1:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
-    _check_scale(params)
-    masks = params.monomial_masks()
     kernel = scan.code_scan(params)
+    masks = params.monomial_masks()
     size = center.size
     max_flips = (alpha.numerator * size) // alpha.denominator
     members = []
@@ -75,15 +68,9 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
 
 def ball_size(center_bits: int, alpha: Fraction, params: CodeParams) -> int:
     """Ball cardinality only; same scan as ``ball`` without materializing members."""
-    _check_scale(params)
     max_flips = (alpha.numerator * params.block_length) // alpha.denominator
     kernel = scan.code_scan(params)
     return scan.count_within(kernel, scan.to_words(center_bits, kernel.words), max_flips)
-
-
-def list_decode(received: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
-    """CLI-facing ball: members sorted by distance, then canonical ANF order."""
-    return ball(received, alpha, params)
 
 
 @dataclass(frozen=True)
@@ -116,7 +103,7 @@ def estimate_list_size(
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
-    _check_scale(params)
+    scan.code_scan(params)  # past the dimension cap, raise before any center is made
     size = params.block_length
     if strategy == "zero":
         others, name_of = (), None
@@ -129,10 +116,7 @@ def estimate_list_size(
         others = [bits for _, bits in family]
         name_of = lambda i, bits: family[i][0]
     elif strategy == "exhaustive":
-        if params.n > EXHAUSTIVE_CENTER_VARS:
-            raise ScaleError(
-                f"exhaustive centers capped at n <= {EXHAUSTIVE_CENTER_VARS}"
-            )
+        require_all_functions(params.n, "exhaustive centers")
         others = range(1, 1 << size)
         name_of = lambda i, bits: f"exhaustive[{bits}]"
     else:

@@ -9,8 +9,9 @@ into a running base, XORs the base into the whole tile and takes every row's
 popcount. Callers reduce each block of weights their own way: a histogram, a
 count of rows within a radius, or the rows themselves.
 
-The feasibility caps of every scan, and the caps on the derivative tables of
-an approximator and of an identity check, are declared here as well.
+No scan walks a code of dimension past ``caps.DIMENSION_CAP``:
+``require_dimension`` holds that check, and ``code_scan`` makes it before it
+builds anything, so every scan reaches it.
 """
 
 from __future__ import annotations
@@ -22,19 +23,9 @@ from typing import Iterator
 import numpy as np
 
 from .boolfunc import CodeParams, monomial_table
+from .caps import DIMENSION_CAP
+from .errors import ScaleError
 
-DIMENSION_CAP = 30  # largest code dimension any scan walks: 2^30 codewords
-EXHAUSTIVE_DECODE_DIMENSION = 26  # "auto" decoding scans the code up to this dimension
-EXHAUSTIVE_CENTER_VARS = 4  # every function is a list-size center only for n <= 4
-# An approximator keeps no derivative tables: it re-derives its m tables of
-# 2^n bits, a chunk at a time, each time it evaluates its majority. m * 2^n is
-# capped at 2^32 bits to bound that time (a k=1 build at the cap, n=16 with
-# m=65,536, takes about 1.6 s per retry on a 2-core VM, in under 50 MiB).
-APPROX_TABLE_BITS_CAP = 1 << 32
-# An identity check derives a 2^n-bit table for every direction tuple it
-# walks, chunk by chunk: it runs only while those tables total at most 2^32
-# bits (4^n for the single-derivative identity, so n <= 16).
-DERIVED_TABLE_BITS_CAP = 1 << 32
 TILE_BYTES = 1 << 16  # bound on the tile of low combinations
 # A sharded enumeration starts worker processes only when it XORs more uint64
 # words than this (codewords x words per table). At 3-6 ns per word on two
@@ -70,9 +61,16 @@ class CodeScan:
         return self.tables.shape[1]
 
 
+def require_dimension(params: CodeParams) -> None:
+    """``ScaleError`` when the code has more than 2^``DIMENSION_CAP`` codewords to scan."""
+    if params.dimension > DIMENSION_CAP:
+        raise ScaleError(f"dimension {params.dimension} exceeds the scan cap {DIMENSION_CAP}")
+
+
 @functools.lru_cache(maxsize=4)
 def code_scan(params: CodeParams) -> CodeScan:
     """The kernel's read-only set-up for one code, built once and reused by every scan of it."""
+    require_dimension(params)
     words = word_count(params.n)
     tables = np.array([to_words(monomial_table(params.n, m), words)
                        for m in params.monomial_masks()], dtype=np.uint64)

@@ -37,7 +37,7 @@ from rmlist import (
     unique_decode_within,
     xor_tables,
 )
-from rmlist import approximator, derivatives
+from rmlist import approximator, derivatives, scan
 from rmlist.approximator import _signed_accumulation, approximator_json
 from rmlist.derivatives import derive
 from rmlist.errors import InvariantFailure, ScaleError
@@ -479,6 +479,26 @@ class TestUniqueDecode:
         with pytest.raises(InputError):
             unique_decode_within(FunctionTable.zero(4), CodeParams(4, 2),
                                  Fraction(1, 32), backend="nope")
+
+    def test_exhaustive_dimension_cap(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned past the dimension cap")
+
+        monkeypatch.setattr(scan, "weight_blocks", no_scan)
+        with pytest.raises(ScaleError):  # 2^42 codewords
+            unique_decode_within(FunctionTable.zero(6), CodeParams(6, 3), Fraction(1, 32),
+                                 backend="exhaustive")
+
+    def test_auto_backend_switches_past_the_decode_dimension(self, monkeypatch):
+        chosen = []
+        monkeypatch.setattr(approximator, "_decode_exhaustive",
+                            lambda *args: chosen.append("exhaustive"))
+        monkeypatch.setattr(approximator, "_decode_majority",
+                            lambda *args: chosen.append("majority"))
+        # Dimension 26, then 27.
+        for n, d in [(5, 3), (26, 1)]:
+            unique_decode_within(FunctionTable.zero(n), CodeParams(n, d), Fraction(1, 1 << (d + 2)))
+        assert chosen == ["exhaustive", "majority"]
 
 
 def loop_decode_majority(g: FunctionTable, params: CodeParams, radius: Fraction,

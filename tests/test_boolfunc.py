@@ -48,6 +48,13 @@ class TestCodeParams:
         with pytest.raises(InputError):
             CodeParams(n, d)
 
+    def test_variable_cap_on_every_representation(self):
+        for make in (lambda n: CodeParams(n, 1), FunctionTable.zero,
+                     lambda n: AnfPolynomial(n, frozenset())):
+            assert make(30).n == 30
+            with pytest.raises(InputError):
+                make(31)
+
     def test_monomial_masks_sorted_low_degree_first(self):
         masks = CodeParams(3, 2).monomial_masks()
         assert masks == [0, 1, 2, 4, 3, 5, 6]

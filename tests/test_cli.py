@@ -232,8 +232,11 @@ class TestVerifyCommand:
         [
             # 4^17 derived table bits
             ("single-der", 17, ()),
-            # n*k = 24 and n = 12 pass the tuple caps; 2^(12*3) derived table bits do not
+            # 2^(n(k+1)) derived table bits: 2^(12*3), then 2^(17*2)
             ("representation", 12, ("--k", "2", "--eps", "1/2")),
+            ("representation", 17, ("--k", "1", "--eps", "1/2")),
+            # the exhaustive walk's 2^(nk) = 2^(17*2) derived table bits
+            ("bias-bounds", 17, ("--k", "2", "--eps", "1/2")),
         ],
     )
     def test_derived_table_cap_exit(self, outdir, identity, n, extra):

@@ -313,10 +313,9 @@ def fraction_representation(f: FunctionTable, k: int, eps: Fraction) -> Identity
     """Oracle: the identity averaged prefix by prefix in ``Fraction`` arithmetic, memoised by table."""
     derivatives.require_low_weight(f, k, eps)
     n = f.n
-    if n * k > derivatives.EXHAUSTIVE_TUPLE_BITS or n > derivatives.EXHAUSTIVE_POINT_VARS:
+    if n * k > 24 or n > 12:  # the guard of the implementation this oracle froze
         raise ScaleError(
-            f"exhaustive verification capped at n*k <= {derivatives.EXHAUSTIVE_TUPLE_BITS} "
-            f"and n <= {derivatives.EXHAUSTIVE_POINT_VARS} (got n={n}, k={k})"
+            f"exhaustive verification capped at n*k <= 24 and n <= 12 (got n={n}, k={k})"
         )
     size = f.size
     memo: dict[tuple[int, int], tuple[list, Fraction]] = {}
@@ -506,11 +505,27 @@ class TestVerifyRepresentation:
             raise AssertionError("derived a table past the cap")
 
         monkeypatch.setattr(derivatives, "derivative_chunks", no_kernel)
-        # n*k = 24 and n = 12 pass the tuple caps; 2^36 derived table bits do not.
+        # Each is just past the 2^32 derived table bits: 2^(n(k+1)), then 4^n.
         with pytest.raises(ScaleError, match="needs 2\\^36"):
             verify_derivative_representation(FunctionTable(12, 1), 2, Fraction(1, 2))
         with pytest.raises(ScaleError, match="needs 2\\^34"):
+            verify_derivative_representation(FunctionTable(17, 1), 1, Fraction(1, 2))
+        with pytest.raises(ScaleError, match="needs 2\\^34"):
             single_derivative_identity(FunctionTable(17, 1))
+
+    def test_runs_past_the_old_point_cap(self):
+        # n = 13 was capped by n <= 12 (the Fraction oracle keeps that guard);
+        # its 2^26 derived table bits are under the cap. At k = 1 the largest
+        # coefficient is 2^n / |2^n - 2 wt(f)|.
+        f = FunctionTable(13, sum(1 << x for x in random.Random(74).sample(range(8192), 2047)))
+        report = verify_derivative_representation(f, 1, Fraction(1, 2))
+        assert report == IdentityReport(
+            max_deviation=Fraction(0),
+            max_abs_coefficient=Fraction(8192, 8192 - 2 * 2047),
+            tuples_checked=8192,
+            points_checked=8192,
+        )
+        assert report.max_abs_coefficient == single_derivative_identity(f).max_abs_coefficient
 
 
 class TestBiasBounds:
@@ -557,3 +572,23 @@ class TestBiasBounds:
     def test_rejects_overweight(self):
         with pytest.raises(WeightTooLargeError):
             check_bias_bounds(FunctionTable.ones(3), 1, Fraction(1, 2))
+
+    def test_exhaustive_walk_cap(self, monkeypatch):
+        def no_derive(*args):
+            raise AssertionError("derived past the cap")
+
+        monkeypatch.setattr(derivatives, "derive", no_derive)
+        # n*(k-1) <= 24 selects the walk; 2^(nk) derived table bits pass 2^32.
+        with pytest.raises(ScaleError, match="needs 2\\^34"):
+            check_bias_bounds(FunctionTable(17, 1), 2, Fraction(1, 2))
+        with pytest.raises(ScaleError, match="needs 2\\^33"):
+            check_bias_bounds(FunctionTable(11, 1), 3, Fraction(1, 2))
+        with pytest.raises(ScaleError):
+            check_bias_bounds(FunctionTable(20, 1), 2, Fraction(1, 2), exhaustive=True)
+
+    def test_samples_past_the_tuple_bits(self):
+        # n*(k-1) = 26 > 24: seeded samples, not the walk.
+        report = check_bias_bounds(FunctionTable(13, 1), 3, Fraction(1, 2), samples=20)
+        assert not report.exhaustive
+        assert [c.tuples_checked for c in report.checks] == [1, 20, 20]
+        assert report.violation_count == 0

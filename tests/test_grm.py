@@ -116,6 +116,9 @@ class TestThresholds:
             weight_thresholds(4, 2)
         with pytest.raises(InputError):
             weight_thresholds(11, 2)
+        for q in (4, 11):
+            with pytest.raises(InputError):
+                GrmParams(q, 1, 1)
 
 
 class TestPolynomial:
@@ -274,6 +277,10 @@ class TestGrmEnumerate:
     def test_scale_cap(self):
         with pytest.raises(ScaleError):
             grm_enumerate_weights(GrmParams(5, 3, 4))
+        # The smallest codes past 2^24 codewords: 2^26 and 3^17.
+        for q, n, d in [(2, 5, 3), (3, 3, 3)]:
+            with pytest.raises(ScaleError):
+                grm_enumerate_weights(GrmParams(q, n, d))
 
 
 class TestGrmParams:

@@ -18,7 +18,6 @@ from rmlist import (
     ball_size,
     enumerate_weights,
     estimate_list_size,
-    list_decode,
     list_size_bound,
     monomial_table,
     xor_tables,
@@ -109,13 +108,13 @@ class TestListDecode:
         params = CodeParams(4, 2)
         p = AnfPolynomial.from_variable_lists(4, [[1, 2], [4]])
         received = FunctionTable(4, anf_to_table(p).bits ^ 0b1)
-        result = list_decode(received, Fraction(1, 8), params)
+        result = ball(received, Fraction(1, 8), params)
         assert [m for m, _ in result.members] == [p]
         assert result.members[0][1] == Fraction(1, 16)
 
     def test_sorted_by_distance_then_anf(self, rng: random.Random):
         params = CodeParams(4, 2)
-        result = list_decode(random_table(4, rng), Fraction(3, 8), params)
+        result = ball(random_table(4, rng), Fraction(3, 8), params)
         keys = [(d, p.sort_key()) for p, d in result.members]
         assert keys == sorted(keys)
 
@@ -123,7 +122,7 @@ class TestListDecode:
         params = CodeParams(4, 2)
         # word at >= 2 flips from every codeword (found by exhaustive search)
         received = FunctionTable(4, 0x2265)
-        assert list_decode(received, Fraction(1, 10), params).size == 0
+        assert ball(received, Fraction(1, 10), params).size == 0
 
 
 class TestEstimate:

@@ -20,6 +20,7 @@ from rmlist import (
     AnfPolynomial,
     CodeParams,
     FunctionTable,
+    ScaleError,
     anf_to_table,
     ball,
     ball_size,
@@ -215,3 +216,20 @@ def test_weight_blocks_cover_every_coefficient_vector_once():
             scan.weight_blocks(kernel, scan.to_words(0, kernel.words))
             for i in range(len(weights))]
     assert sorted(seen) == list(range(1 << params.dimension))
+
+
+def test_every_scan_stops_just_past_the_dimension_cap(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned past the dimension cap")
+
+    monkeypatch.setattr(scan, "weight_blocks", no_scan)
+    monkeypatch.setattr(multiprocessing, "Pool", no_scan)
+    params = CodeParams(30, 1)  # dimension 31
+    center = FunctionTable.zero(30)
+    for run in [lambda: ball(center, Fraction(1, 4), params),
+                lambda: ball_size(0, Fraction(1, 4), params),
+                lambda: estimate_list_size(Fraction(1, 4), params, strategy="family"),
+                lambda: enumerate_weights(params, shards=4, workers=2),
+                lambda: unique_decode_within(center, params, Fraction(1, 8), "exhaustive")]:
+        with pytest.raises(ScaleError):
+            run()
