@@ -328,10 +328,7 @@ def _decode_exhaustive(
     max_flips = (radius.numerator * g.size) // radius.denominator
     hits = scan.within(kernel, scan.to_words(g.bits, kernel.words), max_flips)
     code, _ = next(hits, (None, None))
-    if code is None:
-        return None
-    masks = params.monomial_masks()
-    return AnfPolynomial(params.n, frozenset(m for j, m in enumerate(masks) if (code >> j) & 1))
+    return None if code is None else kernel.polynomial(code)
 
 
 def _decode_majority(
@@ -350,13 +347,14 @@ def _decode_majority(
     if it lies within the radius of g.
     """
     n, size = params.n, g.size
+    masks = params.monomial_masks()
     residual = g.bits
     recovered: set[int] = set()
     for deg in range(params.d, 0, -1):
         raw = np.frombuffer(residual.to_bytes(max(1, size // 8), "little"), dtype=np.uint8)
         cube = np.unpackbits(raw, count=size, bitorder="little").reshape((2,) * n)
         layer: list[int] = []
-        for mask in (m for m in range(size) if m.bit_count() == deg):
+        for mask in (m for m in masks if m.bit_count() == deg):
             axes = tuple(n - 1 - i for i in range(n) if (mask >> i) & 1)
             votes = int(np.bitwise_xor.reduce(cube, axis=axes).sum())
             if 2 * votes > 1 << (n - deg):

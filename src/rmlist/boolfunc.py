@@ -11,6 +11,7 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,10 +57,17 @@ class CodeParams:
         return Fraction(1, 1 << self.d)
 
     def monomial_masks(self) -> list[int]:
-        """All monomials of degree <= d as variable-set masks, low degree first."""
-        masks = [m for m in range(1 << self.n) if m.bit_count() <= self.d]
-        masks.sort(key=lambda m: (m.bit_count(), m))
-        return masks
+        """The code's monomial basis, in coefficient-vector order (see ``monomial_masks``)."""
+        return monomial_masks(self.n, self.d)
+
+
+def monomial_masks(n: int, d: int) -> list[int]:
+    """Masks of the monomials of degree <= d on n >= 0 variables, low degree first,
+    ascending within a degree; built degree by degree in O(number of masks)."""
+    masks = []
+    for r in range(min(n, d) + 1):
+        masks += sorted(sum(1 << i for i in c) for c in itertools.combinations(range(n), r))
+    return masks
 
 
 @dataclass(frozen=True)
@@ -153,11 +161,7 @@ def _low_block_mask(n: int, i: int) -> int:
     cached only while they stay small; near the n cap a full level set would
     pin gigabytes.
     """
-    if n <= 20:
-        return _low_block_mask_cached(n, i)
-    block = (1 << (1 << i)) - 1
-    period = 1 << (i + 1)
-    return block * (((1 << (1 << n)) - 1) // ((1 << period) - 1))
+    return (_low_block_mask_cached if n <= 20 else _low_block_mask_cached.__wrapped__)(n, i)
 
 
 def evaluate(f: FunctionTable, x: int) -> int:

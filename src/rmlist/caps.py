@@ -1,9 +1,10 @@
 """Every feasibility cap of rmlist, declared once, with the reason for its value.
 
 Past a cap a call raises before it allocates: ``ScaleError`` (exit 3) or,
-for the variable and field counts, ``InputError`` (exit 2). Two entries only
-choose a method: ``EXHAUSTIVE_DECODE_DIMENSION`` and ``EXHAUSTIVE_TUPLE_BITS``.
-Each is compared in the one function named beside it; none is configurable.
+for the variable and field counts and the F_q block length, ``InputError``
+(exit 2). Two entries only choose a method: ``EXHAUSTIVE_DECODE_DIMENSION``
+and ``EXHAUSTIVE_TUPLE_BITS``. Each is compared in the one function named
+beside it; none is configurable.
 """
 
 # A truth table is one Python int of 2^n bits: 128 MiB at n=30.
@@ -28,6 +29,13 @@ DERIVED_TABLE_BITS_CAP = 1 << 32
 EXHAUSTIVE_TUPLE_BITS = 24
 # Prime fields up to F_7 keep value tables small. ``grm._require_field``.
 MAX_FIELD = 7
-# q^dimension <= 2^24 codewords: at 2.4 to 4.2 us each, at most about 70 s.
-# ``grm.grm_enumerate_weights``.
+# q^n <= 2^20 points: a ``GrmTable`` holds one Python int per point, and
+# ``grm construct`` keeps one per member; its 64 default members take 24 s
+# and 751 MiB at the cap on a 2-core VM. ``grm.GrmParams``.
+GRM_POINT_BITS = 20
+# q^dimension <= 2^24 codewords: the odometer's numpy calls cost 2.4 to 4.2 us
+# per codeword on small tables. ``grm.grm_enumerate_weights``.
 ENUM_CAP_BITS = 24
+# q^dimension * q^n <= 2^32 scanned values: past small tables the odometer
+# costs 6 to 9 ns per value, 26 to 39 s at the cap. ``grm.grm_enumerate_weights``.
+ENUM_VALUE_BITS = 32

@@ -11,7 +11,6 @@ scan XORs more than ``scan.POOL_MIN_WORDS`` uint64 words.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import scan
 from .approximator import sample_count
-from .boolfunc import AnfPolynomial, CodeParams, anf_to_table
+from .boolfunc import AnfPolynomial, CodeParams, anf_to_table, monomial_masks
 from .errors import InputError, InvariantFailure
 
 
@@ -128,11 +127,9 @@ def iter_low_weight_family(n: int, d: int, k: int) -> Iterator[AnfPolynomial]:
     if not 1 <= k <= d:
         raise InputError(f"k must be in [1, d={d}], got {k}")
     qdeg = d - k + 1
-    rest = range(k, n)  # 0-based bit positions of x_{k+1}..x_n
-    top = [m for m in _masks_over(rest, qdeg) if m.bit_count() == qdeg]
-    low = [m for m in _masks_over(rest, qdeg) if m.bit_count() < qdeg]
-    top.sort()
-    low.sort(key=lambda m: (m.bit_count(), m))
+    rest = [m << k for m in monomial_masks(n - k, qdeg)]  # monomials in x_{k+1}..x_n
+    top = [m for m in rest if m.bit_count() == qdeg]
+    low = [m for m in rest if m.bit_count() < qdeg]
     prefix_full = (1 << k) - 1
     prefix_part = (1 << (k - 1)) - 1
     for low_sel in range(1 << len(low)):
@@ -143,15 +140,6 @@ def iter_low_weight_family(n: int, d: int, k: int) -> Iterator[AnfPolynomial]:
             monos = {prefix_full}
             monos.update(prefix_part | m for m in q_masks)
             yield AnfPolynomial(params.n, frozenset(monos))
-
-
-def _masks_over(positions, max_degree: int) -> list[int]:
-    positions = list(positions)
-    out = []
-    for r in range(min(max_degree, len(positions)) + 1):
-        for combo in itertools.combinations(positions, r):
-            out.append(sum(1 << p for p in combo))
-    return sorted(set(out))
 
 
 def construct_low_weight_family(

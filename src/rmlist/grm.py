@@ -15,12 +15,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .boolfunc import FunctionTable
-from .caps import ENUM_CAP_BITS, MAX_FIELD
+from .caps import ENUM_CAP_BITS, ENUM_VALUE_BITS, GRM_POINT_BITS, MAX_FIELD
 from .enumeration import WeightEnumerator
 from .errors import InputError, InvariantFailure, ScaleError
 
@@ -34,6 +34,11 @@ def _require_field(q: int) -> None:
         raise InputError(f"q must be a prime in [2, {MAX_FIELD}], got {q}")
 
 
+def _exceeds(q: int, e: int, bits: int) -> bool:
+    """q^e > 2^bits; q >= 2, so an exponent past ``bits`` decides it without forming q^e."""
+    return e > bits or q**e > 1 << bits
+
+
 @dataclass(frozen=True)
 class GrmParams:
     q: int
@@ -44,6 +49,8 @@ class GrmParams:
         _require_field(self.q)
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
+        if _exceeds(self.q, self.n, GRM_POINT_BITS):
+            raise InputError(f"q^n = {self.q}^{self.n} points exceed 2^{GRM_POINT_BITS}")
         if not 1 <= self.d <= self.n * (self.q - 1):
             raise InputError(
                 f"d must be in [1, n(q-1)={self.n * (self.q - 1)}], got {self.d}"
@@ -54,18 +61,23 @@ class GrmParams:
         return self.q**self.n
 
     def monomial_exponents(self) -> list[tuple[int, ...]]:
-        """Exponent vectors with per-variable exponent < q and total degree <= d."""
-        out = [
-            e
-            for e in itertools.product(range(self.q), repeat=self.n)
-            if sum(e) <= self.d
-        ]
-        out.sort(key=lambda e: (sum(e), e))
-        return out
+        """The code's monomial basis in coefficient-vector order: exponent vectors with
+        entries below q and sum <= d, by ``(sum(e), e)``, built degree by degree in O(dimension)."""
+        def vectors(total: int, length: int) -> list[tuple[int, ...]]:
+            # Entries in [0, q-1] summing to ``total``, in lexicographic order;
+            # the first entry's lower bound leaves the rest reachable.
+            low = max(0, total - (self.q - 1) * (length - 1))
+            return [(first,) + rest for first in range(low, min(total, self.q - 1) + 1)
+                    for rest in vectors(total - first, length - 1)] if length else [()]
+
+        return [e for total in range(self.d + 1) for e in vectors(total, self.n)]
 
     @property
     def dimension(self) -> int:
-        return len(self.monomial_exponents())
+        """Number of basis monomials, by inclusion-exclusion over entries >= q."""
+        q, n, d = self.q, self.n, self.d
+        return sum((-1) ** j * math.comb(n, j) * math.comb(n + d - j * q, n)
+                   for j in range(d // q + 1))
 
 
 @dataclass(frozen=True)
@@ -96,12 +108,20 @@ class GrmTable:
         return FunctionTable.from_values(self.values)
 
 
-def point_coordinates(q: int, n: int, index: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(n):
-        coords.append(index % q)
-        index //= q
-    return tuple(coords)
+def monomial_tables(q: int, n: int,
+                    exponents: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """The uint8 value table, over all q^n points, of each monomial x^e in ``exponents``.
+
+    Point v's coordinates are its base-q digits, x_1 least significant, so on the
+    C-order grid ``(q,) * n`` x_i runs along axis n - i: a broadcast product of powers.
+    """
+    powers = np.array([[pow(x, k, q) for x in range(q)] for k in range(q)], dtype=np.uint8)
+    for e in exponents:
+        table = np.ones((1,) * n, dtype=np.uint8)
+        for i, k in enumerate(e):
+            if k:
+                table = table * powers[k].reshape((q,) + (1,) * i) % q
+        yield np.broadcast_to(table, (q,) * n).reshape(-1)
 
 
 def grm_weight(f: GrmTable) -> Fraction:
@@ -232,10 +252,7 @@ class GrmPolynomial:
         return out
 
     def __sub__(self, other: "GrmPolynomial") -> "GrmPolynomial":
-        out = GrmPolynomial(self.q, self.n, dict(self.coeffs))
-        for e, c in other.coeffs.items():
-            out._add_term(e, -c)
-        return out
+        return self + other.scale(-1)
 
     def __mul__(self, other: "GrmPolynomial") -> "GrmPolynomial":
         out = GrmPolynomial(self.q, self.n)
@@ -258,18 +275,12 @@ class GrmPolynomial:
         return tuple(sorted(self.coeffs.items()))
 
     def evaluate_table(self) -> GrmTable:
-        size = self.q**self.n
-        values = []
-        for v in range(size):
-            x = point_coordinates(self.q, self.n, v)
-            total = 0
-            for e, c in self.coeffs.items():
-                term = c
-                for xi, ei in zip(x, e):
-                    term = term * pow(xi, ei, self.q) if ei else term
-                total += term
-            values.append(total % self.q)
-        return GrmTable(self.q, self.n, tuple(values))
+        """Coefficients times the value tables of the terms, summed term by term, mod q."""
+        values = np.zeros(self.q**self.n, dtype=np.int64)
+        for c, table in zip(self.coeffs.values(),
+                            monomial_tables(self.q, self.n, self.coeffs)):
+            values += c * table
+        return GrmTable(self.q, self.n, tuple((values % self.q).tolist()))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -305,18 +316,23 @@ def _iter_polynomials(q: int, n: int, d: int, offset: int) -> Iterator[GrmPolyno
         for c in range(q):
             yield GrmPolynomial.constant(q, n, c)
         return
-    exps = [
-        e
-        for e in itertools.product(range(q), repeat=free)
-        if sum(e) <= min(d, free * (q - 1))
-    ]
-    exps.sort(key=lambda e: (sum(e), e))
+    exps = GrmParams(q, free, min(d, free * (q - 1))).monomial_exponents()
     for coeffs in itertools.product(range(q), repeat=len(exps)):
         full = {}
         for e, c in zip(exps, coeffs):
             if c:
                 full[tuple([0] * offset) + e] = c
         yield GrmPolynomial(q, n, full)
+
+
+def _coordinate_product(q: int, n: int, a: int, b: int) -> GrmPolynomial:
+    """prod_{i <= a, 1 <= j < q} (x_i - j) * prod_{1 <= j <= b} (x_{a+1} - j)."""
+    factors = [(i, j) for i in range(1, a + 1) for j in range(1, q)]
+    factors += [(a + 1, j) for j in range(1, b + 1)]
+    p = GrmPolynomial.constant(q, n, 1)
+    for i, j in factors:
+        p = p * (GrmPolynomial.variable(q, n, i) - GrmPolynomial.constant(q, n, j))
+    return p
 
 
 def construct_grm_family(
@@ -358,12 +374,7 @@ def construct_grm_family(
         a, b = _split_degree(q, d)
         if a + 1 > n:
             raise InputError(f"k=1 construction needs {a + 1} variables, have {n}")
-        base = GrmPolynomial.constant(q, n, 1)
-        for i in range(1, a + 1):
-            for j in range(1, q):
-                base = base * (
-                    GrmPolynomial.variable(q, n, i) - GrmPolynomial.constant(q, n, j)
-                )
+        base = _coordinate_product(q, n, a, 0)
         free = list(range(a + 2, n + 1))
         for combo in itertools.product(range(q), repeat=len(free)):
             form = GrmPolynomial.variable(q, n, a + 1)
@@ -378,16 +389,7 @@ def construct_grm_family(
         a, b = _split_degree(q, d - k)
         if a + 2 > n:
             raise InputError(f"construction needs {a + 2} variables, have {n}")
-        base = GrmPolynomial.constant(q, n, 1)
-        for i in range(1, a + 1):
-            for j in range(1, q):
-                base = base * (
-                    GrmPolynomial.variable(q, n, i) - GrmPolynomial.constant(q, n, j)
-                )
-        for j in range(1, b + 1):
-            base = base * (
-                GrmPolynomial.variable(q, n, a + 1) - GrmPolynomial.constant(q, n, j)
-            )
+        base = _coordinate_product(q, n, a, b)
         x_next = GrmPolynomial.variable(q, n, a + 2)
         for g in _iter_polynomials(q, n, k, offset=a + 2):
             if not emit(base * (x_next + g)):
@@ -482,23 +484,14 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
     value table (mod q) to the running evaluation; weights are counted from
     the running table.
     """
-    dim = params.dimension
-    if params.q**dim > 1 << ENUM_CAP_BITS:
-        raise ScaleError(
-            f"q^dimension = {params.q}^{dim} exceeds the enumeration cap 2^{ENUM_CAP_BITS}"
-        )
-    q, size = params.q, params.block_length
-    exps = params.monomial_exponents()
-    coords = np.array(
-        [point_coordinates(q, params.n, v) for v in range(size)], dtype=np.int64
-    )
-    mono_tables = []
-    for e in exps:
-        vals = np.ones(size, dtype=np.int64)
-        for i, ei in enumerate(e):
-            if ei:
-                vals = vals * np.power(coords[:, i], ei) % q
-        mono_tables.append((vals % q).astype(np.int64))
+    q, dim, size = params.q, params.dimension, params.block_length
+    if _exceeds(q, dim, ENUM_CAP_BITS):
+        raise ScaleError(f"q^dimension = {q}^{dim} exceeds the enumeration cap 2^{ENUM_CAP_BITS}")
+    if _exceeds(q, dim + params.n, ENUM_VALUE_BITS):
+        raise ScaleError(f"q^(dimension + n) = {q}^{dim + params.n} scanned values exceed "
+                         f"the enumeration cap 2^{ENUM_VALUE_BITS}")
+    mono_tables = [t.astype(np.int64)
+                   for t in monomial_tables(q, params.n, params.monomial_exponents())]
     counts: dict[int, int] = {}
     values = np.zeros(size, dtype=np.int64)
     digits = [0] * dim

@@ -28,6 +28,7 @@ from .boolfunc import (
 from . import scan
 from .enumeration import (
     BoundEstimate,
+    _validate_bound_params,
     binomial_le,
     coefficient_choices,
     construct_low_weight_family,
@@ -55,13 +56,11 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
     if not 0 <= alpha <= 1:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
     kernel = scan.code_scan(params)
-    masks = params.monomial_masks()
     size = center.size
     max_flips = (alpha.numerator * size) // alpha.denominator
-    members = []
-    for code, w in scan.within(kernel, scan.to_words(center.bits, kernel.words), max_flips):
-        sel = frozenset(m for j, m in enumerate(masks) if (code >> j) & 1)
-        members.append((AnfPolynomial(params.n, sel), Fraction(w, size)))
+    members = [(kernel.polynomial(code), Fraction(w, size))
+               for code, w in scan.within(kernel, scan.to_words(center.bits, kernel.words),
+                                          max_flips)]
     members.sort(key=lambda item: (item[1], item[0].sort_key()))
     return Ball(center=center, radius=alpha, members=tuple(members))
 
@@ -163,11 +162,7 @@ def list_size_bound(n: int, d: int, k: int, eps: Fraction) -> BoundEstimate:
     difference word splits into a degree-<= (d-k) polynomial part plus a
     direction tuple (2^(kn) choices) describing the received word's part.
     """
-    CodeParams(n, d)
-    if not 1 <= k <= d - 1:
-        raise InputError(f"k must be in [1, d-1={d - 1}], got {k}")
-    if not 0 < eps < 1:
-        raise InputError(f"eps must be in (0, 1), got {eps}")
+    _validate_bound_params(n, d, k, eps)
     delta = Fraction(1, 1 << (d + 2))
     m = sample_count(eps, delta)
     deriv = 1 << binomial_le(n, d - k)

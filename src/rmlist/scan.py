@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .boolfunc import CodeParams, monomial_table
+from .boolfunc import AnfPolynomial, CodeParams, monomial_table
 from .caps import DIMENSION_CAP
 from .errors import ScaleError
 
@@ -51,14 +51,24 @@ def to_words(bits: int, words: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CodeScan:
-    """A code's monomial tables and the tile of their low combinations."""
+    """A code's monomial basis, its tables and the tile of their low combinations.
 
-    tables: np.ndarray  # (dimension, words), in ``monomial_masks`` order
+    Bit j of a coefficient vector selects ``masks[j]``, whose table is ``tables[j]``.
+    """
+
+    n: int
+    masks: tuple[int, ...]  # ``CodeParams.monomial_masks``
+    tables: np.ndarray  # (dimension, words)
     tile: np.ndarray  # (2^L, words): row i XORs the tables selected by the bits of i
 
     @property
     def words(self) -> int:
         return self.tables.shape[1]
+
+    def polynomial(self, code: int) -> AnfPolynomial:
+        """The polynomial of a scanned coefficient vector."""
+        return AnfPolynomial(self.n, frozenset(m for j, m in enumerate(self.masks)
+                                               if (code >> j) & 1))
 
 
 def require_dimension(params: CodeParams) -> None:
@@ -72,13 +82,14 @@ def code_scan(params: CodeParams) -> CodeScan:
     """The kernel's read-only set-up for one code, built once and reused by every scan of it."""
     require_dimension(params)
     words = word_count(params.n)
-    tables = np.array([to_words(monomial_table(params.n, m), words)
-                       for m in params.monomial_masks()], dtype=np.uint64)
+    masks = tuple(params.monomial_masks())
+    tables = np.array([to_words(monomial_table(params.n, m), words) for m in masks],
+                      dtype=np.uint64)
     tile = np.zeros((1, words), dtype=np.uint64)
     for table in tables[:tile_bits(words)]:
         tile = np.concatenate([tile, tile ^ table])
     tables.flags.writeable = tile.flags.writeable = False
-    return CodeScan(tables, tile)
+    return CodeScan(params.n, masks, tables, tile)
 
 
 def weight_blocks(kernel: CodeScan, base: np.ndarray,

@@ -25,6 +25,8 @@ from rmlist import (
     xor_tables,
 )
 
+from rmlist.boolfunc import monomial_masks
+
 from conftest import random_table, table_of
 
 
@@ -58,6 +60,22 @@ class TestCodeParams:
     def test_monomial_masks_sorted_low_degree_first(self):
         masks = CodeParams(3, 2).monomial_masks()
         assert masks == [0, 1, 2, 4, 3, 5, 6]
+
+    def test_monomial_masks_match_full_mask_walk(self):
+        # Oracle: walk all 2^n masks, keep degree <= d, sort by (degree, mask).
+        for n in range(13):
+            for d in range(n + 2):
+                walk = sorted((m for m in range(1 << n) if m.bit_count() <= d),
+                              key=lambda m: (m.bit_count(), m))
+                assert monomial_masks(n, d) == walk
+                if 1 <= d <= n:
+                    assert CodeParams(n, d).monomial_masks() == walk
+                    assert len(walk) == CodeParams(n, d).dimension
+
+    def test_monomial_masks_at_the_variable_cap(self):
+        masks = CodeParams(30, 1).monomial_masks()
+        assert masks == [0] + [1 << i for i in range(30)]
+        assert len(CodeParams(24, 2).monomial_masks()) == CodeParams(24, 2).dimension
 
 
 class TestEvaluate:

@@ -45,6 +45,21 @@ class TestExitCodes:
     def test_scale_error_exit(self, outdir):
         assert run("enum", "--n", "6", "--d", "3", "--out", "e.csv") == 3
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            # 7^(8+7) scanned values, past 2^32.
+            (("enum", "--q", "7", "--n", "7", "--d", "1"), 3),
+            # 7^12 points, past the 2^20 block-length cap.
+            (("enum", "--q", "7", "--n", "12", "--d", "1"), 2),
+            (("construct", "--q", "2", "--n", "21", "--d", "2", "--k", "1"), 2),
+        ],
+    )
+    def test_grm_cap_exits(self, outdir, argv, code):
+        assert run("grm", *argv, "--out", "g.csv") == code
+        assert not Path("g.csv").exists()
+        assert not Path("g.csv.manifest.json").exists()
+
     def test_approx_table_cap_exit(self, outdir):
         # m = 17745 tables of 2^20 bits is past the 2^32-bit cap: exit 3, no files.
         write_function_file("zero.txt", FunctionTable.zero(20))

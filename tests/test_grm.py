@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from rmlist import (
     construct_low_weight_family,
     distance,
     enumerate_weights,
+    grm,
     grm_bias,
     grm_distance,
     grm_enumerate_weights,
@@ -30,6 +33,47 @@ from rmlist import (
 )
 
 from conftest import random_table
+
+
+def point_coordinates(q: int, n: int, index: int) -> tuple[int, ...]:
+    coords = []
+    for _ in range(n):
+        coords.append(index % q)
+        index //= q
+    return tuple(coords)
+
+
+def evaluate_per_point(p: GrmPolynomial) -> GrmTable:
+    """Oracle: evaluate every term at every point in pure Python."""
+    values = []
+    for v in range(p.q**p.n):
+        x = point_coordinates(p.q, p.n, v)
+        total = 0
+        for e, c in p.coeffs.items():
+            term = c
+            for xi, ei in zip(x, e):
+                term = term * pow(xi, ei, p.q) if ei else term
+            total += term
+        values.append(total % p.q)
+    return GrmTable(p.q, p.n, tuple(values))
+
+
+def old_monomial_exponents(q: int, n: int, d: int) -> list[tuple[int, ...]]:
+    """Oracle: filter all q^n exponent vectors, then sort by (degree, vector)."""
+    out = [e for e in itertools.product(range(q), repeat=n) if sum(e) <= d]
+    out.sort(key=lambda e: (sum(e), e))
+    return out
+
+
+def brute_force_enumerator(params: GrmParams) -> dict[int, int]:
+    """Oracle: evaluate every codeword per point and count its nonzero values."""
+    exps = params.monomial_exponents()
+    counts: dict[int, int] = {}
+    for coeffs in itertools.product(range(params.q), repeat=len(exps)):
+        p = GrmPolynomial(params.q, params.n, dict(zip(exps, coeffs)))
+        w = sum(1 for v in evaluate_per_point(p).values if v)
+        counts[w] = counts.get(w, 0) + 1
+    return counts
 
 
 def x1_over_f3() -> GrmTable:
@@ -143,6 +187,67 @@ class TestPolynomial:
     def test_degree(self):
         p = GrmPolynomial(3, 2, {(2, 1): 1, (1, 0): 2})
         assert p.degree == 3
+
+    def test_sub_is_add_of_negation(self, rng: random.Random):
+        for _ in range(20):
+            p, r = (GrmPolynomial(5, 2, {e: rng.randrange(5)
+                                         for e in itertools.product(range(5), repeat=2)})
+                    for _ in range(2))
+            assert (p - r).coeffs == (p + r.scale(4)).coeffs
+            assert (p - p).coeffs == {}
+
+
+class TestEvaluateAgainstPerPointOracle:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_seeded_random_polynomials(self, q, n, rng: random.Random):
+        # Every exponent vector with entries up to q-1, alone and in random sums.
+        exps = list(itertools.product(range(q), repeat=n))
+        polys = [GrmPolynomial(q, n, {e: rng.randrange(1, q)}) for e in exps]
+        polys += [GrmPolynomial(q, n, {e: rng.randrange(q) for e in exps}) for _ in range(8)]
+        polys.append(GrmPolynomial(q, n))
+        for p in polys:
+            table = p.evaluate_table()
+            assert table == evaluate_per_point(p)
+            assert all(type(v) is int for v in table.values)
+
+    def test_zero_polynomial(self):
+        for q in (2, 3, 5, 7):
+            assert GrmPolynomial(q, 2).evaluate_table() == GrmTable(q, 2, (0,) * q**2)
+
+
+class TestMonomialBasis:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_exponents_match_product_filter_sort(self, q):
+        n = 1
+        while q**n <= 1 << 12:
+            for d in range(1, n * (q - 1) + 1):
+                params = GrmParams(q, n, d)
+                exps = params.monomial_exponents()
+                assert exps == old_monomial_exponents(q, n, d)
+                assert params.dimension == len(exps)
+            n += 1
+
+    def test_tables_match_per_point_values(self):
+        for q, n in [(2, 3), (3, 2), (5, 2), (7, 2)]:
+            exps = list(itertools.product(range(q), repeat=n))
+            for e, table in zip(exps, grm.monomial_tables(q, n, exps)):
+                expected = evaluate_per_point(GrmPolynomial(q, n, {e: 1})).values
+                assert table.tolist() == list(expected)
+
+
+# Every code with q >= 3 whose per-point brute force takes under 0.5 s on a
+# 2-core VM; the next ones, (3, 2, 4), (3, 5, 1) and (7, 1, 5), take 0.8 to 4 s.
+BRUTE_FORCE_CODES = [(3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 3, 1),
+                     (3, 4, 1), (5, 1, 1), (5, 1, 2), (5, 1, 3), (5, 1, 4), (5, 2, 1),
+                     (5, 3, 1), (7, 1, 1), (7, 1, 2), (7, 1, 3), (7, 1, 4), (7, 2, 1)]
+
+
+class TestGrmEnumerateAgainstBruteForce:
+    @pytest.mark.parametrize("q,n,d", BRUTE_FORCE_CODES)
+    def test_matches_brute_force(self, q, n, d):
+        params = GrmParams(q, n, d)
+        assert grm_enumerate_weights(params).counts == brute_force_enumerator(params)
 
 
 class TestConstructions:
@@ -282,11 +387,40 @@ class TestGrmEnumerate:
             with pytest.raises(ScaleError):
                 grm_enumerate_weights(GrmParams(q, n, d))
 
+    @pytest.mark.parametrize(
+        "q,n,d,cap",
+        [
+            # Just past 2^32 scanned values: 2^(17+16), 3^(11+10), 5^(8+7), 7^(7+6).
+            (2, 16, 1, "values"), (3, 10, 1, "values"), (5, 7, 1, "values"),
+            (7, 6, 1, "values"), (3, 12, 1, "values"), (7, 7, 1, "values"),
+            # Past 2^24 codewords by far, at the block-length cap.
+            (2, 20, 20, "codewords"), (7, 7, 42, "codewords"),
+        ],
+    )
+    def test_caps_raise_before_any_table(self, q, n, d, cap, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("monomial tables built past a cap")
+
+        monkeypatch.setattr(grm, "monomial_tables", no_tables)
+        start = time.perf_counter()
+        message = "scanned values" if cap == "values" else "codewords|q\\^dimension ="
+        with pytest.raises(ScaleError, match=message):
+            grm_enumerate_weights(GrmParams(q, n, d))
+        assert time.perf_counter() - start < 0.5
+
 
 class TestGrmParams:
     def test_dimension_counts_reduced_monomials(self):
         assert GrmParams(3, 2, 2).dimension == 6
         assert GrmParams(2, 4, 2).dimension == CodeParams(4, 2).dimension
+
+    @pytest.mark.parametrize("q,inside", [(2, 20), (3, 12), (5, 8), (7, 7)])
+    def test_block_length_cap(self, q, inside):
+        assert GrmParams(q, inside, 1).block_length <= 1 << 20
+        for n in (inside + 1, 12, 1000):
+            if n > inside:
+                with pytest.raises(InputError):
+                    GrmParams(q, n, 1)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InputError):

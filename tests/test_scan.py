@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 from rmlist import (
@@ -97,6 +98,22 @@ def noisy_codeword(params: CodeParams, flips: int, rng: random.Random) -> Functi
     for v in rng.sample(range(params.block_length), flips):
         word ^= 1 << v
     return FunctionTable(params.n, word)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (5, 2), (7, 1)])
+def test_kernel_polynomial_selects_the_kernel_tables(n, d):
+    params = CodeParams(n, d)
+    kernel = scan.code_scan(params)
+    assert list(kernel.masks) == params.monomial_masks()
+    rng = random.Random(n * 31 + d)
+    for code in [0, (1 << params.dimension) - 1] + [rng.getrandbits(params.dimension)
+                                                    for _ in range(20)]:
+        word = np.zeros(kernel.words, dtype=np.uint64)
+        for j in range(params.dimension):
+            if (code >> j) & 1:
+                word ^= kernel.tables[j]
+        table = anf_to_table(kernel.polynomial(code))
+        assert np.array_equal(scan.to_words(table.bits, kernel.words), word)
 
 
 def test_codes_straddle_the_tile():
