@@ -33,9 +33,11 @@ MAX_FIELD = 7
 # ``grm construct`` keeps one per member; its 64 default members take 24 s
 # and 751 MiB at the cap on a 2-core VM. ``grm.GrmParams``.
 GRM_POINT_BITS = 20
-# q^dimension <= 2^24 codewords: the odometer's numpy calls cost 2.4 to 4.2 us
-# per codeword on small tables. ``grm.grm_enumerate_weights``.
+# q^dimension <= 2^24 codewords: once q^(n+1) passes ``scan.TILE_BYTES`` the
+# tile is one row and the walk takes a Python step per codeword; (3,4,2),
+# 3^15 codewords, takes 1.2 s on a 2-core VM. ``grm.grm_enumerate_weights``.
 ENUM_CAP_BITS = 24
-# q^dimension * q^n <= 2^32 scanned values: past small tables the odometer
-# costs 6 to 9 ns per value, 26 to 39 s at the cap. ``grm.grm_enumerate_weights``.
+# q^dimension * q^n <= 2^32 scanned values: near the cap the tile walk costs
+# 0.8 to 1.3 ns per value; (7,5,1) and (2,15,1), 2^30.9 and 2^31 values, take
+# 2.5 and 1.8 s. ``grm.grm_enumerate_weights``.
 ENUM_VALUE_BITS = 32

@@ -48,7 +48,6 @@ from .grm import (
     bias_scaling_scan,
     construct_grm_family,
     grm_enumerate_weights,
-    grm_weight,
     weight_thresholds,
 )
 from .listdecode import ball, list_size_bound
@@ -212,7 +211,7 @@ def _run_grm_construct(params: dict, out: Path) -> dict:
     lines = ["index,weight,degree,values,polynomial"]
     for i, (p, table) in enumerate(family.members):
         digits = "".join(str(v) for v in table.values)
-        lines.append(f"{i},{grm_weight(table)},{p.degree},{digits},{p}")
+        lines.append(f"{i},{family.claimed_weight},{p.degree},{digits},{p}")
     out.write_text("\n".join(lines) + "\n")
     return {
         "distinct": family.distinct_count,

@@ -12,7 +12,6 @@ scan XORs more than ``scan.POOL_MIN_WORDS`` uint64 words.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -89,6 +88,10 @@ def enumerate_weights(
     total = np.zeros(params.block_length + 1, dtype=np.int64)
     scanned = (1 << params.dimension) * scan.word_count(params.n)
     if workers > 1 and shards > 1 and scanned > scan.POOL_MIN_WORDS:
+        # Imported here: most runs start no pool, and the module costs about
+        # 0.8 MiB of resident memory.
+        import multiprocessing
+
         jobs = [(params.n, params.d, shard_bits, s) for s in range(shards)]
         with multiprocessing.Pool(processes=min(workers, shards)) as pool:
             for part in pool.imap(_shard_job, jobs):

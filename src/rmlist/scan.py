@@ -7,7 +7,9 @@ code, as a ``(2^L, words)`` uint64 tile whose size ``TILE_BYTES`` bounds, and
 walks only the high bits in Gray-code order: each step XORs one high table
 into a running base, XORs the base into the whole tile and takes every row's
 popcount. Callers reduce each block of weights their own way: a histogram, a
-count of rows within a radius, or the rows themselves.
+count of rows within a radius, or the rows themselves. ``histogram`` batches
+the bincounts of this walk and of the F_q walk in ``grm``, which reads
+``TILE_BYTES`` too.
 
 No scan walks a code of dimension past ``caps.DIMENSION_CAP``:
 ``require_dimension`` holds that check, and ``code_scan`` makes it before it
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -110,13 +112,12 @@ def weight_blocks(kernel: CodeScan, base: np.ndarray,
         yield (t ^ (t >> 1)) << low, np.bitwise_count(base ^ tile).sum(axis=-1, dtype=np.intp)
 
 
-def weight_histogram(kernel: CodeScan, base: np.ndarray, free: int,
-                     block_length: int) -> np.ndarray:
-    """Number of scanned codewords of each weight 0..block_length."""
+def histogram(blocks: Iterable[np.ndarray], block_length: int) -> np.ndarray:
+    """Number of weights equal to each of 0..block_length over every block of weights."""
     counts = np.zeros(block_length + 1, dtype=np.int64)
     pending: list[np.ndarray] = []
     rows = 0
-    for _, weights in weight_blocks(kernel, base, free):
+    for weights in blocks:
         pending.append(weights)
         rows += len(weights)
         # A bincount costs block_length + 1 however few rows it counts, so
@@ -127,6 +128,13 @@ def weight_histogram(kernel: CodeScan, base: np.ndarray, free: int,
     if pending:
         counts += np.bincount(np.concatenate(pending), minlength=block_length + 1)
     return counts
+
+
+def weight_histogram(kernel: CodeScan, base: np.ndarray, free: int,
+                     block_length: int) -> np.ndarray:
+    """Number of scanned codewords of each weight 0..block_length."""
+    return histogram((weights for _, weights in weight_blocks(kernel, base, free)),
+                     block_length)
 
 
 def within(kernel: CodeScan, base: np.ndarray, max_flips: int) -> Iterator[tuple[int, int]]:

@@ -308,6 +308,35 @@ class TestGrmCommands:
         assert report["residue_counts"][0] == [3, 0, 0]
 
 
+class TestGrmOutputDigests:
+    """sha256 of fixed F_q outputs: enumerator CSVs and construction member order."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("enum", "--q", "3", "--n", "2", "--d", "2"),
+             "9a2361c4b64fd30b3b568770eea2c8b3e83ea7012b293dc772f61bab894c23ec"),
+            (("enum", "--q", "5", "--n", "2", "--d", "2"),
+             "e3706826ff16793c78e3872bd521b96eaf4d795637ffdf4213b01f20513d3f6e"),
+            (("enum", "--q", "7", "--n", "2", "--d", "2"),
+             "2efadd4a1a4f6008002dca1adaeba58ceffa166bfa445cb4479da32bcc00e6f4"),
+            (("enum", "--q", "2", "--n", "5", "--d", "2"),
+             "a6e3edc5757a1e1d74cc32c2883fcad3f547c5342b832fe5ea25f7a918a131b3"),
+            (("construct", "--q", "3", "--n", "3", "--d", "2", "--k", "1"),
+             "9f0828f65b1129be63e91f198f220ff794097705b2a4e096551d874308b30af4"),
+            (("construct", "--q", "3", "--n", "4", "--d", "3", "--k", "2"),
+             "969eff8c35d0bcf3bedec014f7137de7c62fa5e2a41ca06ae2170261c4a9c41c"),
+            (("construct", "--q", "7", "--n", "2", "--d", "3", "--k", "3"),
+             "b03fa9b4668444a021c0c0dc5a07e119f98d9f23e197f806a7dc4a0e70862aee"),
+        ],
+        ids=["enum-3-2-2", "enum-5-2-2", "enum-7-2-2", "enum-2-5-2", "construct-3-3-2-1",
+             "construct-3-4-3-2", "construct-7-2-3-3"],
+    )
+    def test_output_bytes(self, outdir, argv, digest):
+        assert run("grm", *argv, "--out", "g.csv") == 0
+        assert sha256_file("g.csv") == digest
+
+
 class TestReplay:
     @pytest.mark.parametrize(
         "argv,outname",

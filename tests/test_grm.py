@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rmlist import (
@@ -27,6 +29,7 @@ from rmlist import (
     grm_distance,
     grm_enumerate_weights,
     grm_weight,
+    scan,
     translate,
     weight,
     weight_thresholds,
@@ -73,6 +76,33 @@ def brute_force_enumerator(params: GrmParams) -> dict[int, int]:
         p = GrmPolynomial(params.q, params.n, dict(zip(exps, coeffs)))
         w = sum(1 for v in evaluate_per_point(p).values if v)
         counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+@functools.cache
+def odometer_enumerator(q: int, n: int, d: int) -> dict[int, int]:
+    """Oracle: a base-q odometer over every codeword, one numpy table update per digit change."""
+    params = GrmParams(q, n, d)
+    dim, size = params.dimension, params.block_length
+    mono_tables = [t.astype(np.int64)
+                   for t in grm.monomial_tables(q, n, params.monomial_exponents())]
+    counts: dict[int, int] = {}
+    values = np.zeros(size, dtype=np.int64)
+    digits = [0] * dim
+    for _ in range(q**dim):
+        w = int(np.count_nonzero(values))
+        counts[w] = counts.get(w, 0) + 1
+        pos = 0
+        while pos < dim and digits[pos] == q - 1:
+            digits[pos] = 0
+            values += mono_tables[pos]
+            values %= q
+            pos += 1
+        if pos == dim:
+            break
+        digits[pos] += 1
+        values += mono_tables[pos]
+        values %= q
     return counts
 
 
@@ -248,6 +278,23 @@ class TestGrmEnumerateAgainstBruteForce:
     def test_matches_brute_force(self, q, n, d):
         params = GrmParams(q, n, d)
         assert grm_enumerate_weights(params).counts == brute_force_enumerator(params)
+
+
+class TestTileWalkAgainstOdometer:
+    """The tile walk equals the per-codeword odometer at every split of the digits."""
+
+    @pytest.mark.parametrize("split", ["all high", "half", "all low"])
+    @pytest.mark.parametrize("q,n,d", BRUTE_FORCE_CODES + [(2, 3, 2), (2, 4, 2), (2, 4, 3),
+                                                           (2, 5, 1), (2, 6, 1)])
+    def test_every_split_matches_odometer(self, q, n, d, split, monkeypatch):
+        params = GrmParams(q, n, d)
+        dim, size = params.dimension, params.block_length
+        low = {"all high": 0, "half": dim // 2, "all low": dim}[split]
+        monkeypatch.setattr(scan, "TILE_BYTES", q**low * size)
+        assert grm.tile_digits(q, size, dim) == low
+        counts = grm_enumerate_weights(params).counts
+        assert counts == odometer_enumerator(q, n, d)
+        assert all(type(w) is int and type(c) is int for w, c in counts.items())
 
 
 class TestConstructions:
