@@ -25,11 +25,9 @@ from .boolfunc import (
 from .derivatives import (
     BiasBoundReport,
     IdentityReport,
-    RepresentationCoefficient,
     check_bias_bounds,
     derive,
     derive_iterated,
-    representation_coefficient,
     single_derivative_identity,
     verify_derivative_representation,
     verify_single_derivative_exhaustive,
@@ -40,10 +38,7 @@ from .approximator import (
     SampledApproximator,
     approximator_table,
     build_approximator,
-    candidate_from_received,
-    load_approximator,
     sample_count,
-    serialize_approximator,
     unique_decode_within,
 )
 from .enumeration import (
@@ -75,7 +70,6 @@ from .grm import (
     bias_scaling_scan,
     construct_grm_family,
     grm_bias,
-    grm_distance,
     grm_enumerate_weights,
     grm_weight,
     weight_thresholds,

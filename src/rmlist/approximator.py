@@ -26,7 +26,6 @@ from .boolfunc import (
     anf_to_table,
     distance,
     monomial_table,
-    xor_tables,
 )
 from . import scan
 from .caps import EXHAUSTIVE_DECODE_DIMENSION
@@ -283,13 +282,6 @@ def approximator_table(approx: SampledApproximator) -> FunctionTable:
     return FunctionTable(approx.n, int.from_bytes(packed.tobytes(), "little"))
 
 
-def candidate_from_received(
-    approx: SampledApproximator, received: FunctionTable
-) -> FunctionTable:
-    """Shift the approximator by the received word; lands within delta of the codeword."""
-    return xor_tables(approximator_table(approx), received)
-
-
 def unique_decode_within(
     g: FunctionTable, params: CodeParams, radius: Fraction, backend: str = "auto"
 ) -> AnfPolynomial | None:
@@ -370,63 +362,19 @@ def _decode_majority(
     return None
 
 
-def _record_header(approx: SampledApproximator) -> dict:
-    return {"n": approx.n, "k": approx.k, "m": approx.m, "seed": approx.seed}
-
-
-def serialize_approximator(approx: SampledApproximator) -> dict:
-    """JSON-ready record; derivative tables are recomputable and not stored."""
-    return {
-        **_record_header(approx),
-        "samples": [
-            {"directions": list(t), "coefficient": s}
-            for t, s in zip(approx.directions, approx.coefficients)
-        ],
-    }
-
-
-def load_approximator(record: dict, base: FunctionTable) -> SampledApproximator:
-    """Rebuild an approximator from its record plus the base function.
-
-    The record must hold ``m`` samples of ``k`` directions in [0, 2^n) each,
-    within the same ``DERIVED_TABLE_BITS_CAP`` as a build. Nothing is derived
-    here; ``approximator_table`` derives the tables when asked.
-    """
-    if record["n"] != base.n:
-        raise InputError("record n does not match base function")
-    samples = record["samples"]
-    m = len(samples)
-    if record["m"] != m:
-        raise InputError(f"record m={record['m']} differs from its {m} samples")
-    require_derived_bits(m << base.n, f"approximator at m={m}, n={base.n}")
-    k = record["k"]
-    directions = tuple(tuple(s["directions"]) for s in samples)
-    for tup in directions:
-        if len(tup) != k:
-            raise InputError(f"direction tuple {list(tup)} does not have k={k} entries")
-        for a in tup:
-            if type(a) is not int or not 0 <= a < base.size:
-                raise InputError(f"direction {a!r} out of range for n={base.n}")
-    return SampledApproximator(
-        n=base.n,
-        k=k,
-        seed=record["seed"],
-        base=base,
-        directions=directions,
-        coefficients=tuple(int(s["coefficient"]) for s in samples),
-    )
-
-
 def approximator_json(approx: SampledApproximator, achieved: Fraction,
                       retries_used: int) -> str:
-    """The record with its achieved distance and retries, byte for byte as
-    ``json.dumps(record, sort_keys=True, indent=2) + "\\n"`` writes it.
+    """The approximator's JSON record: n, k, m, seed, the achieved distance, the
+    retries used and each sample's directions and coefficient, but no derivative
+    table. Byte for byte as ``json.dumps(record, sort_keys=True, indent=2) + "\\n"``
+    writes it.
 
     Only the header goes through ``json.dumps``; the samples, the bulk of the
     record, are written from one fixed per-sample template.
     """
-    header = {**_record_header(approx), "achieved_distance": str(achieved),
-              "retries_used": retries_used, "samples": []}
+    header = {"n": approx.n, "k": approx.k, "m": approx.m, "seed": approx.seed,
+              "achieved_distance": str(achieved), "retries_used": retries_used,
+              "samples": []}
     text = json.dumps(header, sort_keys=True, indent=2)
     if not approx.m:
         return text + "\n"

@@ -94,23 +94,6 @@ class FunctionTable:
     def ones(cls, n: int) -> "FunctionTable":
         return cls(n, (1 << (1 << n)) - 1)
 
-    @classmethod
-    def from_values(cls, values) -> "FunctionTable":
-        """Build from an iterable of 0/1 values indexed by point."""
-        values = list(values)
-        n = (len(values) - 1).bit_length()
-        if len(values) != 1 << n:
-            raise InputError("value list length must be a power of two")
-        bits = 0
-        for v, b in enumerate(values):
-            if b not in (0, 1):
-                raise InputError("table values must be bits")
-            bits |= b << v
-        return cls(n, bits)
-
-    def to_values(self) -> list[int]:
-        return [(self.bits >> v) & 1 for v in range(self.size)]
-
 
 @dataclass(frozen=True)
 class AnfPolynomial:

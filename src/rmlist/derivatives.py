@@ -5,13 +5,13 @@ The central objects:
 * ``derive`` / ``derive_iterated`` - f_a(x) = f(x+a) + f(x) and its k-fold iteration.
 * ``derivative_chunks`` - the batched kernel: order-k derivatives of one function
   along many direction tuples at once, as uint64 tables with their prefix weights.
-* ``representation_coefficient`` - the product of inverse prefix biases that lets a
-  low-weight function be written as an expectation of its order-k derivatives.
-* ``verify_derivative_representation`` - checks that expectation identity exactly
-  over all 2^(nk) direction tuples and all 2^n points. It needs only integers: the
-  identity follows, by induction on the depth, from the integer single-derivative
-  identity sum_a (-1)^{g_a(x)} = (2^n - 2 wt(g)) (-1)^{g(x)} at every distinct
-  prefix derivative g of depth below k, checked one level of distinct prefixes at a time.
+* ``verify_derivative_representation`` - checks exactly, over all 2^(nk) direction
+  tuples and all 2^n points, that a low-weight function is the expectation of its
+  order-k derivatives, each weighted by the product of its inverse prefix biases.
+  It needs only integers: the identity follows, by induction on the depth, from the
+  integer single-derivative identity sum_a (-1)^{g_a(x)} = (2^n - 2 wt(g)) (-1)^{g(x)}
+  at every distinct prefix derivative g of depth below k, checked one level of
+  distinct prefixes at a time.
 * ``check_bias_bounds`` - the prefix-bias lower bounds that make the coefficients finite.
 * ``single_derivative_identity`` - the order-1 identity for any non-balanced function.
 """
@@ -192,41 +192,6 @@ def require_low_weight(f: FunctionTable, k: int, eps: Fraction) -> None:
         raise WeightTooLargeError(
             f"weight {w} must be below 2^-{k}*(1-{eps}) = {bound}"
         )
-
-
-@dataclass(frozen=True)
-class RepresentationCoefficient:
-    """Coefficient of one direction tuple: product of inverse prefix biases."""
-
-    value: Fraction
-    prefix_biases: tuple[Fraction, ...]
-
-
-def representation_coefficient(
-    f: FunctionTable, directions: Sequence[int], eps: Fraction
-) -> RepresentationCoefficient:
-    """Coefficient attached to one order-k derivative in the representation identity.
-
-    The product runs over the k prefixes f, f_{a_1}, ..., f_{a_1..a_{k-1}};
-    under the low-weight precondition every prefix bias is strictly positive
-    and the product is at most 10/eps.
-    """
-    k = len(directions)
-    require_low_weight(f, k, eps)
-    biases = []
-    cur = f
-    for a in directions[:k]:
-        b = bias(cur)
-        if b == 0:
-            raise DegenerateBiasError(
-                "zero prefix bias under the low-weight precondition"
-            )
-        biases.append(b)
-        cur = derive(cur, a)
-    value = Fraction(1)
-    for b in biases:
-        value /= b
-    return RepresentationCoefficient(value, tuple(biases))
 
 
 @dataclass(frozen=True)
@@ -442,24 +407,25 @@ def check_bias_bounds(
     f: FunctionTable,
     k: int,
     eps: Fraction,
-    exhaustive: bool | None = None,
     samples: int = 2000,
     seed: int = 0,
 ) -> BiasBoundReport:
     """Check bias(f_{a_1..a_s}) >= 1 - 2^(s+1-k) (1 - eps) for every prefix length s < k.
 
-    Exhaustive over all tuples when n*(k-1) <= ``EXHAUSTIVE_TUPLE_BITS`` (or
-    when forced); otherwise seeded random tuples with the same assertions.
-    The exhaustive walk derives at most 2^(nk) table bits and raises
-    ``ScaleError`` before its first derivative past ``DERIVED_TABLE_BITS_CAP``.
+    Exhaustive over all tuples when n*(k-1) <= ``EXHAUSTIVE_TUPLE_BITS``;
+    otherwise, for each s >= 1, ``samples`` (at least 1) seeded random tuples
+    with the same assertions. The exhaustive walk derives at most 2^(nk) table
+    bits and raises ``ScaleError`` before its first derivative past
+    ``DERIVED_TABLE_BITS_CAP``.
     Violations are reported, not raised: a non-empty list would falsify the
     underlying math and is treated as a test failure by callers.
     """
     require_low_weight(f, k, eps)
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
     n = f.n
     size = f.size
-    if exhaustive is None:
-        exhaustive = n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
+    exhaustive = n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
     if exhaustive:
         require_derived_bits(size**k, f"exhaustive bias-bounds walk at n={n}, k={k}")
     rng = random.Random(seed)

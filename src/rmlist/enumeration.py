@@ -151,6 +151,8 @@ def construct_low_weight_family(
     """Materialize the low-weight family, verifying weight and degree per member."""
     if limit is None:
         limit = min(1 << math.comb(n - k, d - k + 1), 1 << 16)
+    elif limit < 1:
+        raise InputError(f"limit must be >= 1, got {limit}")
     members = []
     seen = set()
     target = Fraction(1, 1 << k)

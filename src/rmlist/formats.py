@@ -1,10 +1,12 @@
-"""Text file formats and CSV emitters shared by the CLI and tests.
+"""Text file formats and CSV emitters of the CLI.
 
 Function file: two fields, ``n`` in decimal and ``bits`` as a hex string of
-the packed table (least significant hex digit = points 0-3). Polynomial
-file: a header line with n, then one monomial per line as sorted 1-based
-variable indices; an empty line is the constant-1 monomial. A family file
-holds several polynomial records separated by ``---`` lines.
+the packed table (least significant hex digit = points 0-3). F_q table
+file: ``q``, ``n`` and ``values``, a base-q digit string. Both are read.
+Polynomial record: a header line with n, then one monomial per line as
+sorted 1-based variable indices; an empty line is the constant-1 monomial.
+A family file holds several polynomial records separated by ``---`` lines;
+``construct`` writes it and no command reads it.
 """
 
 from __future__ import annotations
@@ -80,45 +82,9 @@ def polynomial_to_text(p: AnfPolynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
-def polynomial_from_text(text: str) -> AnfPolynomial:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("n "):
-        raise InputError("polynomial record must start with an 'n <decimal>' header")
-    try:
-        n = int(lines[0][2:].strip())
-    except ValueError as exc:
-        raise InputError("malformed polynomial header") from exc
-    monomials = []
-    for line in lines[1:]:
-        indices = [int(tok) for tok in line.split()]
-        monomials.append(indices)
-    return AnfPolynomial.from_variable_lists(n, monomials)
-
-
-def write_polynomial_file(path: Path | str, p: AnfPolynomial) -> None:
-    Path(path).write_text(polynomial_to_text(p))
-
-
-def read_polynomial_file(path: Path | str) -> AnfPolynomial:
-    return polynomial_from_text(Path(path).read_text())
-
-
 def family_to_text(family: LowerBoundFamily) -> str:
     records = [polynomial_to_text(p).rstrip("\n") for p in family.members]
     return "\n---\n".join(records) + "\n"
-
-
-def family_from_text(text: str) -> list[AnfPolynomial]:
-    return [
-        polynomial_from_text(chunk.strip("\n"))
-        for chunk in text.split("\n---\n")
-        if chunk.strip()
-    ]
-
-
-def grm_table_to_text(t: GrmTable) -> str:
-    digits = "".join(str(v) for v in t.values)
-    return f"q {t.q}\nn {t.n}\nvalues {digits}\n"
 
 
 def grm_table_from_text(text: str) -> GrmTable:
@@ -130,14 +96,6 @@ def grm_table_from_text(text: str) -> GrmTable:
     except ValueError as exc:
         raise InputError(f"malformed table record: {exc}") from exc
     return GrmTable(q, n, values)
-
-
-def read_grm_table_file(path: Path | str) -> GrmTable:
-    return grm_table_from_text(Path(path).read_text())
-
-
-def write_grm_table_file(path: Path | str, t: GrmTable) -> None:
-    Path(path).write_text(grm_table_to_text(t))
 
 
 def enumerator_csv(enum: WeightEnumerator) -> str:

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import scan
-from .boolfunc import FunctionTable
 from .caps import ENUM_CAP_BITS, ENUM_VALUE_BITS, GRM_POINT_BITS, MAX_FIELD
 from .enumeration import WeightEnumerator
 from .errors import InputError, InvariantFailure, ScaleError
@@ -92,21 +91,12 @@ class GrmTable:
     def __post_init__(self) -> None:
         if len(self.values) != self.q**self.n:
             raise InputError("value table length must be q^n")
-        if any(not 0 <= v < self.q for v in self.values):
+        if not set(self.values) <= set(range(self.q)):
             raise InputError("table values must lie in [0, q)")
 
     @property
     def size(self) -> int:
         return self.q**self.n
-
-    @classmethod
-    def from_function_table(cls, f: FunctionTable) -> "GrmTable":
-        return cls(2, f.n, tuple(f.to_values()))
-
-    def to_function_table(self) -> FunctionTable:
-        if self.q != 2:
-            raise InputError("only q=2 tables convert to packed Boolean tables")
-        return FunctionTable.from_values(self.values)
 
 
 def monomial_tables(q: int, n: int,
@@ -126,13 +116,7 @@ def monomial_tables(q: int, n: int,
 
 
 def grm_weight(f: GrmTable) -> Fraction:
-    return Fraction(sum(1 for v in f.values if v != 0), f.size)
-
-
-def grm_distance(f: GrmTable, g: GrmTable) -> Fraction:
-    if (f.q, f.n) != (g.q, g.n):
-        raise InputError("mismatched field or variable count")
-    return Fraction(sum(1 for a, b in zip(f.values, g.values) if a != b), f.size)
+    return Fraction(f.size - f.values.count(0), f.size)
 
 
 @dataclass(frozen=True)
@@ -161,17 +145,11 @@ class BiasValue:
             return Fraction(2 * c0 - c1 - c2, 2 * self.size)
         return self.complex_value.real
 
-    def as_binary_bias(self) -> Fraction:
-        if self.q != 2:
-            raise InputError("binary bias defined only for q=2")
-        return Fraction(self.residue_counts[0] - self.residue_counts[1], self.size)
-
 
 def grm_bias(f: GrmTable) -> BiasValue:
-    counts = [0] * f.q
-    for v in f.values:
-        counts[v] += 1
-    return BiasValue(q=f.q, size=f.size, residue_counts=tuple(counts))
+    values = bytes(f.values)  # every value is below q <= 7, one byte each
+    counts = tuple(values.count(j) for j in range(f.q))
+    return BiasValue(q=f.q, size=f.size, residue_counts=counts)
 
 
 @dataclass(frozen=True)
@@ -351,6 +329,8 @@ def construct_grm_family(
     params = GrmParams(q, n, d)
     if not 1 <= k <= d:
         raise InputError(f"k must be in [1, d={d}], got {k}")
+    if limit < 1:
+        raise InputError(f"limit must be >= 1, got {limit}")
     thresholds = {t.k: t.value for t in weight_thresholds(q, d)}
     target = thresholds[k] if k in thresholds else thresholds[1]
     members: list[tuple[GrmPolynomial, GrmTable]] = []

