@@ -20,7 +20,6 @@ from .boolfunc import (
     table_to_anf,
     translate,
     weight,
-    xor_tables,
 )
 from .derivatives import (
     BiasBoundReport,

@@ -210,12 +210,6 @@ def translate(f: FunctionTable, a: int) -> FunctionTable:
     return FunctionTable(f.n, bits)
 
 
-def xor_tables(f: FunctionTable, g: FunctionTable) -> FunctionTable:
-    if f.n != g.n:
-        raise InputError(f"mismatched variable counts {f.n} != {g.n}")
-    return FunctionTable(f.n, f.bits ^ g.bits)
-
-
 def complement(f: FunctionTable) -> FunctionTable:
     return FunctionTable(f.n, f.bits ^ ((1 << f.size) - 1))
 

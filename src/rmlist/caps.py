@@ -17,7 +17,9 @@ DIMENSION_CAP = 30
 # logic past it. ``approximator.unique_decode_within``.
 EXHAUSTIVE_DECODE_DIMENSION = 26
 # Every function on n <= 4 variables is 65,536 functions: the single-derivative
-# sweep and exhaustive list-size centers. ``boolfunc.require_all_functions``.
+# sweep walks them all; exhaustive list-size centers cover them with one ball
+# per coset of RM(n, d), 2^(2^n - dimension) balls, since cosets x codewords
+# is still 2^(2^n) words. ``boolfunc.require_all_functions``.
 ALL_FUNCTIONS_VARS = 4
 # Derivative-table bits one call derives: m * 2^n for an approximator, 4^n for
 # the single-derivative identity, 2^(n(k+1)) for the representation check and

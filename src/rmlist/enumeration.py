@@ -38,10 +38,6 @@ class WeightEnumerator:
     def multiplicity(self, w: int) -> int:
         return self.counts.get(w, 0)
 
-    def min_positive_weight(self) -> int | None:
-        positive = [w for w in self.counts if w > 0]
-        return min(positive) if positive else None
-
 
 def accumulative(enumerator: WeightEnumerator, alpha: Fraction) -> int:
     """Number of codewords of relative weight <= alpha."""

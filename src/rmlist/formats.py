@@ -12,6 +12,7 @@ A family file holds several polynomial records separated by ``---`` lines;
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .boolfunc import AnfPolynomial, FunctionTable
@@ -66,10 +67,6 @@ def _parse_fields(text: str, expected: set[str]) -> dict[str, str]:
     return fields
 
 
-def write_function_file(path: Path | str, f: FunctionTable) -> None:
-    Path(path).write_text(function_to_text(f))
-
-
 def read_function_file(path: Path | str) -> FunctionTable:
     return function_from_text(Path(path).read_text())
 
@@ -111,16 +108,14 @@ def enumerator_csv(enum: WeightEnumerator) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A ball CSV names the same monomials on many rows; each name is built once.
+@lru_cache(maxsize=4096)
+def _monomial_name(n: int, mask: int) -> str:
+    return "".join(f"x{i + 1}" for i in range(n) if (mask >> i) & 1) or "1"
+
+
 def anf_to_string(p: AnfPolynomial) -> str:
-    if not p.monomials:
-        return "0"
-    parts = []
-    for mask in sorted(p.monomials):
-        if mask == 0:
-            parts.append("1")
-        else:
-            parts.append("".join(f"x{i + 1}" for i in range(p.n) if (mask >> i) & 1))
-    return "+".join(parts)
+    return "+".join(_monomial_name(p.n, m) for m in sorted(p.monomials)) or "0"
 
 
 def ball_csv(b: Ball) -> str:
@@ -129,7 +124,9 @@ def ball_csv(b: Ball) -> str:
         f"# n={b.center.n},radius={b.radius},members={b.size}",
         "distance_count,relative_distance,monomials",
     ]
+    prefixes: dict[Fraction, str] = {}
     for p, dist in b.members:
-        count = int(dist * size)
-        lines.append(f"{count},{dist},{anf_to_string(p)}")
+        if dist not in prefixes:
+            prefixes[dist] = f"{int(dist * size)},{dist},"
+        lines.append(prefixes[dist] + anf_to_string(p))
     return "\n".join(lines) + "\n"

@@ -7,6 +7,12 @@ centers lazily and counts each one's ball with ``ball_size``; the kernel
 builds its tables and tile once per code for all of them. The true list size
 maximizes the ball over every possible center, which is only feasible
 exhaustively at n <= 4; other strategies are labeled lower estimates.
+
+A ball's size depends only on the center's coset f + RM(n, d), so the
+exhaustive strategy runs one ball per coset, around its smallest member:
+2^(2^n - dimension) balls, which with the 2^dimension codewords of each coset
+cover all 2^(2^n) functions. Every estimate is checked against the binary
+Johnson bound.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .boolfunc import (
     FunctionTable,
     anf_to_table,
     complement,
+    monomial_table,
     require_all_functions,
 )
 from . import scan
@@ -33,7 +40,7 @@ from .enumeration import (
     coefficient_choices,
     construct_low_weight_family,
 )
-from .errors import InputError
+from .errors import InputError, InvariantFailure
 
 
 @dataclass(frozen=True)
@@ -58,11 +65,16 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
     kernel = scan.code_scan(params)
     size = center.size
     max_flips = (alpha.numerator * size) // alpha.denominator
-    members = [(kernel.polynomial(code), Fraction(w, size))
-               for code, w in scan.within(kernel, scan.to_words(center.bits, kernel.words),
-                                          max_flips)]
-    members.sort(key=lambda item: (item[1], item[0].sort_key()))
-    return Ball(center=center, radius=alpha, members=tuple(members))
+    # Each member is keyed by its weight and its masks in ascending order (its
+    # ``sort_key``), and every member at one distance shares one Fraction.
+    by_mask = sorted(range(params.dimension), key=kernel.masks.__getitem__)
+    found = sorted((w, tuple(kernel.masks[j] for j in by_mask if code >> j & 1))
+                   for code, w in scan.within(kernel, scan.to_words(center.bits, kernel.words),
+                                              max_flips))
+    distances = {w: Fraction(w, size) for w in {w for w, _ in found}}
+    members = tuple((AnfPolynomial(params.n, frozenset(masks)), distances[w])
+                    for w, masks in found)
+    return Ball(center=center, radius=alpha, members=members)
 
 
 def ball_size(center_bits: int, alpha: Fraction, params: CodeParams) -> int:
@@ -97,13 +109,16 @@ def estimate_list_size(
     half-mixtures of consecutive members - adversarial centers), and
     ``exhaustive`` (every function; n <= 4 only, the only strategy whose
     result equals the true maximum). The zero center is always included, so
-    every estimate is at least the accumulative count at alpha.
+    every estimate is at least the accumulative count at alpha. ``exhaustive``
+    runs one ball per coset but reports every function as tried, and names
+    the smallest function whose ball is maximal.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
     scan.code_scan(params)  # past the dimension cap, raise before any center is made
     size = params.block_length
+    covered = None  # centers the loop stands for, when not the ones it runs
     if strategy == "zero":
         others, name_of = (), None
     elif strategy == "random":
@@ -116,7 +131,10 @@ def estimate_list_size(
         name_of = lambda i, bits: family[i][0]
     elif strategy == "exhaustive":
         require_all_functions(params.n, "exhaustive centers")
-        others = range(1, 1 << size)
+        # One center per coset; the minima ascend, so the first maximal one is
+        # the first maximal function.
+        others = _coset_minima(params)[1:]
+        covered = 1 << size
         name_of = lambda i, bits: f"exhaustive[{bits}]"
     else:
         raise InputError(f"unknown strategy {strategy!r}")
@@ -127,15 +145,60 @@ def estimate_list_size(
         s = ball_size(bits, alpha, params)
         if s > best:
             best_index, best_bits, best = index, bits, s
+    max_flips = (alpha.numerator * size) // alpha.denominator
+    _check_johnson_bound(best, max_flips, params)
     return ListSizeEstimate(
         radius=alpha,
         strategy=strategy,
-        centers_tried=index + 1,
+        centers_tried=covered or index + 1,
         best_center="zero" if best_index == 0 else name_of(best_index - 1, best_bits),
         best_center_bits=best_bits,
         best_size=best,
         exhaustive=strategy == "exhaustive",
     )
+
+
+def _coset_minima(params: CodeParams) -> list[int]:
+    """The smallest word of every coset f + RM(n, d), in increasing order.
+
+    The code's monomial tables are row-reduced so that each row's highest set
+    bit, its pivot, is no other row's highest bit. Every nonzero codeword then
+    has a pivot as its highest bit, so the words that are 0 at every pivot are
+    exactly the coset minima: 2^(2^n - dimension) of them.
+    """
+    pivots: dict[int, int] = {}
+    for mask in params.monomial_masks():
+        row = monomial_table(params.n, mask)
+        while row and row.bit_length() - 1 in pivots:
+            row ^= pivots[row.bit_length() - 1]
+        if row:
+            pivots[row.bit_length() - 1] = row
+    if len(pivots) != params.dimension:
+        raise InvariantFailure(
+            f"monomial tables of RM({params.n},{params.d}) have rank {len(pivots)}, "
+            f"not {params.dimension}")
+    minima = [0]
+    for p in range(params.block_length):
+        if p not in pivots:
+            minima += [c | 1 << p for c in minima]
+    return minima
+
+
+def _check_johnson_bound(list_size: int, max_flips: int, params: CodeParams) -> None:
+    """``InvariantFailure`` when a ball exceeds the binary Johnson bound.
+
+    With delta the relative minimum distance and rho = max_flips / 2^n < 1/2,
+    wherever 2 rho (1 - rho) < delta no ball of radius rho holds more than
+    delta / (delta - 2 rho (1 - rho)) codewords (Cauchy-Schwarz on the +-1
+    codewords).
+    """
+    delta = params.min_distance
+    rho = Fraction(max_flips, params.block_length)
+    spread = 2 * rho * (1 - rho)
+    if rho < Fraction(1, 2) and spread < delta and list_size > delta / (delta - spread):
+        raise InvariantFailure(
+            f"list size {list_size} of RM({params.n},{params.d}) at {max_flips} flips "
+            f"exceeds the Johnson bound {delta / (delta - spread)}")
 
 
 def _family_centers(params: CodeParams, count: int) -> list[tuple[str, int]]:

@@ -1,18 +1,30 @@
 """Test-only helpers and slow reference paths shared by several test modules.
 
 Conversions between 0/1 value lists, packed truth tables and F_2 value
-tables, the F_q distance, and the ``Fraction`` coefficient walk that checks
-the approximator's integer coefficients. The library itself needs none of them.
+tables, the XOR of two tables, a function-file writer, an enumerator's
+minimum positive weight, the F_q distance, and the ``Fraction`` coefficient
+walk that checks the approximator's integer coefficients. The library itself
+needs none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
-from rmlist import DegenerateBiasError, FunctionTable, GrmTable, InputError, bias, derive
+from rmlist import (
+    DegenerateBiasError,
+    FunctionTable,
+    GrmTable,
+    InputError,
+    WeightEnumerator,
+    bias,
+    derive,
+)
 from rmlist.derivatives import require_low_weight
+from rmlist.formats import function_to_text
 
 
 def table_from_values(values) -> FunctionTable:
@@ -31,6 +43,23 @@ def table_from_values(values) -> FunctionTable:
 
 def table_values(f: FunctionTable) -> list[int]:
     return [(f.bits >> v) & 1 for v in range(f.size)]
+
+
+def xor_tables(f: FunctionTable, g: FunctionTable) -> FunctionTable:
+    if f.n != g.n:
+        raise InputError(f"mismatched variable counts {f.n} != {g.n}")
+    return FunctionTable(f.n, f.bits ^ g.bits)
+
+
+def write_function_file(path: Path | str, f: FunctionTable) -> None:
+    """A function file that the CLI's ``--center`` and ``--function`` read."""
+    Path(path).write_text(function_to_text(f))
+
+
+def min_positive_weight(enum: WeightEnumerator) -> int | None:
+    """The smallest nonzero weight of an enumerated code (its minimum distance)."""
+    positive = [w for w in enum.counts if w > 0]
+    return min(positive) if positive else None
 
 
 def grm_table_of(f: FunctionTable) -> GrmTable:

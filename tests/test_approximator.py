@@ -32,7 +32,6 @@ from rmlist import (
     sample_count,
     table_to_anf,
     unique_decode_within,
-    xor_tables,
 )
 from rmlist import approximator, derivatives, scan
 from rmlist.approximator import _signed_accumulation, approximator_json
@@ -40,7 +39,7 @@ from rmlist.derivatives import derive
 from rmlist.errors import InvariantFailure, ScaleError
 
 from conftest import random_table, random_table_below_weight, table_of
-from oracles import representation_coefficient
+from oracles import representation_coefficient, xor_tables
 
 
 def serialize_approximator(approx: SampledApproximator) -> dict:

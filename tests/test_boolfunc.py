@@ -22,13 +22,12 @@ from rmlist import (
     table_to_anf,
     translate,
     weight,
-    xor_tables,
 )
 
 from rmlist.boolfunc import monomial_masks
 
 from conftest import random_table, table_of
-from oracles import table_from_values, table_values
+from oracles import table_from_values, table_values, xor_tables
 
 
 def tables(max_n: int = 8):

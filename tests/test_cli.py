@@ -13,8 +13,10 @@ from rmlist.errors import (
     InvariantFailure,
     ScaleError,
 )
-from rmlist.formats import write_function_file
 from rmlist.manifest import load_manifest, sha256_file
+
+from conftest import table_of
+from oracles import write_function_file
 
 
 @pytest.fixture
@@ -361,6 +363,32 @@ class TestGrmOutputDigests:
     def test_output_bytes(self, outdir, argv, digest):
         assert run("grm", *argv, "--out", "g.csv") == 0
         assert sha256_file("g.csv") == digest
+
+
+class TestListdecodeOutputDigests:
+    """sha256 of fixed ball CSVs: member order within a distance is canonical ANF order."""
+
+    @pytest.mark.parametrize(
+        "n,d,alpha,center,digest",
+        [
+            # Around the codeword x1x2 + x3 + x2x4: the 141-member ball of 0, translated.
+            (4, 2, "1/4", table_of(4, [1, 2], [3], [2, 4]),
+             "06002e2e490750601ce9f99c219569179ee5eca007d91f4619cd46faea781385"),
+            # The codeword 1 + x1x3 + x2x5 + x4 with four flips: 9,204 members at five distances.
+            (5, 2, "3/8", FunctionTable(5, table_of(5, [], [1, 3], [2, 5], [4]).bits
+                                        ^ (1 << 0 | 1 << 7 | 1 << 19 | 1 << 26)),
+             "ea06057afa61fab55670a1facf2eceefa6bcd38f75c88db715e0e6371934365c"),
+            # x1x2 + x3x4, bent on x1..x4: all 16 members tie at distance 24.
+            (6, 1, "3/8", table_of(6, [1, 2], [3, 4]),
+             "fcfcb4ee32f2c8f1efea906084af53a60e358eb9be4276be3ef347df544e323d"),
+        ],
+        ids=["rm-4-2-codeword", "rm-5-2-noisy", "rm-6-1-ties"],
+    )
+    def test_output_bytes(self, outdir, n, d, alpha, center, digest):
+        write_function_file("center.txt", center)
+        assert run("listdecode", "--center", "center.txt", "--alpha", alpha,
+                   "--n", str(n), "--d", str(d), "--out", "ball.csv") == 0
+        assert sha256_file("ball.csv") == digest
 
 
 class TestReplay:

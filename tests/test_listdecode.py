@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rmlist import (
@@ -10,6 +11,7 @@ from rmlist import (
     CodeParams,
     FunctionTable,
     InputError,
+    InvariantFailure,
     ScaleError,
     accumulative,
     accumulative_weight_bound,
@@ -20,10 +22,12 @@ from rmlist import (
     estimate_list_size,
     list_size_bound,
     monomial_table,
-    xor_tables,
 )
 
+from rmlist import listdecode
+
 from conftest import random_table, table_of
+from oracles import xor_tables
 
 
 def naive_ball_members(center: FunctionTable, alpha: Fraction, params: CodeParams):
@@ -180,6 +184,93 @@ class TestEstimate:
     def test_unknown_strategy(self):
         with pytest.raises(InputError):
             estimate_list_size(Fraction(1, 4), CodeParams(4, 2), strategy="best")
+
+
+def all_center_ball_sizes(params: CodeParams, radii) -> np.ndarray:
+    """Oracle of the exhaustive strategy: ``sizes[i, f]`` is the ball size
+    around every function f at ``radii[i]`` flips, from a table of the
+    distance between each center and each codeword (n <= 4)."""
+    codewords = np.zeros(1, dtype=np.uint16)
+    for m in params.monomial_masks():
+        codewords = np.concatenate([codewords, codewords ^ np.uint16(monomial_table(params.n, m))])
+    centers = np.arange(1 << params.block_length, dtype=np.uint16)
+    sizes = np.zeros((len(radii), len(centers)), dtype=np.int64)
+    chunk = max(1, (1 << 22) // len(codewords))
+    for start in range(0, len(centers), chunk):
+        dist = np.bitwise_count(centers[start:start + chunk, None] ^ codewords)
+        for i, r in enumerate(radii):
+            sizes[i, start:start + chunk] = np.count_nonzero(dist <= r, axis=1)
+    return sizes
+
+
+class TestExhaustiveCosets:
+    """The exhaustive strategy runs one ball per coset of RM(n, d) and must
+    report what the center-by-center maximum over all 2^(2^n) functions does."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_every_center_at_n4(self, d):
+        params = CodeParams(4, d)
+        radii = (4, 5, 6)
+        for r, sizes in zip(radii, all_center_ball_sizes(params, radii)):
+            bits = int(np.argmax(sizes))  # the first maximum, as the old loop kept
+            est = estimate_list_size(Fraction(r, 16), params, strategy="exhaustive")
+            assert (est.centers_tried, est.best_center, est.best_center_bits,
+                    est.best_size) == (1 << 16, f"exhaustive[{bits}]" if bits else "zero",
+                                       bits, int(sizes[bits]))
+
+    @pytest.mark.parametrize("d,r", [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5)])
+    def test_no_smaller_center_reaches_the_maximum(self, d, r):
+        params = CodeParams(4, d)
+        alpha = Fraction(r, 16)
+        est = estimate_list_size(alpha, params, strategy="exhaustive")
+        assert est.centers_tried == 1 << 16
+        assert est.best_size == ball_size(est.best_center_bits, alpha, params)
+        assert all(ball_size(bits, alpha, params) < est.best_size
+                   for bits in range(est.best_center_bits))
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in (1, 2, 3) for d in range(1, n + 1)]
+                             + [(4, 2), (4, 3)])
+    def test_coset_minima_are_the_smallest_coset_members(self, n, d):
+        params = CodeParams(n, d)
+        minima = listdecode._coset_minima(params)
+        assert len(minima) == 1 << (params.block_length - params.dimension)
+        assert minima == sorted(set(minima))
+        codewords = [0]
+        for m in params.monomial_masks():
+            codewords += [c ^ monomial_table(n, m) for c in codewords]
+        if n <= 3:
+            assert {min(f ^ c for c in codewords) for f in range(1 << params.block_length)} \
+                == set(minima)
+        else:  # each minimum is below the rest of its coset
+            assert all(f < f ^ c for f in minima for c in codewords[1:])
+
+    def test_rank_deficient_tables_raise(self, monkeypatch):
+        monkeypatch.setattr(listdecode, "monomial_table", lambda n, mask: 1)
+        with pytest.raises(InvariantFailure):
+            listdecode._coset_minima(CodeParams(3, 1))
+
+
+class TestJohnsonBound:
+    @pytest.mark.parametrize("d,r,size", [(1, 4, 4), (1, 6, 16), (2, 2, 8)])
+    def test_exhaustive_meets_it_with_equality(self, d, r, size):
+        params = CodeParams(4, d)
+        est = estimate_list_size(Fraction(r, 16), params, strategy="exhaustive")
+        assert est.best_size == size
+        listdecode._check_johnson_bound(size, r, params)
+        with pytest.raises(InvariantFailure):
+            listdecode._check_johnson_bound(size + 1, r, params)
+
+    def test_applies_only_below_half_the_block(self):
+        # At 15 flips of 16, 2 rho (1 - rho) = 15/128 is below delta = 1/4, but
+        # rho > 1/2: the ball around 0 holds every codeword except the all-ones word.
+        est = estimate_list_size(Fraction(15, 16), CodeParams(4, 2), strategy="zero")
+        assert est.best_size == (1 << 11) - 1
+
+    def test_every_strategy_is_checked(self, monkeypatch):
+        monkeypatch.setattr(listdecode, "ball_size", lambda bits, alpha, params: 5)
+        for strategy in ("zero", "random", "family", "exhaustive"):
+            with pytest.raises(InvariantFailure):
+                estimate_list_size(Fraction(1, 4), CodeParams(4, 1), strategy, count=2)
 
 
 class TestListBound:
