@@ -50,6 +50,7 @@ from .enumeration import (
     enumerate_weights,
     growth_probe,
     iter_low_weight_family,
+    list_size_bound,
 )
 from .listdecode import (
     Ball,
@@ -57,7 +58,6 @@ from .listdecode import (
     ball,
     ball_size,
     estimate_list_size,
-    list_size_bound,
 )
 from .grm import (
     BiasScalingReport,

@@ -25,6 +25,7 @@ from .boolfunc import (
     FunctionTable,
     anf_to_table,
     distance,
+    flip_budget,
     monomial_table,
 )
 from . import scan
@@ -317,7 +318,7 @@ def _decode_exhaustive(
     g: FunctionTable, params: CodeParams, radius: Fraction
 ) -> AnfPolynomial | None:
     kernel = scan.code_scan(params)
-    max_flips = (radius.numerator * g.size) // radius.denominator
+    max_flips = flip_budget(radius, g.size)
     hits = scan.within(kernel, scan.to_words(g.bits, kernel.words), max_flips)
     code, _ = next(hits, (None, None))
     return None if code is None else kernel.polynomial(code)

@@ -188,6 +188,17 @@ def distance(f: FunctionTable, g: FunctionTable) -> Fraction:
     return Fraction((f.bits ^ g.bits).bit_count(), f.size)
 
 
+def flip_budget(alpha, size: int) -> int:
+    """floor(alpha * size): the most of ``size`` points a word within relative
+    distance alpha may differ in. ``InputError`` unless 0 <= alpha <= 1."""
+    if not isinstance(alpha, Fraction):  # Fraction() of a Fraction costs about 1 us
+        alpha = Fraction(alpha)
+    num, den = alpha.numerator, alpha.denominator
+    if num < 0 or num > den:
+        raise InputError(f"alpha must be in [0, 1], got {alpha}")
+    return num * size // den
+
+
 def bias(f: FunctionTable) -> Fraction:
     """Signed bias 1 - 2 wt(f), in [-1, 1]."""
     return Fraction(f.size - 2 * f.bits.bit_count(), f.size)

@@ -2,9 +2,11 @@
 
 Past a cap a call raises before it allocates: ``ScaleError`` (exit 3) or,
 for the variable and field counts and the F_q block length, ``InputError``
-(exit 2). Two entries only choose a method: ``EXHAUSTIVE_DECODE_DIMENSION``
-and ``EXHAUSTIVE_TUPLE_BITS``. Each is compared in the one function named
-beside it; none is configurable.
+(exit 2). A counting bound keeps its terms at any size; only its integer
+``value`` is capped, by ``BOUND_VALUE_BITS``, and ``bounds`` checks both
+bounds before it multiplies either out. Two entries only choose a method:
+``EXHAUSTIVE_DECODE_DIMENSION`` and ``EXHAUSTIVE_TUPLE_BITS``. Each is
+compared in the one function named beside it; none is configurable.
 """
 
 # A truth table is one Python int of 2^n bits: 128 MiB at n=30.
@@ -43,3 +45,7 @@ ENUM_CAP_BITS = 24
 # 0.8 to 1.3 ns per value; (7,5,1) and (2,15,1), 2^30.9 and 2^31 values, take
 # 2.5 and 1.8 s. ``grm.grm_enumerate_weights``.
 ENUM_VALUE_BITS = 32
+# A counting bound's integer value is built while samples x (bits per sample)
+# <= 2^24; the 12.1-Mbit accumulative value of RM(5,2) at k=1, eps=1/10 takes
+# 1.3 s on a 2-core VM. ``enumeration.BoundEstimate.require_value_bits``.
+BOUND_VALUE_BITS = 1 << 24

@@ -33,6 +33,7 @@ from .enumeration import (
     accumulative_weight_bound,
     construct_low_weight_family,
     enumerate_weights,
+    list_size_bound,
 )
 from .errors import InputError, InvariantFailure, RmlistError
 from .formats import (
@@ -50,7 +51,7 @@ from .grm import (
     grm_enumerate_weights,
     weight_thresholds,
 )
-from .listdecode import ball, list_size_bound
+from .listdecode import ball
 from .manifest import (
     RunManifest,
     load_manifest,
@@ -157,8 +158,9 @@ def _run_verify(params: dict, out: Path) -> dict:
 def _run_bounds(params: dict, out: Path) -> dict:
     n, d, k = params["n"], params["d"], params["k"]
     eps = parse_fraction(params["eps"])
-    a_bound = accumulative_weight_bound(n, d, k, eps)
-    l_bound = list_size_bound(n, d, k, eps)
+    a_bound, l_bound = accumulative_weight_bound(n, d, k, eps), list_size_bound(n, d, k, eps)
+    for b in (a_bound, l_bound):  # both caps before either value is built
+        b.require_value_bits()
     lines = ["formula,n,d,k,eps,log2_value,terms,value_hex"]
     for b in (a_bound, l_bound):
         terms = ";".join(f"{key}={value:#x}" for key, value in sorted(b.terms.items()))

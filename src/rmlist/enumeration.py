@@ -7,6 +7,13 @@ Sharding fixes the high-order coefficient bits, which splits the walk into
 independent sub-walks whose histogram sum is exact and identical for any
 shard count or worker schedule. Shards run in worker processes only when the
 scan XORs more than ``scan.POOL_MIN_WORDS`` uint64 words.
+
+The paper's two counting bounds share one argument and one builder: a
+codeword of weight <= 2^-k (1-eps), or a list member at that radius, is
+pinned by m sampled order-k derivatives, each one degree-<= (d-k) polynomial
+and one coefficient within 10/eps, plus, for the list bound, one of 2^(kn)
+direction tuples. A ``BoundEstimate`` keeps m and the per-sample choice
+counts as ``terms``; ``value`` multiplies them out, up to ``BOUND_VALUE_BITS``.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from typing import Iterator
 import numpy as np
 
 from . import scan
-from .approximator import sample_count
-from .boolfunc import AnfPolynomial, CodeParams, anf_to_table, monomial_masks
-from .errors import InputError, InvariantFailure
+from .approximator import COEFFICIENT_BOUND_NUMERATOR, sample_count
+from .boolfunc import AnfPolynomial, CodeParams, anf_to_table, flip_budget, monomial_masks
+from .caps import BOUND_VALUE_BITS
+from .errors import InputError, InvariantFailure, ScaleError
 
 
 @dataclass(frozen=True)
@@ -41,10 +49,7 @@ class WeightEnumerator:
 
 def accumulative(enumerator: WeightEnumerator, alpha: Fraction) -> int:
     """Number of codewords of relative weight <= alpha."""
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise InputError(f"alpha must be in [0, 1], got {alpha}")
-    threshold = (alpha.numerator * enumerator.block_length) // alpha.denominator
+    threshold = flip_budget(alpha, enumerator.block_length)
     return sum(c for w, c in enumerator.counts.items() if w <= threshold)
 
 
@@ -107,7 +112,10 @@ class LowerBoundFamily:
     d: int
     k: int
     members: tuple[AnfPolynomial, ...]
-    distinct_count: int
+
+    @property
+    def distinct_count(self) -> int:
+        return len(self.members)
 
     @property
     def target_weight(self) -> Fraction:
@@ -149,8 +157,7 @@ def construct_low_weight_family(
         limit = min(1 << math.comb(n - k, d - k + 1), 1 << 16)
     elif limit < 1:
         raise InputError(f"limit must be >= 1, got {limit}")
-    members = []
-    seen = set()
+    members: dict[tuple, AnfPolynomial] = {}  # by sort key, first kept
     target = Fraction(1, 1 << k)
     for p in iter_low_weight_family(n, d, k):
         if len(members) >= limit:
@@ -161,12 +168,8 @@ def construct_low_weight_family(
         w = Fraction(table.bits.bit_count(), table.size)
         if w != target:
             raise InvariantFailure(f"family member weight {w} != {target}")
-        key = p.sort_key()
-        if key not in seen:
-            seen.add(key)
-            members.append(p)
-    return LowerBoundFamily(n=n, d=d, k=k, members=tuple(members),
-                            distinct_count=len(seen))
+        members.setdefault(p.sort_key(), p)
+    return LowerBoundFamily(n=n, d=d, k=k, members=tuple(members.values()))
 
 
 def binomial_le(n: int, r: int) -> int:
@@ -175,80 +178,82 @@ def binomial_le(n: int, r: int) -> int:
 
 def coefficient_choices(eps: Fraction) -> int:
     """Number of admissible integer coefficients: all integers within the rounded bound."""
-    c = Fraction(10) / eps
-    return 2 * (int(c) + 1) + 1
+    return 2 * (int(Fraction(COEFFICIENT_BOUND_NUMERATOR) / eps) + 1) + 1
 
 
 @dataclass(frozen=True)
 class BoundEstimate:
-    """Explicit counting bound with its constituents, reproducible from ``terms``."""
+    """Explicit counting bound: the product of the per-sample ``terms``, raised to ``samples``."""
 
     formula: str
     n: int
     d: int
     k: int
     eps: Fraction
-    value: int
     terms: dict[str, int]
     near_minimum_bound: Fraction | None = None
 
+    def _per_sample(self) -> int:
+        return math.prod(v for key, v in self.terms.items() if key != "samples")
+
+    def require_value_bits(self) -> None:
+        """``ScaleError`` when ``value`` may pass ``BOUND_VALUE_BITS`` bits."""
+        bits = self.terms["samples"] * self._per_sample().bit_length()
+        if bits > BOUND_VALUE_BITS:
+            raise ScaleError(
+                f"{self.formula} bound at n={self.n}, d={self.d}, k={self.k}, eps={self.eps} "
+                f"may take {bits} bits, past the {BOUND_VALUE_BITS}-bit cap")
+
+    @property
+    def value(self) -> int:
+        """The bound as an integer, built on each call; ``ScaleError`` past the cap."""
+        self.require_value_bits()
+        return self._per_sample() ** self.terms["samples"]
+
     def log2_value(self) -> float:
-        # value = (derivative_choices * coefficient_choices) ^ samples, and the
-        # derivative term is a power of two, so this avoids huge-int floats.
+        # value = (product of the choices) ^ samples, and the derivative and
+        # direction terms are powers of two, so this avoids huge-int floats.
         m = self.terms["samples"]
         deriv_log2 = self.terms.get("derivative_choices", 1).bit_length() - 1
         extra = self.terms.get("direction_choices", 1).bit_length() - 1
         return m * (deriv_log2 + extra + math.log2(self.terms["coefficient_choices"]))
 
 
-def _validate_bound_params(n: int, d: int, k: int, eps: Fraction) -> None:
+def _counting_bound(formula: str, n: int, d: int, k: int, eps: Fraction) -> BoundEstimate:
+    """Either bound, ``formula`` "accumulative-weight" or "list-size", from the
+    counting argument of the module docstring. At k = d-1 the accumulative
+    bound carries the near-minimum companion (1/eps)^(2(n+1))."""
     CodeParams(n, d)
     if not 1 <= k <= d - 1:
         raise InputError(f"k must be in [1, d-1={d - 1}], got {k}")
-    if not 0 < eps < 1:
-        raise InputError(f"eps must be in (0, 1), got {eps}")
-
-
-def bound_log2(n: int, d: int, k: int, eps: Fraction, with_directions: bool = False) -> float:
-    """log2 of the explicit bound, computed from the constituents only.
-
-    Avoids materializing the bound integer, whose bit length is
-    samples * (derivative bits + coefficient bits) and can reach megabits for
-    small eps.
-    """
-    _validate_bound_params(n, d, k, eps)
-    m = sample_count(eps, Fraction(1, 1 << (d + 2)))
-    per_sample = binomial_le(n, d - k) + math.log2(coefficient_choices(eps))
-    if with_directions:
-        per_sample += k * n
-    return m * per_sample
+    terms = {"samples": sample_count(eps, Fraction(1, 1 << (d + 2))),
+             "derivative_choices": 1 << binomial_le(n, d - k)}
+    near = None
+    if formula == "list-size":
+        terms["direction_choices"] = 1 << (k * n)
+    elif k == d - 1:
+        near = (1 / Fraction(eps)) ** (2 * (n + 1))
+    terms["coefficient_choices"] = coefficient_choices(eps)
+    return BoundEstimate(formula=formula, n=n, d=d, k=k, eps=eps, terms=terms,
+                         near_minimum_bound=near)
 
 
 def accumulative_weight_bound(n: int, d: int, k: int, eps: Fraction) -> BoundEstimate:
     """Explicit count dominating the number of codewords of weight <= 2^-k (1-eps).
 
     Every such codeword is pinned uniquely by a weighted majority of m sampled
-    order-k derivatives; each sample is one degree-<= (d-k) polynomial plus one
-    bounded integer coefficient, so (choices per sample)^m bounds the count.
+    order-k derivatives, so (choices per sample)^m bounds the count.
     """
-    _validate_bound_params(n, d, k, eps)
-    delta = Fraction(1, 1 << (d + 2))
-    m = sample_count(eps, delta)
-    deriv = 1 << binomial_le(n, d - k)
-    s_count = coefficient_choices(eps)
-    value = (deriv * s_count) ** m
-    near = (1 / Fraction(eps)) ** (2 * (n + 1)) if k == d - 1 else None
-    return BoundEstimate(
-        formula="accumulative-weight",
-        n=n, d=d, k=k, eps=eps,
-        value=value,
-        terms={
-            "samples": m,
-            "derivative_choices": deriv,
-            "coefficient_choices": s_count,
-        },
-        near_minimum_bound=near,
-    )
+    return _counting_bound("accumulative-weight", n, d, k, eps)
+
+
+def list_size_bound(n: int, d: int, k: int, eps: Fraction) -> BoundEstimate:
+    """Explicit count dominating the list size at radius 2^-k (1-eps).
+
+    Same shape as the accumulative bound, with 2^(kn) direction choices more
+    per sample.
+    """
+    return _counting_bound("list-size", n, d, k, eps)
 
 
 @dataclass(frozen=True)
@@ -256,9 +261,12 @@ class GrowthRow:
     n: int
     alpha: Fraction
     count: int
-    log2_count: float
     family_lower: int | None
     upper_log2: float | None
+
+    @property
+    def log2_count(self) -> float:
+        return math.log2(self.count) if self.count else 0.0
 
 
 def growth_probe(d: int, k: int, eps: Fraction, n_values) -> list[GrowthRow]:
@@ -270,39 +278,20 @@ def growth_probe(d: int, k: int, eps: Fraction, n_values) -> list[GrowthRow]:
     """
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0, 1), got {eps}")
+    if not 1 <= k <= d:
+        raise InputError(f"k must be in [1, d={d}], got {k}")
+    probe = Fraction(1, 1 << k) * (1 - eps)
+    # Each radius once, in order: at eps = 1/2 the probe is the lower edge.
+    alphas = dict.fromkeys((Fraction(1, 1 << (k + 1)), probe, Fraction(1, 1 << k)))
     rows = []
     for n in n_values:
-        params = CodeParams(n, d)
-        if not 1 <= k <= d:
-            raise InputError(f"k must be in [1, d={d}], got {k}")
-        enum = enumerate_weights(params)
-        alphas = []
-        for alpha in (
-            Fraction(1, 1 << (k + 1)),
-            Fraction(1, 1 << k) * (1 - eps),
-            Fraction(1, 1 << k),
-        ):
-            if alpha not in alphas:
-                alphas.append(alpha)
+        enum = enumerate_weights(CodeParams(n, d))
+        upper = accumulative_weight_bound(n, d, k, eps).log2_value() if k < d else None
         for alpha in alphas:
-            count = accumulative(enum, alpha)
             # strongest family whose exact weight 2^-j fits under alpha
-            lower = None
-            for j in range(1, d + 1):
-                if Fraction(1, 1 << j) <= alpha:
-                    lower = 1 << math.comb(n - j, d - j + 1)
-                    break
-            upper = None
-            if alpha == Fraction(1, 1 << k) * (1 - eps) and 1 <= k <= d - 1:
-                upper = bound_log2(n, d, k, eps)
-            rows.append(
-                GrowthRow(
-                    n=n,
-                    alpha=alpha,
-                    count=count,
-                    log2_count=math.log2(count) if count else 0.0,
-                    family_lower=lower,
-                    upper_log2=upper,
-                )
-            )
+            lower = next((1 << math.comb(n - j, d - j + 1) for j in range(1, d + 1)
+                          if Fraction(1, 1 << j) <= alpha), None)
+            rows.append(GrowthRow(n=n, alpha=alpha, count=accumulative(enum, alpha),
+                                  family_lower=lower,
+                                  upper_log2=upper if alpha == probe else None))
     return rows

@@ -36,11 +36,6 @@ def parse_fraction(text: str) -> Fraction:
         ) from exc
 
 
-def function_to_text(f: FunctionTable) -> str:
-    digits = max(1, f.size // 4)
-    return f"n {f.n}\nbits {f.bits:0{digits}x}\n"
-
-
 def function_from_text(text: str) -> FunctionTable:
     fields = _parse_fields(text, {"n", "bits"})
     try:

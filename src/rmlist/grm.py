@@ -285,7 +285,10 @@ class GrmFamily:
     k: int
     claimed_weight: Fraction
     members: tuple[tuple[GrmPolynomial, GrmTable], ...]
-    distinct_count: int
+
+    @property
+    def distinct_count(self) -> int:
+        return len(self.members)
 
 
 def _iter_polynomials(q: int, n: int, d: int, offset: int) -> Iterator[GrmPolynomial]:
@@ -331,10 +334,8 @@ def construct_grm_family(
         raise InputError(f"k must be in [1, d={d}], got {k}")
     if limit < 1:
         raise InputError(f"limit must be >= 1, got {limit}")
-    thresholds = {t.k: t.value for t in weight_thresholds(q, d)}
-    target = thresholds[k] if k in thresholds else thresholds[1]
-    members: list[tuple[GrmPolynomial, GrmTable]] = []
-    seen = set()
+    target = {t.k: t.value for t in weight_thresholds(q, d)}[k]
+    members: dict[tuple, tuple[GrmPolynomial, GrmTable]] = {}  # by sort key, first kept
 
     def emit(p: GrmPolynomial) -> bool:
         if len(members) >= limit:
@@ -345,10 +346,7 @@ def construct_grm_family(
         w = grm_weight(table)
         if w != target:
             raise InvariantFailure(f"family member weight {w} != claimed {target}")
-        key = p.sort_key()
-        if key not in seen:
-            seen.add(key)
-            members.append((p, table))
+        members.setdefault(p.sort_key(), (p, table))
         return len(members) < limit
 
     if k == 1:
@@ -383,8 +381,7 @@ def construct_grm_family(
     return GrmFamily(
         q=q, n=n, d=d, k=k,
         claimed_weight=target,
-        members=tuple(members),
-        distinct_count=len(seen),
+        members=tuple(members.values()),
     )
 
 

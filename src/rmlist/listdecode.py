@@ -1,4 +1,4 @@
-"""List-decoding balls, list-size estimation over center strategies, and the list bound.
+"""List-decoding balls and list-size estimation over center strategies.
 
 ``ball`` is exact: the scan kernel (``scan``) XORs the center into every
 codeword of the code, a tile of low coefficient combinations at a time, and
@@ -12,7 +12,8 @@ A ball's size depends only on the center's coset f + RM(n, d), so the
 exhaustive strategy runs one ball per coset, around its smallest member:
 2^(2^n - dimension) balls, which with the 2^dimension codewords of each coset
 cover all 2^(2^n) functions. Every estimate is checked against the binary
-Johnson bound.
+Johnson bound; the paper's explicit list bound, ``list_size_bound``, is
+built in ``enumeration`` beside the accumulative one.
 """
 
 from __future__ import annotations
@@ -22,24 +23,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approximator import sample_count
 from .boolfunc import (
     AnfPolynomial,
     CodeParams,
     FunctionTable,
     anf_to_table,
     complement,
+    flip_budget,
     monomial_table,
     require_all_functions,
 )
 from . import scan
-from .enumeration import (
-    BoundEstimate,
-    _validate_bound_params,
-    binomial_le,
-    coefficient_choices,
-    construct_low_weight_family,
-)
+from .enumeration import construct_low_weight_family
 from .errors import InputError, InvariantFailure
 
 
@@ -60,11 +55,9 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
     alpha = Fraction(alpha)
     if center.n != params.n:
         raise InputError(f"mismatched variable counts {center.n} != {params.n}")
-    if not 0 <= alpha <= 1:
-        raise InputError(f"alpha must be in [0, 1], got {alpha}")
-    kernel = scan.code_scan(params)
     size = center.size
-    max_flips = (alpha.numerator * size) // alpha.denominator
+    max_flips = flip_budget(alpha, size)
+    kernel = scan.code_scan(params)
     # Each member is keyed by its weight and its masks in ascending order (its
     # ``sort_key``), and every member at one distance shares one Fraction.
     by_mask = sorted(range(params.dimension), key=kernel.masks.__getitem__)
@@ -78,8 +71,10 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
 
 
 def ball_size(center_bits: int, alpha: Fraction, params: CodeParams) -> int:
-    """Ball cardinality only; same scan as ``ball`` without materializing members."""
-    max_flips = (alpha.numerator * params.block_length) // alpha.denominator
+    """Ball cardinality only, by the scan of ``ball``; the center must fit in 2^n bits."""
+    if center_bits < 0 or center_bits.bit_length() > params.block_length:
+        raise InputError(f"center is not a word of {params.block_length} bits")
+    max_flips = flip_budget(alpha, params.block_length)
     kernel = scan.code_scan(params)
     return scan.count_within(kernel, scan.to_words(center_bits, kernel.words), max_flips)
 
@@ -92,7 +87,10 @@ class ListSizeEstimate:
     best_center: str
     best_center_bits: int
     best_size: int
-    exhaustive: bool
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.strategy == "exhaustive"
 
 
 def estimate_list_size(
@@ -114,8 +112,7 @@ def estimate_list_size(
     the smallest function whose ball is maximal.
     """
     alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise InputError(f"alpha must be in [0, 1], got {alpha}")
+    max_flips = flip_budget(alpha, params.block_length)
     scan.code_scan(params)  # past the dimension cap, raise before any center is made
     size = params.block_length
     covered = None  # centers the loop stands for, when not the ones it runs
@@ -145,7 +142,6 @@ def estimate_list_size(
         s = ball_size(bits, alpha, params)
         if s > best:
             best_index, best_bits, best = index, bits, s
-    max_flips = (alpha.numerator * size) // alpha.denominator
     _check_johnson_bound(best, max_flips, params)
     return ListSizeEstimate(
         radius=alpha,
@@ -154,7 +150,6 @@ def estimate_list_size(
         best_center="zero" if best_index == 0 else name_of(best_index - 1, best_bits),
         best_center_bits=best_bits,
         best_size=best,
-        exhaustive=strategy == "exhaustive",
     )
 
 
@@ -217,29 +212,3 @@ def _family_centers(params: CodeParams, count: int) -> list[tuple[str, int]]:
             centers.append((f"mixture[k={k},{i}]", mixed))
     return centers[: 3 * count]
 
-
-def list_size_bound(n: int, d: int, k: int, eps: Fraction) -> BoundEstimate:
-    """Explicit count dominating the list size at radius 2^-k (1-eps).
-
-    Same shape as the accumulative bound, but each sampled derivative of the
-    difference word splits into a degree-<= (d-k) polynomial part plus a
-    direction tuple (2^(kn) choices) describing the received word's part.
-    """
-    _validate_bound_params(n, d, k, eps)
-    delta = Fraction(1, 1 << (d + 2))
-    m = sample_count(eps, delta)
-    deriv = 1 << binomial_le(n, d - k)
-    direction = 1 << (k * n)
-    s_count = coefficient_choices(eps)
-    value = (deriv * direction * s_count) ** m
-    return BoundEstimate(
-        formula="list-size",
-        n=n, d=d, k=k, eps=eps,
-        value=value,
-        terms={
-            "samples": m,
-            "derivative_choices": deriv,
-            "direction_choices": direction,
-            "coefficient_choices": s_count,
-        },
-    )

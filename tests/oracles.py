@@ -1,10 +1,10 @@
 """Test-only helpers and slow reference paths shared by several test modules.
 
 Conversions between 0/1 value lists, packed truth tables and F_2 value
-tables, the XOR of two tables, a function-file writer, an enumerator's
-minimum positive weight, the F_q distance, and the ``Fraction`` coefficient
-walk that checks the approximator's integer coefficients. The library itself
-needs none of them.
+tables, the XOR of two tables, a function file's text and its writer, an
+enumerator's minimum positive weight, the F_q distance, and the ``Fraction``
+coefficient walk that checks the approximator's integer coefficients. The
+library itself needs none of them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from rmlist import (
     derive,
 )
 from rmlist.derivatives import require_low_weight
-from rmlist.formats import function_to_text
 
 
 def table_from_values(values) -> FunctionTable:
@@ -49,6 +48,12 @@ def xor_tables(f: FunctionTable, g: FunctionTable) -> FunctionTable:
     if f.n != g.n:
         raise InputError(f"mismatched variable counts {f.n} != {g.n}")
     return FunctionTable(f.n, f.bits ^ g.bits)
+
+
+def function_to_text(f: FunctionTable) -> str:
+    """A function file's text: ``n`` in decimal, ``bits`` in hex, 2^n / 4 digits."""
+    digits = max(1, f.size // 4)
+    return f"n {f.n}\nbits {f.bits:0{digits}x}\n"
 
 
 def write_function_file(path: Path | str, f: FunctionTable) -> None:

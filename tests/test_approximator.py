@@ -505,6 +505,13 @@ class TestUniqueDecode:
                 maj = unique_decode_within(g, code, radius, backend="majority")
                 assert exh == maj == p
 
+    def test_float_radius(self):
+        code = CodeParams(5, 2)
+        p = AnfPolynomial.from_variable_lists(5, [[1, 3], [2]])
+        g = FunctionTable(5, anf_to_table(p).bits ^ 0b1)  # 1/32 < 0.05
+        for backend in ("exhaustive", "majority"):
+            assert unique_decode_within(g, code, 0.05, backend=backend) == p
+
     def test_unknown_backend(self):
         with pytest.raises(InputError):
             unique_decode_within(FunctionTable.zero(4), CodeParams(4, 2),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,39 @@ class TestBoundsCommand:
         assert text.splitlines()[0] == "formula,n,d,k,eps,log2_value,terms,value_hex"
         assert "accumulative-weight" in text
         assert "list-size" in text
+
+    @pytest.mark.parametrize("eps", ["1/10", "1/20", "1/1000"])
+    def test_value_cap_exits(self, outdir, eps):
+        # At 1/10 the accumulative value fits and the list value does not:
+        # neither is built.
+        start = time.perf_counter()
+        assert run("bounds", "--n", "5", "--d", "2", "--k", "1", "--eps", eps,
+                   "--out", "b.csv") == 3
+        assert time.perf_counter() - start < 0.5
+        assert not Path("b.csv").exists()
+        assert not Path("b.csv.manifest.json").exists()
+
+
+class TestBoundsOutputDigests:
+    """sha256 of fixed ``bounds`` tables: terms, log2 values and both integers in hex."""
+
+    @pytest.mark.parametrize(
+        "n,d,k,eps,digest",
+        [
+            # The first two have k = d - 1 and write the near_minimum_bound line.
+            (5, 2, 1, "1/2",
+             "7cc952d14c4b97a1bb5b2aafe028e67a895ea9ac68fcb4413dde72fbd64a7a32"),
+            (4, 3, 2, "1/2",
+             "59212147de83f5d635181056a49315e6044a2300975f4cb65d0ace4dd3dcffac"),
+            (6, 3, 1, "3/4",
+             "f513ba38012d6ffd2c53afd2a1ee2a1aa2cbde4b2d7f4c18f4ef5af675aa86cf"),
+        ],
+        ids=["bounds-5-2-1", "bounds-4-3-2", "bounds-6-3-1"],
+    )
+    def test_output_bytes(self, outdir, n, d, k, eps, digest):
+        assert run("bounds", "--n", str(n), "--d", str(d), "--k", str(k),
+                   "--eps", eps, "--out", "b.csv") == 0
+        assert sha256_file("b.csv") == digest
 
 
 class TestConstructCommand:

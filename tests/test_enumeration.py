@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rmlist import (
+    ApproximatorParams,
     CodeParams,
     InputError,
     ScaleError,
@@ -179,6 +180,13 @@ class TestBounds:
     def test_coefficient_choices(self):
         assert coefficient_choices(Fraction(1, 2)) == 2 * 21 + 1
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(3, 4), Fraction(1, 3),
+                                     Fraction(2, 5), Fraction(1, 50), Fraction(7, 9)])
+    def test_coefficient_choices_cover_approximator_range(self, eps):
+        # Every integer the approximator's rounded coefficients may take.
+        bound = ApproximatorParams(k=1, eps=eps, delta=Fraction(1, 4), seed=0).coefficient_bound
+        assert coefficient_choices(eps) == 2 * (int(bound) + 1) + 1
+
     def test_monotone_in_eps(self):
         lo = accumulative_weight_bound(5, 2, 1, Fraction(1, 2))
         hi = accumulative_weight_bound(5, 2, 1, Fraction(3, 4))
@@ -204,6 +212,16 @@ class TestBounds:
             accumulative_weight_bound(4, 2, 2, Fraction(1, 2))
         with pytest.raises(InputError):
             accumulative_weight_bound(4, 2, 1, Fraction(2))
+
+    def test_value_cap(self):
+        # 3.5 million samples of 15 bits each: the terms and log2 are kept,
+        # the integer is not built.
+        b = accumulative_weight_bound(5, 2, 1, Fraction(1, 20))
+        assert b.log2_value() > 1 << 24
+        with pytest.raises(ScaleError):
+            b.require_value_bits()
+        with pytest.raises(ScaleError):
+            b.value
 
 
 class TestGrowthProbe:
@@ -233,3 +251,16 @@ class TestGrowthProbe:
     def test_scale_cap(self):
         with pytest.raises(ScaleError):
             growth_probe(3, 1, Fraction(1, 2), [7])
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_rejects_k_without_any_n(self, k):
+        with pytest.raises(InputError):
+            growth_probe(2, k, Fraction(1, 2), [])
+
+    def test_upper_log2_pinned(self):
+        # Pinned to the float the separate log2 formula gave for RM(5,3) at alpha = 1/6.
+        rows = growth_probe(3, 2, Fraction(1, 3), [5])
+        at_probe = next(r for r in rows if r.alpha == Fraction(1, 6))
+        assert at_probe.upper_log2 == 1195500.2182842207
+        assert at_probe.log2_count == math.log2(1241)
+        assert [r.upper_log2 for r in rows if r is not at_probe] == [None, None]

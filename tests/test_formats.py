@@ -21,13 +21,13 @@ from rmlist.formats import (
     enumerator_csv,
     family_to_text,
     function_from_text,
-    function_to_text,
     grm_table_from_text,
     parse_fraction,
     polynomial_to_text,
 )
 
 from conftest import random_table
+from oracles import function_to_text
 
 
 def polynomial_from_text(text: str) -> AnfPolynomial:

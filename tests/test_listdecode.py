@@ -107,6 +107,26 @@ class TestBall:
             ball(FunctionTable.zero(6), Fraction(1, 2), CodeParams(6, 3))
 
 
+class TestBallSizeInputs:
+    def test_rejects_center_past_the_block(self):
+        # Bit 16 of an RM(4,2) center would land in the unused part of a word.
+        with pytest.raises(InputError):
+            ball_size(1 << 16, Fraction(1, 4), CodeParams(4, 2))
+        with pytest.raises(InputError):
+            ball_size(-1, Fraction(1, 4), CodeParams(4, 2))
+        assert ball_size((1 << 16) - 1, Fraction(1, 4), CodeParams(4, 2)) == 141
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-1, 16), 1.5])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(InputError):
+            ball_size(0, alpha, CodeParams(4, 2))
+
+    def test_float_alpha_is_its_exact_value(self):
+        params = CodeParams(4, 2)
+        assert ball_size(0, 0.25, params) == ball_size(0, Fraction(1, 4), params) == 141
+        assert ball(FunctionTable.zero(4), 0.25, params).size == 141
+
+
 class TestListDecode:
     def test_unique_regime_lists_single_codeword(self):
         params = CodeParams(4, 2)
