@@ -302,30 +302,30 @@ def unique_decode_within(
             f"radius {radius} must be below half the minimum distance "
             f"{Fraction(1, 1 << params.d)}"
         )
+    max_flips = flip_budget(radius, g.size)
     if backend == "auto":
         backend = (
             "exhaustive" if params.dimension <= EXHAUSTIVE_DECODE_DIMENSION
             else "majority"
         )
     if backend == "exhaustive":
-        return _decode_exhaustive(g, params, radius)
+        return _decode_exhaustive(g, params, max_flips)
     if backend == "majority":
-        return _decode_majority(g, params, radius)
+        return _decode_majority(g, params, max_flips)
     raise InputError(f"unknown backend {backend!r}")
 
 
 def _decode_exhaustive(
-    g: FunctionTable, params: CodeParams, radius: Fraction
+    g: FunctionTable, params: CodeParams, max_flips: int
 ) -> AnfPolynomial | None:
     kernel = scan.code_scan(params)
-    max_flips = flip_budget(radius, g.size)
     hits = scan.within(kernel, scan.to_words(g.bits, kernel.words), max_flips)
     code, _ = next(hits, (None, None))
     return None if code is None else kernel.polynomial(code)
 
 
 def _decode_majority(
-    g: FunctionTable, params: CodeParams, radius: Fraction
+    g: FunctionTable, params: CodeParams, max_flips: int
 ) -> AnfPolynomial | None:
     """Classical majority-logic decoding, top degree first.
 
@@ -337,7 +337,7 @@ def _decode_majority(
     coset's parity is one XOR reduction over the monomial's axes. Recovered
     layers are XORed out before moving down a degree; the constant is 1 when
     the final residual has more ones than zeros, and the result stands only
-    if it lies within the radius of g.
+    if it differs from g in at most ``max_flips`` points.
     """
     n, size = params.n, g.size
     masks = params.monomial_masks()
@@ -358,7 +358,7 @@ def _decode_majority(
     if residual.bit_count() > size // 2:
         recovered.add(0)
     p = AnfPolynomial(n, frozenset(recovered))
-    if distance(g, anf_to_table(p)) <= radius:
+    if (g.bits ^ anf_to_table(p).bits).bit_count() <= max_flips:
         return p
     return None
 

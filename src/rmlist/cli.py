@@ -5,11 +5,16 @@ Every command writes one machine-readable output file plus a sidecar
 version, timestamps, and output digests. ``rmlist replay`` re-runs a
 manifest and verifies the outputs are byte-identical. All fraction-valued
 flags take exact ``a/b`` strings; floats are rejected.
+
+``main(argv)`` may be called any number of times in one process: the
+argparse tree is built once, on the first call, and carries no state
+between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -293,6 +298,7 @@ def replay(manifest_path: Path, out_dir: Path) -> dict:
     return {"output": str(out), "digest": actual, "identical": True}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmlist",
@@ -396,7 +402,7 @@ def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     if cmd == "enum":
         return cmd, {
             "n": args.n, "d": args.d, "shards": args.shards,
-            "workers": args.workers, "alphas": args.alpha,
+            "workers": args.workers, "alphas": list(args.alpha),
         }
     if cmd == "listdecode":
         center = read_function_file(args.center)

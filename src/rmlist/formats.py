@@ -119,9 +119,9 @@ def ball_csv(b: Ball) -> str:
         f"# n={b.center.n},radius={b.radius},members={b.size}",
         "distance_count,relative_distance,monomials",
     ]
-    prefixes: dict[Fraction, str] = {}
-    for p, dist in b.members:
-        if dist not in prefixes:
-            prefixes[dist] = f"{int(dist * size)},{dist},"
-        lines.append(prefixes[dist] + anf_to_string(p))
+    last, prefix = None, ""
+    for p, dist in b.members:  # sorted by distance: one prefix per run of ties
+        if dist != last:
+            last, prefix = dist, f"{int(dist * size)},{dist},"
+        lines.append(prefix + anf_to_string(p))
     return "\n".join(lines) + "\n"

@@ -512,6 +512,22 @@ class TestUniqueDecode:
         for backend in ("exhaustive", "majority"):
             assert unique_decode_within(g, code, 0.05, backend=backend) == p
 
+    def test_negative_radius_rejected_by_both_backends(self):
+        for backend in ("exhaustive", "majority"):
+            with pytest.raises(InputError):
+                unique_decode_within(FunctionTable.zero(4), CodeParams(4, 2),
+                                     Fraction(-1, 16), backend=backend)
+
+    def test_backends_agree_on_float_radius(self):
+        # 0.0625 = 1/16 admits one flip of 16; 0.06 admits none.
+        code = CodeParams(4, 1)
+        p = AnfPolynomial.from_variable_lists(4, [[1], [3]])
+        g = FunctionTable(4, anf_to_table(p).bits ^ 0b100)
+        for radius, expected in [(0.0625, p), (0.06, None)]:
+            results = {unique_decode_within(g, code, radius, backend=backend)
+                       for backend in ("exhaustive", "majority")}
+            assert results == {expected}
+
     def test_unknown_backend(self):
         with pytest.raises(InputError):
             unique_decode_within(FunctionTable.zero(4), CodeParams(4, 2),
@@ -594,9 +610,10 @@ class TestMajorityAgainstLoop:
                         for v in rng.sample(range(1 << n), rng.randint(0, flips)):
                             bits ^= 1 << v
                         g = FunctionTable(n, bits)
-                        # Radius 1 keeps every decoded word, ties included.
+                        # Radius 1 (a budget of every point) keeps every decoded word,
+                        # ties included.
                         decoded = loop_decode_majority(g, code, Fraction(1), ties)
-                        assert approximator._decode_majority(g, code, Fraction(1)) == decoded
+                        assert approximator._decode_majority(g, code, g.size) == decoded
                         new = unique_decode_within(g, code, radius, backend="majority")
                         assert new == (decoded if distance(g, anf_to_table(decoded)) <= radius
                                        else None)

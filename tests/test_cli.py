@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from rmlist import AnfPolynomial, FunctionTable, anf_to_table
-from rmlist.cli import main
+from rmlist import AnfPolynomial, FunctionTable, __version__, anf_to_table
+from rmlist.cli import _build_parser, main
 from rmlist.errors import (
     ApproximationFailure,
     InputError,
@@ -457,6 +457,46 @@ class TestReplay:
         data["outputs"]["enum.csv"] = "0" * 64
         manifest_path.write_text(json.dumps(data))
         assert run("replay", str(manifest_path), "--out-dir", "again") == 5
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process; no call may leak into the next."""
+
+    def test_alpha_default_not_shared(self, outdir, capsys):
+        assert run("enum", "--n", "2", "--d", "1", "--alpha", "1/2",
+                   "--alpha", "1/4", "--out", "a.csv") == 0
+        capsys.readouterr()
+        assert run("enum", "--n", "2", "--d", "1", "--out", "b.csv") == 0
+        assert "A(" not in capsys.readouterr().out
+        assert json.loads(Path("b.csv.manifest.json").read_text())["params"]["alphas"] == []
+
+    def test_allow_full_not_sticky(self, outdir):
+        write_function_file("zero.txt", FunctionTable.zero(2))
+        argv = ("listdecode", "--center", "zero.txt", "--alpha", "1",
+                "--n", "2", "--d", "1", "--out", "ball.csv")
+        assert run(*argv, "--allow-full") == 0
+        assert run(*argv) == 2
+
+    def test_rejection_then_valid_call(self, outdir):
+        with pytest.raises(SystemExit) as exc:
+            run("enum", "--n", "two", "--d", "1", "--out", "bad.csv")
+        assert exc.value.code == 2
+        assert run("enum", "--n", "2", "--d", "1", "--out", "good.csv") == 0
+        assert Path("good.csv").exists()
+        assert not Path("bad.csv").exists()
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run("--version")
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.strip() == __version__
+
+    def test_parser_built_once(self, outdir):
+        run("enum", "--n", "2", "--d", "1", "--out", "a.csv")
+        run("grm", "thresholds", "--q", "2", "--d", "2", "--out", "t.csv")
+        run("replay", "a.csv.manifest.json", "--out-dir", "again")
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestOutDirEnv:
