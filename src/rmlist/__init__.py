@@ -26,7 +26,6 @@ from .derivatives import (
     IdentityReport,
     check_bias_bounds,
     derive,
-    derive_iterated,
     single_derivative_identity,
     verify_derivative_representation,
     verify_single_derivative_exhaustive,

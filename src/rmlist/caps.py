@@ -24,9 +24,10 @@ EXHAUSTIVE_DECODE_DIMENSION = 26
 # is still 2^(2^n) words. ``boolfunc.require_all_functions``.
 ALL_FUNCTIONS_VARS = 4
 # Derivative-table bits one call derives: m * 2^n for an approximator, 4^n for
-# the single-derivative identity, 2^(n(k+1)) for the representation check and
-# 2^(nk) for the exhaustive bias-bounds walk. This bounds time: a k=1
-# approximator at the cap (n=16) builds in 1.6 s. ``derivatives.require_derived_bits``.
+# the single-derivative identity, 2^(n(k+1)) for the representation check,
+# 2^(nk) for the exhaustive bias-bounds walk and (k-1) * samples * 2^n for the
+# sampled one. This bounds time: a k=1 approximator at the cap (n=16) builds
+# in 1.6 s. ``derivatives.require_derived_bits``.
 DERIVED_TABLE_BITS_CAP = 1 << 32
 # ``check_bias_bounds`` walks every direction tuple while n*(k-1) <= 24 and
 # samples past it. ``derivatives.check_bias_bounds``.

@@ -261,7 +261,15 @@ RUNNERS = {
 
 
 def execute(command: str, params: dict, out: Path) -> dict:
-    """Run a command, write its output and manifest, return stdout-able results."""
+    """Run a command, write its output and manifest, return stdout-able results.
+
+    An earlier output and manifest at ``out`` are removed first, so a manifest
+    always describes an output this run wrote; a run that fails before it
+    writes leaves neither.
+    """
+    manifest_path = Path(f"{out}.manifest.json")
+    for stale in (out, manifest_path):
+        stale.unlink(missing_ok=True)
     manifest = RunManifest(
         command=command,
         params=params,
@@ -276,7 +284,7 @@ def execute(command: str, params: dict, out: Path) -> dict:
         manifest.finished_utc = utc_now()
         if out.exists():
             manifest.outputs = {out.name: sha256_file(out)}
-            write_manifest(Path(f"{out}.manifest.json"), manifest)
+            write_manifest(manifest_path, manifest)
     return results
 
 

@@ -2,18 +2,21 @@
 
 The central objects:
 
-* ``derive`` / ``derive_iterated`` - f_a(x) = f(x+a) + f(x) and its k-fold iteration.
+* ``derive`` - f_a(x) = f(x+a) + f(x) on one bigint truth table.
 * ``derivative_chunks`` - the batched kernel: order-k derivatives of one function
   along many direction tuples at once, as uint64 tables with their prefix weights.
+* ``_level`` - the same kernel one level at a time: every table of a batch derived
+  along all 2^n directions, as per-point counts of ones and, if asked, the children.
 * ``verify_derivative_representation`` - checks exactly, over all 2^(nk) direction
   tuples and all 2^n points, that a low-weight function is the expectation of its
   order-k derivatives, each weighted by the product of its inverse prefix biases.
   It needs only integers: the identity follows, by induction on the depth, from the
   integer single-derivative identity sum_a (-1)^{g_a(x)} = (2^n - 2 wt(g)) (-1)^{g(x)}
-  at every distinct prefix derivative g of depth below k, checked one level of
-  distinct prefixes at a time.
+  at every distinct prefix derivative g of depth below k. The walk takes one
+  ``_level`` per depth and keeps only the distinct children for the next.
 * ``check_bias_bounds`` - the prefix-bias lower bounds that make the coefficients finite.
-* ``single_derivative_identity`` - the order-1 identity for any non-balanced function.
+* ``single_derivative_identity`` - the order-1 identity for any non-balanced function,
+  one ``_level`` of its one table.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import scan
-from .boolfunc import FunctionTable, _low_block_mask, bias, require_all_functions, translate, weight
+from .boolfunc import FunctionTable, _low_block_mask, require_all_functions, translate, weight
 from .caps import DERIVED_TABLE_BITS_CAP, EXHAUSTIVE_TUPLE_BITS
 from .errors import (
     DegenerateBiasError,
@@ -37,7 +40,7 @@ from .errors import (
     ZeroBiasError,
 )
 
-CHUNK_BITS = 1 << 22  # bound on the table bits of one chunk of ``derivative_chunks``
+CHUNK_BITS = 1 << 22  # most table bits in one chunk of ``derivative_chunks`` or ``_level``
 # Levels 0..5 of a translation move points inside one uint64 word: each swaps
 # the blocks of 2^i points selected by this mask with their upper neighbours.
 _WORD_MASKS = tuple(np.uint64(_low_block_mask(6, i)) for i in range(6))
@@ -46,18 +49,6 @@ _WORD_MASKS = tuple(np.uint64(_low_block_mask(6, i)) for i in range(6))
 def derive(f: FunctionTable, a: int) -> FunctionTable:
     """Discrete derivative in direction a: x -> f(x + a) + f(x)."""
     return FunctionTable(f.n, f.bits ^ translate(f, a).bits)
-
-
-def derive_iterated(f: FunctionTable, directions: Sequence[int]) -> FunctionTable:
-    """Iterated discrete derivative, one direction at a time.
-
-    Agrees with the 2^k subset-sum formula and is invariant under permuting
-    the directions (both are property-tested).
-    """
-    cur = f
-    for a in directions:
-        cur = derive(cur, a)
-    return cur
 
 
 def _translate_rows(tables: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
@@ -130,50 +121,28 @@ def point_counts(tables: np.ndarray, n: int) -> np.ndarray:
     return _block_counts(tables, n, 1)[0]
 
 
-def _extended(tuples: np.ndarray, size: int) -> np.ndarray:
-    """Each row of a ``(p, t)`` direction array followed by every a in [0, size), row-major."""
-    p, t = tuples.shape
-    out = np.empty((p, size, t + 1), dtype=np.int64)
-    out[:, :, :t] = tuples[:, None, :]
-    out[:, :, t] = np.arange(size)
-    return out.reshape(-1, t + 1)
+def _level(tables: np.ndarray, n: int, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Derive every row g of ``(rows, words)`` uint64 tables along all 2^n directions.
 
-
-def _extensions(
-    f: FunctionTable, tuples: np.ndarray, keep: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Derive every row of ``tuples`` extended by all 2^n directions, once.
-
-    Returns ``ones[i, x]``, how many a in [0, 2^n) have (f_{tuples[i]})_a(x) = 1,
-    and, if ``keep``, the derived tables themselves in ``_extended`` order.
-    The rows go through ``derivative_chunks`` in blocks whose extensions
-    fill at most one chunk: a chunk holds all of a block's extensions, or,
-    when one row's extensions span several chunks, part of that one row's.
+    Returns ``ones[r, x]``, how many a in [0, 2^n) have (g_r)_a(x) = 1, and,
+    if ``keep``, the children g_r ^ g_r(. + a) themselves, row-major in (r, a).
+    A chunk holds a power of two of children and at most ``CHUNK_BITS`` table
+    bits, so it holds the children of whole rows or part of one row's.
     """
-    size = f.size
-    ones = np.zeros((len(tuples), size), dtype=np.int64)
+    size = 1 << n
+    total = len(tables) << n
+    per = 1 << max(0, (CHUNK_BITS >> n).bit_length() - 1)
+    ones = np.zeros((len(tables), size), dtype=np.int64)
     children = []
-    block = max(1, CHUNK_BITS >> (2 * f.n))
-    for first in range(0, len(tuples), block):
-        part = tuples[first:first + block]
-        for tables, _ in derivative_chunks(f, _extended(part, size)):
-            ones[first:first + len(part)] += _block_counts(tables, f.n, len(part))
-            if keep:
-                children.append(tables)
+    for start in range(0, total, per):
+        index = np.arange(start, min(start + per, total))
+        parents = tables[index >> n]
+        kids = parents ^ _translate_rows(parents, index & (size - 1), n)
+        rows = max(1, len(index) >> n)
+        ones[start >> n:(start >> n) + rows] += _block_counts(kids, n, rows)
+        if keep:
+            children.append(kids)
     return ones, np.concatenate(children) if keep else None
-
-
-def _distinct_children(
-    children: np.ndarray, tuples: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of ``children`` (the tables of ``_extended(tuples, 2^n)``).
-
-    Returns them with, for each, the first extended tuple that derives it,
-    and ``inverse[r]``: the distinct row that extension r derives.
-    """
-    _, first, inverse = np.unique(children, axis=0, return_index=True, return_inverse=True)
-    parent, a = np.divmod(first, len(children) // len(tuples))
-    return children[first], np.column_stack([tuples[parent], a]), inverse.reshape(-1)
 
 
 def low_weight_threshold(k: int, eps: Fraction) -> Fraction:
@@ -251,27 +220,25 @@ def verify_derivative_representation(
     n, size = f.n, f.size
     require_derived_bits(size ** (k + 1), f"representation check at n={n}, k={k}")
     tables = scan.to_words(f.bits, scan.word_count(n))[None, :]
-    tuples = np.zeros((1, 0), dtype=np.int64)
     scales = [Fraction(1)]
     for depth in range(k):
-        # ``tables`` holds the distinct depth-``depth`` prefixes, each reached
-        # first by the matching row of ``tuples``, and ``scales`` the largest
-        # coefficient of a path down to each.
+        # ``tables`` holds the distinct depth-``depth`` prefixes and ``scales``
+        # the largest coefficient of a path down to each.
         biases = size - 2 * np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
         if not biases.all():
             raise DegenerateBiasError(
                 "zero prefix bias under the low-weight precondition"
             )
         scales = [s * Fraction(size, abs(b)) for s, b in zip(scales, biases.tolist())]
-        ones, children = _extensions(f, tuples, keep=depth + 1 < k)
+        ones, children = _level(tables, n, keep=depth + 1 < k)
         signs = 1 - 2 * _point_bits(tables, n).astype(np.int64)
         if not np.array_equal(size - 2 * ones, biases[:, None] * signs):
             raise InvariantFailure(
                 f"single-derivative identity failed at a depth-{depth} prefix"
             )
         if children is not None:
-            tables, tuples, inverse = _distinct_children(children, tuples)
-            scales = _max_over_parents(scales, inverse, size)
+            tables, inverse = np.unique(children, axis=0, return_inverse=True)
+            scales = _max_over_parents(scales, inverse.reshape(-1), size)
     return IdentityReport(
         max_deviation=Fraction(0),
         max_abs_coefficient=max(scales),
@@ -284,9 +251,9 @@ def single_derivative_identity(g: FunctionTable) -> IdentityReport:
     """Check (-1)^g(x) == (1/bias(g)) * E_a[(-1)^{g_a(x)}] at every point.
 
     The direction average is accumulated honestly, so the check is not
-    circular: ``derivative_chunks`` builds one derivative table per direction
-    a in [0, 2^n), and at each point x the sum over a of (-1)^{g_a(x)} is
-    2^n minus twice the number of those tables that are 1 at x. Those tables
+    circular: ``_level`` builds one derivative table per direction a in
+    [0, 2^n), and at each point x the sum over a of (-1)^{g_a(x)} is 2^n
+    minus twice the number of those tables that are 1 at x. Those tables
     total 4^n bits, under ``DERIVED_TABLE_BITS_CAP``.
     """
     size = g.size
@@ -294,10 +261,9 @@ def single_derivative_identity(g: FunctionTable) -> IdentityReport:
     if bias_num == 0:
         raise ZeroBiasError("balanced function: identity undefined")
     require_derived_bits(size * size, f"single-derivative identity at n={g.n}")
-    ones = np.zeros(size, dtype=np.int64)
-    for tables, _ in derivative_chunks(g, np.arange(size).reshape(size, 1)):
-        ones += point_counts(tables, g.n)
-    signs = 1 - 2 * point_counts(scan.to_words(g.bits, scan.word_count(g.n))[None, :], g.n)
+    table = scan.to_words(g.bits, scan.word_count(g.n))[None, :]
+    ones = _level(table, g.n, keep=False)[0][0]
+    signs = 1 - 2 * point_counts(table, g.n)
     # (acc/size) / bias - sign = (acc - sign*bias_num) / bias_num, acc = size - 2*ones
     max_num = int(np.abs(size - 2 * ones - signs * bias_num).max())
     return IdentityReport(
@@ -414,9 +380,10 @@ def check_bias_bounds(
 
     Exhaustive over all tuples when n*(k-1) <= ``EXHAUSTIVE_TUPLE_BITS``;
     otherwise, for each s >= 1, ``samples`` (at least 1) seeded random tuples
-    with the same assertions. The exhaustive walk derives at most 2^(nk) table
-    bits and raises ``ScaleError`` before its first derivative past
-    ``DERIVED_TABLE_BITS_CAP``.
+    with the same assertions, their biases read from ``derivative_chunks``
+    popcounts. The exhaustive walk derives at most 2^(nk) table bits, the
+    sampled check (k-1) * samples * 2^n; either raises ``ScaleError`` before
+    its first derivative past ``DERIVED_TABLE_BITS_CAP``.
     Violations are reported, not raised: a non-empty list would falsify the
     underlying math and is treated as a test failure by callers.
     """
@@ -428,6 +395,9 @@ def check_bias_bounds(
     exhaustive = n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
     if exhaustive:
         require_derived_bits(size**k, f"exhaustive bias-bounds walk at n={n}, k={k}")
+    else:
+        require_derived_bits((k - 1) * samples * size,
+                             f"sampled bias-bounds check at n={n}, k={k}")
     rng = random.Random(seed)
     checks = []
     for s in range(k):
@@ -450,7 +420,11 @@ def check_bias_bounds(
             tuples = [tuple(rng.getrandbits(n) for _ in range(s))
                       for _ in range(samples if s else 1)]
             checked = len(tuples)
-            biases = [(t, bias(derive_iterated(f, t))) for t in tuples]
+            weights = np.concatenate([
+                np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+                for tables, _ in derivative_chunks(f, np.array(tuples, dtype=np.int64))
+            ])
+            biases = [(t, Fraction(size - 2 * w, size)) for t, w in zip(tuples, weights.tolist())]
         checks.append(
             BiasBoundCheck(
                 prefix_length=s,

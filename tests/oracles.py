@@ -2,7 +2,8 @@
 
 Conversions between 0/1 value lists, packed truth tables and F_2 value
 tables, the XOR of two tables, a function file's text and its writer, an
-enumerator's minimum positive weight, the F_q distance, and the ``Fraction``
+enumerator's minimum positive weight, the F_q distance, the bigint iterated
+derivative that checks the batched derivative kernel, and the ``Fraction``
 coefficient walk that checks the approximator's integer coefficients. The
 library itself needs none of them.
 """
@@ -83,6 +84,17 @@ def grm_distance(f: GrmTable, g: GrmTable) -> Fraction:
     if (f.q, f.n) != (g.q, g.n):
         raise InputError("mismatched field or variable count")
     return Fraction(sum(1 for a, b in zip(f.values, g.values) if a != b), f.size)
+
+
+def derive_iterated(f: FunctionTable, directions: Sequence[int]) -> FunctionTable:
+    """Iterated discrete derivative, one bigint ``derive`` per direction.
+
+    Agrees with the 2^k subset-sum formula and is invariant under permuting
+    the directions (both are property-tested).
+    """
+    for a in directions:
+        f = derive(f, a)
+    return f
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from rmlist import (
     approximator_table,
     bias,
     build_approximator,
-    derive_iterated,
     distance,
     evaluate,
     monomial_table,
@@ -39,7 +38,7 @@ from rmlist.derivatives import derive
 from rmlist.errors import InvariantFailure, ScaleError
 
 from conftest import random_table, random_table_below_weight, table_of
-from oracles import representation_coefficient, xor_tables
+from oracles import derive_iterated, representation_coefficient, xor_tables
 
 
 def serialize_approximator(approx: SampledApproximator) -> dict:

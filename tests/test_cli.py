@@ -265,6 +265,8 @@ class TestVerifyCommand:
             ("representation", 17, ("--k", "1", "--eps", "1/2")),
             # the exhaustive walk's 2^(nk) = 2^(17*2) derived table bits
             ("bias-bounds", 17, ("--k", "2", "--eps", "1/2")),
+            # the sampled check's (k-1) * samples * 2^n = 2 * 2000 * 2^21
+            ("bias-bounds", 21, ("--k", "3", "--eps", "1/2")),
         ],
     )
     def test_derived_table_cap_exit(self, outdir, identity, n, extra):
@@ -273,6 +275,47 @@ class TestVerifyCommand:
                    "--out", "v.json") == 3
         assert not Path("v.json").exists()
         assert not Path("v.json.manifest.json").exists()
+
+
+    def test_bias_bound_violation_keeps_its_output_and_manifest(self, outdir, monkeypatch):
+        # Unreachable under the weight gate; lifted, a heavy function violates the bounds.
+        from rmlist import derivatives
+
+        monkeypatch.setattr(derivatives, "require_low_weight", lambda *args: None)
+        write_function_file("f.txt", FunctionTable(3, 0b01111110))
+        assert run("verify", "bias-bounds", "--function", "f.txt", "--k", "2",
+                   "--eps", "1/2", "--out", "v.json") == 5
+        assert json.loads(Path("v.json").read_text())["violations"] > 0
+        manifest = load_manifest("v.json.manifest.json")
+        assert manifest.command == "verify"
+        assert manifest.outputs == {"v.json": sha256_file("v.json")}
+
+
+class TestFailedRunLeavesNoManifest:
+    """A run that fails before it writes leaves neither an output nor a manifest
+    behind, not even those of an earlier run to the same path."""
+
+    def test_input_error_after_a_run(self, outdir):
+        assert run("enum", "--n", "3", "--d", "1", "--out", "x.csv") == 0
+        assert Path("x.csv.manifest.json").exists()
+        assert run("enum", "--n", "3", "--d", "5", "--out", "x.csv") == 2
+        assert not Path("x.csv").exists()
+        assert not Path("x.csv.manifest.json").exists()
+
+    def test_scale_error_after_a_run_of_another_command(self, outdir):
+        assert run("enum", "--n", "3", "--d", "1", "--out", "x.csv") == 0
+        assert run("bounds", "--n", "5", "--d", "2", "--k", "1", "--eps", "1/20",
+                   "--out", "x.csv") == 3
+        assert not Path("x.csv").exists()
+        assert not Path("x.csv.manifest.json").exists()
+
+    def test_rerun_records_the_new_output(self, outdir):
+        assert run("enum", "--n", "3", "--d", "1", "--out", "x.csv") == 0
+        assert run("enum", "--n", "3", "--d", "2", "--out", "x.csv") == 0
+        manifest = load_manifest("x.csv.manifest.json")
+        assert manifest.params["d"] == 2
+        assert manifest.outputs == {"x.csv": sha256_file("x.csv")}
+        assert run("replay", "x.csv.manifest.json", "--out-dir", "again") == 0
 
 
 class TestBoundsCommand:

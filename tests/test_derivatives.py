@@ -21,7 +21,6 @@ from rmlist import (
     check_bias_bounds,
     degree,
     derive,
-    derive_iterated,
     evaluate,
     single_derivative_identity,
     verify_derivative_representation,
@@ -29,13 +28,20 @@ from rmlist import (
     weight,
 )
 
-from rmlist import derivatives
-from rmlist.derivatives import IdentityReport, SweepReport, derivative_chunks, point_counts
+from rmlist import boolfunc, derivatives
+from rmlist.derivatives import (
+    BiasBoundCheck,
+    BiasBoundReport,
+    IdentityReport,
+    SweepReport,
+    derivative_chunks,
+    point_counts,
+)
 from rmlist.errors import InputError, RmlistError
 from rmlist.scan import to_words, word_count
 
 from conftest import random_table, random_table_below_weight, table_of
-from oracles import representation_coefficient, table_from_values
+from oracles import derive_iterated, representation_coefficient, table_from_values
 
 
 def iterated_by_subset_sums(f: FunctionTable, directions) -> FunctionTable:
@@ -440,11 +446,23 @@ class TestVerifyRepresentation:
         assert checked >= 25  # small n at larger k admits only f = 0
 
     def test_matches_oracle_across_chunk_boundaries(self, monkeypatch):
-        # Three one-word tables per chunk: the 2^n extensions of one prefix
-        # start and end inside chunks and span several of them.
-        monkeypatch.setattr(derivatives, "CHUNK_BITS", 3 * 64)
-        for f, k, eps in low_weight_corpus(71, {(5, 2): 4, (7, 1): 3, (4, 3): 3}):
-            assert verify_derivative_representation(f, k, eps) == fraction_representation(f, k, eps)
+        # At 3 * 64 bits a chunk holds part of one prefix's 2^n children, which
+        # span several chunks; at 2^12 bits the n <= 5 chunks hold the children
+        # of several whole prefixes.
+        kernel, layouts = derivatives._translate_rows, set()
+
+        def spy(tables, a, n):
+            layouts.add("rows" if len(a) > 1 << n else "part")
+            return kernel(tables, a, n)
+
+        monkeypatch.setattr(derivatives, "_translate_rows", spy)
+        for chunk_bits, expected in [(3 * 64, {"part"}), (1 << 12, {"part", "rows"})]:
+            monkeypatch.setattr(derivatives, "CHUNK_BITS", chunk_bits)
+            layouts.clear()
+            for f, k, eps in low_weight_corpus(71, {(5, 2): 4, (7, 1): 3, (4, 3): 3}):
+                report = verify_derivative_representation(f, k, eps)
+                assert report == fraction_representation(f, k, eps)
+            assert layouts == expected
 
     def test_zero_bias_raises_like_oracle(self, monkeypatch):
         # Unreachable under the weight gate; lift it for both checks.
@@ -469,28 +487,29 @@ class TestVerifyRepresentation:
         assert derivatives._max_over_parents(scales, inverse, 2) == [2, 3, 3]
 
     def test_corrupted_kernel_bit_is_an_invariant_failure(self, monkeypatch):
-        kernel = derivatives.derivative_chunks
+        kernel, calls = derivatives._translate_rows, []
 
-        def corrupted(f, directions):
-            for i, (tables, weights) in enumerate(kernel(f, directions)):
-                if i == 0:
-                    tables[-1, 0] ^= np.uint64(1 << 3)
-                yield tables, weights
+        def corrupted(tables, a, n):
+            moved = kernel(tables, a, n)
+            calls.append(len(a))
+            if len(calls) == 1:  # one bit of the first chunk only
+                moved[-1, 0] ^= np.uint64(1 << 3)
+            return moved
 
-        monkeypatch.setattr(derivatives, "derivative_chunks", corrupted)
+        monkeypatch.setattr(derivatives, "_translate_rows", corrupted)
         f = FunctionTable(6, 6758152515158529)
         with pytest.raises(InvariantFailure, match="single-derivative identity failed"):
             verify_derivative_representation(f, 2, Fraction(1, 4))
 
     def test_derives_each_distinct_prefix_extension_once(self, monkeypatch):
-        kernel = derivatives.derivative_chunks
+        kernel = derivatives._translate_rows
         derived = []
 
-        def counting(f, directions):
-            derived.append(len(directions))
-            return kernel(f, directions)
+        def counting(tables, a, n):
+            derived.append(len(a))
+            return kernel(tables, a, n)
 
-        monkeypatch.setattr(derivatives, "derivative_chunks", counting)
+        monkeypatch.setattr(derivatives, "_translate_rows", counting)
         f, k = FunctionTable(6, sum(1 << x for x in (0, 5, 17, 40, 63))), 3
         verify_derivative_representation(f, k, Fraction(1, 8))
         # Distinct prefixes at depths 0..k-1, each extended by all 2^n directions.
@@ -504,7 +523,8 @@ class TestVerifyRepresentation:
         def no_kernel(*args):
             raise AssertionError("derived a table past the cap")
 
-        monkeypatch.setattr(derivatives, "derivative_chunks", no_kernel)
+        for seam in ("_level", "_translate_rows", "derivative_chunks"):
+            monkeypatch.setattr(derivatives, seam, no_kernel)
         # Each is just past the 2^32 derived table bits: 2^(n(k+1)), then 4^n.
         with pytest.raises(ScaleError, match="needs 2\\^36"):
             verify_derivative_representation(FunctionTable(12, 1), 2, Fraction(1, 2))
@@ -526,6 +546,36 @@ class TestVerifyRepresentation:
             points_checked=8192,
         )
         assert report.max_abs_coefficient == single_derivative_identity(f).max_abs_coefficient
+
+
+def sampled_bias_bounds(f: FunctionTable, k: int, eps: Fraction, samples: int,
+                        seed: int) -> BiasBoundReport:
+    """Oracle: the sampled bias-bounds check, one bigint ``derive_iterated`` per tuple,
+    drawing the same seeded tuples in the same order."""
+    rng = random.Random(seed)
+    checks = []
+    for s in range(k):
+        bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
+        tuples = [tuple(rng.getrandbits(f.n) for _ in range(s))
+                  for _ in range(samples if s else 1)]
+        biases = [(t, bias(derive_iterated(f, t))) for t in tuples]
+        checks.append(BiasBoundCheck(
+            prefix_length=s,
+            bound=bound,
+            min_bias=min(b for _, b in biases),
+            tuples_checked=len(tuples),
+            violations=tuple((t, b) for t, b in biases if b < bound),
+        ))
+    return BiasBoundReport(k=k, eps=eps, exhaustive=False, checks=tuple(checks))
+
+
+def doubled_block_mask(n: int, i: int) -> int:
+    """``boolfunc._low_block_mask`` built by doubling one period, not by a 2^n-bit division."""
+    mask, length = (1 << (1 << i)) - 1, 1 << (i + 1)
+    while length < 1 << n:
+        mask |= mask << length
+        length <<= 1
+    return mask
 
 
 class TestBiasBounds:
@@ -564,7 +614,8 @@ class TestBiasBounds:
         def no_derive(*args):
             raise AssertionError("derived before the samples check")
 
-        monkeypatch.setattr(derivatives, "derive", no_derive)
+        for seam in ("derive", "derivative_chunks"):
+            monkeypatch.setattr(derivatives, seam, no_derive)
         with pytest.raises(InputError, match="samples"):
             check_bias_bounds(table_of(13, [1, 2, 3, 4]), 3, Fraction(1, 4),
                               samples=samples)
@@ -602,3 +653,44 @@ class TestBiasBounds:
         assert not report.exhaustive
         assert [c.tuples_checked for c in report.checks] == [1, 20, 20]
         assert report.violation_count == 0
+
+    def test_samples_match_the_bigint_oracle(self, monkeypatch):
+        rng = random.Random(75)
+        for n, k, samples in [(13, 3, 50), (9, 4, 30), (14, 3, 7)]:
+            f = FunctionTable(n, sum(1 << x for x in rng.sample(range(1 << n), 5)))
+            for eps in (Fraction(1, 4), Fraction(1, 100)):
+                report = check_bias_bounds(f, k, eps, samples=samples, seed=n)
+                assert report == sampled_bias_bounds(f, k, eps, samples, n)
+        # With the weight gate lifted, heavy functions violate the bounds; the
+        # violations, tuples and all, match the oracle's.
+        monkeypatch.setattr(derivatives, "require_low_weight", lambda *args: None)
+        f = random_table(13, rng)
+        report = check_bias_bounds(f, 3, Fraction(1, 2), samples=40, seed=3)
+        assert report.violation_count > 0
+        assert report == sampled_bias_bounds(f, 3, Fraction(1, 2), 40, 3)
+
+    def test_samples_run_past_the_bigint_cliff(self, monkeypatch):
+        # At n = 21 the library's sampled check takes well under a second. The
+        # oracle's bigint ``translate`` would rebuild each block mask by a
+        # 2^21-bit division, seconds per mask; it gets the same masks by doubling.
+        for i in range(7):
+            assert doubled_block_mask(7, i) == boolfunc._low_block_mask(7, i)
+        monkeypatch.setattr(boolfunc, "_low_block_mask", doubled_block_mask)
+        f = FunctionTable(21, (1 << 5) | (1 << 70000) | (1 << 1999999))
+        report = check_bias_bounds(f, 3, Fraction(1, 2), samples=20, seed=21)
+        assert not report.exhaustive
+        assert [c.tuples_checked for c in report.checks] == [1, 20, 20]
+        assert report == sampled_bias_bounds(f, 3, Fraction(1, 2), 20, 21)
+
+    def test_sampled_derived_table_cap(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("derived a table past the cap")
+
+        for seam in ("derive", "derivative_chunks"):
+            monkeypatch.setattr(derivatives, seam, no_kernel)
+        # (k-1) * samples * 2^n derived table bits: 2 * 2000 * 2^21 passes 2^32,
+        # and so does 2000 * 2^25 at k = 2, which samples only from n = 25.
+        with pytest.raises(ScaleError, match="sampled bias-bounds check at n=21, k=3"):
+            check_bias_bounds(FunctionTable(21, 1), 3, Fraction(1, 2))
+        with pytest.raises(ScaleError, match="needs 2\\^35"):
+            check_bias_bounds(FunctionTable(25, 1), 2, Fraction(1, 2))

@@ -205,6 +205,18 @@ class TestEstimate:
         with pytest.raises(InputError):
             estimate_list_size(Fraction(1, 4), CodeParams(4, 2), strategy="best")
 
+    @pytest.mark.parametrize("strategy", ["zero", "random", "family", "exhaustive"])
+    def test_rejects_negative_count(self, monkeypatch, strategy):
+        # A negative count once sliced family centers from the end and made
+        # random try only the zero center.
+        def no_ball(*args):
+            raise AssertionError("tried a center before the count check")
+
+        monkeypatch.setattr(listdecode, "ball_size", no_ball)
+        monkeypatch.setattr(listdecode, "construct_low_weight_family", no_ball)
+        with pytest.raises(InputError, match="count"):
+            estimate_list_size(Fraction(1, 4), CodeParams(4, 2), strategy=strategy, count=-1)
+
 
 def all_center_ball_sizes(params: CodeParams, radii) -> np.ndarray:
     """Oracle of the exhaustive strategy: ``sizes[i, f]`` is the ball size
