@@ -124,13 +124,6 @@ class ApproximatorParams:
     def samples(self) -> int:
         return self.m if self.m is not None else sample_count(self.eps, self.delta)
 
-    @classmethod
-    def for_code(cls, code: CodeParams, k: int, eps: Fraction, seed: int,
-                 retry_budget: int = 10) -> "ApproximatorParams":
-        """Default target distance 2^-(d+2): half of half the minimum distance."""
-        return cls(k=k, eps=eps, delta=Fraction(1, 1 << (code.d + 2)), seed=seed,
-                   retry_budget=retry_budget)
-
 
 @dataclass(frozen=True)
 class SampledApproximator:
@@ -291,7 +284,8 @@ def unique_decode_within(
     Radius must be below half the minimum distance, which is what makes the
     answer unique. Backends: ``exhaustive`` runs the scan kernel over the
     whole code and returns its first codeword within the radius (``auto``
-    picks it up to dimension ``EXHAUSTIVE_DECODE_DIMENSION``);
+    picks it up to dimension ``EXHAUSTIVE_DECODE_DIMENSION`` when the scan
+    caps admit it; both backends return the same word at such a radius);
     ``majority`` recovers coefficients by majority votes, top degree first,
     peeling each recovered layer.
     """
@@ -306,7 +300,7 @@ def unique_decode_within(
     if backend == "auto":
         backend = (
             "exhaustive" if params.dimension <= EXHAUSTIVE_DECODE_DIMENSION
-            else "majority"
+            and scan.refusal(params) is None else "majority"
         )
     if backend == "exhaustive":
         return _decode_exhaustive(g, params, max_flips)

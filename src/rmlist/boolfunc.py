@@ -132,17 +132,19 @@ class AnfPolynomial:
 
 @lru_cache(maxsize=256)
 def _low_block_mask_cached(n: int, i: int) -> int:
-    block = (1 << (1 << i)) - 1
-    period = 1 << (i + 1)
-    return block * (((1 << (1 << n)) - 1) // ((1 << period) - 1))
+    mask, length = (1 << (1 << i)) - 1, 1 << (i + 1)
+    while length < 1 << n:  # double the pattern: linear in 2^n, no bigint division
+        mask |= mask << length
+        length <<= 1
+    return mask
 
 
 def _low_block_mask(n: int, i: int) -> int:
     """Mask selecting the points of [0, 2^n) whose bit i is 0.
 
-    Periodic pattern of 2^i ones then 2^i zeros, over 2^n bits. Masks are
-    cached only while they stay small; near the n cap a full level set would
-    pin gigabytes.
+    Periodic pattern of 2^i ones then 2^i zeros, over 2^n bits, built by
+    doubling one period. Masks are cached only while they stay small; near
+    the n cap a full level set would pin gigabytes.
     """
     return (_low_block_mask_cached if n <= 20 else _low_block_mask_cached.__wrapped__)(n, i)
 

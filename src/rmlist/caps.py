@@ -13,10 +13,16 @@ compared in the one function named beside it; none is configurable.
 # ``boolfunc._require_variables``.
 MAX_VARIABLES = 30
 # Largest code dimension a codeword scan walks; RM(7,2), dimension 29, takes
-# about 17 s on a 2-core VM. ``scan.require_dimension``.
+# about 21 s on a 2-core VM. Every scan is admitted by ``scan.code_scan``,
+# which asks, before it builds a table, ``scan.refusal``.
 DIMENSION_CAP = 30
-# "auto" unique decoding scans the code up to this dimension and uses majority
-# logic past it. ``approximator.unique_decode_within``.
+# A scan XORs at most 2^33 uint64 words (2^dimension x words per table): RM(7,2)
+# (2^30 words) takes 20.6 s and RM(19,1) (2^33) 21-22 s on a 2-core VM, where
+# RM(20,1) (2^35) took 74 s. Only the first-order codes past n = 19 reach it
+# under the dimension cap. ``scan.refusal``.
+SCAN_WORD_BITS = 33
+# "auto" unique decoding scans the code up to this dimension, if the scan caps
+# admit it, and uses majority logic otherwise. ``approximator.unique_decode_within``.
 EXHAUSTIVE_DECODE_DIMENSION = 26
 # Every function on n <= 4 variables is 65,536 functions: the single-derivative
 # sweep walks them all; exhaustive list-size centers cover them with one ball

@@ -21,6 +21,7 @@ The central objects:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -381,9 +382,10 @@ def check_bias_bounds(
     Exhaustive over all tuples when n*(k-1) <= ``EXHAUSTIVE_TUPLE_BITS``;
     otherwise, for each s >= 1, ``samples`` (at least 1) seeded random tuples
     with the same assertions, their biases read from ``derivative_chunks``
-    popcounts. The exhaustive walk derives at most 2^(nk) table bits, the
-    sampled check (k-1) * samples * 2^n; either raises ``ScaleError`` before
-    its first derivative past ``DERIVED_TABLE_BITS_CAP``.
+    popcounts. The exhaustive walk carries each level's distinct derivatives
+    into the next and keeps none of the last. It derives at most 2^(nk) table
+    bits, the sampled check (k-1) * samples * 2^n; either raises ``ScaleError``
+    before its first derivative past ``DERIVED_TABLE_BITS_CAP``.
     Violations are reported, not raised: a non-empty list would falsify the
     underlying math and is treated as a test failure by callers.
     """
@@ -400,22 +402,28 @@ def check_bias_bounds(
                              f"sampled bias-bounds check at n={n}, k={k}")
     rng = random.Random(seed)
     checks = []
+    layer = {f.bits: ()}  # the distinct derivatives of the last level, first tuple to each
     for s in range(k):
         bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
+        limit = math.floor((1 - bound) * size / 2)  # bias < bound iff weight > limit
         if s and exhaustive:
-            # Walk distinct derivative functions level by level, keeping one
-            # representative tuple per function for reporting.
+            # One level of the walk over distinct derivatives, each reported by
+            # the first tuple that reaches it. The last level keeps no table,
+            # only the heaviest weight and the distinct violators.
             checked = size**s
-            layer = {f.bits: ()}
-            for _ in range(s):
-                nxt = {}
-                for bits, rep in layer.items():
-                    g = FunctionTable(n, bits)
-                    for a in range(size):
-                        nxt.setdefault(derive(g, a).bits, rep + (a,))
-                layer = nxt
-            biases = [(rep, Fraction(size - 2 * bits.bit_count(), size))
-                      for bits, rep in layer.items()]
+            heaviest, heavy, nxt = 0, {}, {}
+            for bits, rep in layer.items():
+                g = FunctionTable(n, bits)
+                for a in range(size):
+                    child = derive(g, a).bits
+                    w = child.bit_count()
+                    heaviest = max(heaviest, w)
+                    if w > limit:
+                        heavy.setdefault(child, rep + (a,))
+                    if s < k - 1:
+                        nxt.setdefault(child, rep + (a,))
+            layer = nxt
+            violators = [(rep, bits.bit_count()) for bits, rep in heavy.items()]
         else:
             tuples = [tuple(rng.getrandbits(n) for _ in range(s))
                       for _ in range(samples if s else 1)]
@@ -423,15 +431,16 @@ def check_bias_bounds(
             weights = np.concatenate([
                 np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
                 for tables, _ in derivative_chunks(f, np.array(tuples, dtype=np.int64))
-            ])
-            biases = [(t, Fraction(size - 2 * w, size)) for t, w in zip(tuples, weights.tolist())]
+            ]).tolist()
+            heaviest = max(weights)
+            violators = [(t, w) for t, w in zip(tuples, weights) if w > limit]
         checks.append(
             BiasBoundCheck(
                 prefix_length=s,
                 bound=bound,
-                min_bias=min((b for _, b in biases), default=Fraction(1)),
+                min_bias=Fraction(size - 2 * heaviest, size),
                 tuples_checked=checked,
-                violations=tuple((t, b) for t, b in biases if b < bound),
+                violations=tuple((t, Fraction(size - 2 * w, size)) for t, w in violators),
             )
         )
     return BiasBoundReport(k=k, eps=eps, exhaustive=exhaustive, checks=tuple(checks))

@@ -1,12 +1,12 @@
 """Exact weight enumerators, low-weight codeword families, and explicit counting bounds.
 
-The enumerator is the performance core. It hands every shard to the scan
-kernel (``scan``), which XORs a running base of high monomial tables into a
-precomputed tile of all low combinations and histograms the popcounts.
-Sharding fixes the high-order coefficient bits, which splits the walk into
-independent sub-walks whose histogram sum is exact and identical for any
-shard count or worker schedule. Shards run in worker processes only when the
-scan XORs more than ``scan.POOL_MIN_WORDS`` uint64 words.
+The enumerator is the performance core. It hands the walk to the scan kernel
+(``scan``), which admits it, XORs a running base of high monomial tables into
+a precomputed tile of all low combinations and histograms the popcounts. Only
+a pool shards the walk: each shard fixes the high-order coefficient bits, and
+the shards' histogram sum is exact for any shard count or worker schedule. A
+pool starts only when ``scan.scan_words`` passes ``scan.POOL_MIN_WORDS``;
+otherwise the code is walked once, in-process.
 
 The paper's two counting bounds share one argument and one builder: a
 codeword of weight <= 2^-k (1-eps), or a list member at that radius, is
@@ -36,9 +36,17 @@ from .errors import InputError, InvariantFailure, ScaleError
 class WeightEnumerator:
     """Exact multiset of codeword weights: weight count -> multiplicity."""
 
-    params: object
-    block_length: int
+    params: object  # ``CodeParams`` or ``grm.GrmParams``
     counts: dict[int, int]
+
+    @classmethod
+    def from_histogram(cls, params, histogram: np.ndarray) -> "WeightEnumerator":
+        """The enumerator of a scan's histogram over weights 0..block_length."""
+        return cls(params, {w: c for w, c in enumerate(histogram.tolist()) if c})
+
+    @property
+    def block_length(self) -> int:
+        return self.params.block_length
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -53,21 +61,18 @@ def accumulative(enumerator: WeightEnumerator, alpha: Fraction) -> int:
     return sum(c for w, c in enumerator.counts.items() if w <= threshold)
 
 
-def _shard_counts(kernel: scan.CodeScan, shard_bits: int, shard_index: int,
-                  block_length: int) -> np.ndarray:
+def _shard_job(args: tuple[int, int, int, int]) -> np.ndarray:
+    """Weight histogram of one shard: the codewords whose top ``shard_bits``
+    coefficient bits spell ``shard_index`` (the whole code at ``shard_bits`` 0)."""
+    n, d, shard_bits, shard_index = args
+    params = CodeParams(n, d)
+    kernel = scan.code_scan(params)
     free = len(kernel.tables) - shard_bits
     base = np.zeros(kernel.words, dtype=np.uint64)
     for j in range(shard_bits):
         if (shard_index >> j) & 1:
             base ^= kernel.tables[free + j]
-    return scan.weight_histogram(kernel, base, free, block_length)
-
-
-def _shard_job(args: tuple[int, int, int, int]) -> np.ndarray:
-    n, d, shard_bits, shard_index = args
-    params = CodeParams(n, d)
-    return _shard_counts(scan.code_scan(params), shard_bits, shard_index,
-                         params.block_length)
+    return scan.weight_histogram(kernel, base, free, params.block_length)
 
 
 def enumerate_weights(
@@ -75,35 +80,27 @@ def enumerate_weights(
 ) -> WeightEnumerator:
     """Exact weight enumerator of the degree-<= d code on n variables.
 
-    ``shards`` must be a power of two; each shard fixes that many high-order
-    coefficient bits. Results are identical for every shard/worker count.
+    ``shards`` must be a power of two no larger than 2^dimension; each shard of
+    a pooled walk fixes that many high-order coefficient bits. Results are
+    identical for every shard/worker count.
     """
-    scan.require_dimension(params)
+    scan.code_scan(params)  # past a scan cap, ScaleError before the shards are checked
     if shards < 1 or shards & (shards - 1):
         raise InputError(f"shards must be a power of two, got {shards}")
     shard_bits = shards.bit_length() - 1
     if shard_bits > params.dimension:
         raise InputError(f"{shards} shards exceed 2^dimension")
-    # A pool costs more to start than a small scan takes, so small scans run
-    # their shards in-process, in the same order.
-    total = np.zeros(params.block_length + 1, dtype=np.int64)
-    scanned = (1 << params.dimension) * scan.word_count(params.n)
-    if workers > 1 and shards > 1 and scanned > scan.POOL_MIN_WORDS:
+    if workers > 1 and shards > 1 and scan.scan_words(params) > scan.POOL_MIN_WORDS:
         # Imported here: most runs start no pool, and the module costs about
         # 0.8 MiB of resident memory.
         import multiprocessing
 
         jobs = [(params.n, params.d, shard_bits, s) for s in range(shards)]
         with multiprocessing.Pool(processes=min(workers, shards)) as pool:
-            for part in pool.imap(_shard_job, jobs):
-                total += part
+            total = sum(pool.imap(_shard_job, jobs))
     else:
-        kernel = scan.code_scan(params)
-        for s in range(shards):
-            total += _shard_counts(kernel, shard_bits, s, params.block_length)
-    counts = {w: c for w, c in enumerate(total.tolist()) if c}
-    return WeightEnumerator(params=params, block_length=params.block_length,
-                            counts=counts)
+        total = _shard_job((params.n, params.d, 0, 0))
+    return WeightEnumerator.from_histogram(params, total)
 
 
 @dataclass(frozen=True)

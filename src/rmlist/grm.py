@@ -505,6 +505,4 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
                 base = np.minimum(total, total - wrap)
             yield size - np.count_nonzero(tile == base, axis=1)
 
-    counts = scan.histogram(blocks(), size)
-    return WeightEnumerator(params=params, block_length=size,
-                            counts={w: c for w, c in enumerate(counts.tolist()) if c})
+    return WeightEnumerator.from_histogram(params, scan.histogram(blocks(), size))

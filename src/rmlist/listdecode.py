@@ -115,7 +115,7 @@ def estimate_list_size(
     max_flips = flip_budget(alpha, params.block_length)
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
-    scan.code_scan(params)  # past the dimension cap, raise before any center is made
+    scan.code_scan(params)  # past a scan cap, raise before any center is made
     size = params.block_length
     covered = None  # centers the loop stands for, when not the ones it runs
     if strategy == "zero":

@@ -11,9 +11,10 @@ count of rows within a radius, or the rows themselves. ``histogram`` batches
 the bincounts of this walk and of the F_q walk in ``grm``, which reads
 ``TILE_BYTES`` too.
 
-No scan walks a code of dimension past ``caps.DIMENSION_CAP``:
-``require_dimension`` holds that check, and ``code_scan`` makes it before it
-builds anything, so every scan reaches it.
+A scan's work is ``scan_words``, the uint64 words it XORs: 2^dimension x
+``word_count(n)``. ``code_scan`` is the one admission point: it asks
+``refusal`` before it builds anything, so every scan stops there past
+2^``caps.DIMENSION_CAP`` codewords or 2^``caps.SCAN_WORD_BITS`` words.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .boolfunc import AnfPolynomial, CodeParams, monomial_table
-from .caps import DIMENSION_CAP
+from .caps import DIMENSION_CAP, SCAN_WORD_BITS
 from .errors import ScaleError
 
 TILE_BYTES = 1 << 16  # bound on the tile of low combinations
 # A sharded enumeration starts worker processes only when it XORs more uint64
-# words than this (codewords x words per table). At 3-6 ns per word on two
-# cores, that is where halving the scan first repays the ~30 ms a two-process
-# pool takes to start.
+# words than this (``scan_words``). At 3-6 ns per word on two cores, that is
+# where halving the scan first repays the ~30 ms a two-process pool takes to
+# start.
 POOL_MIN_WORDS = 1 << 24
 
 
@@ -73,16 +74,29 @@ class CodeScan:
                                                if (code >> j) & 1))
 
 
-def require_dimension(params: CodeParams) -> None:
-    """``ScaleError`` when the code has more than 2^``DIMENSION_CAP`` codewords to scan."""
+def scan_words(params: CodeParams) -> int:
+    """uint64 words a scan of the whole code XORs: 2^dimension x ``word_count(n)``."""
+    return word_count(params.n) << params.dimension
+
+
+def refusal(params: CodeParams) -> str | None:
+    """Why no scan of the code is admitted, or None: more than 2^``DIMENSION_CAP``
+    codewords, or more than 2^``SCAN_WORD_BITS`` words to XOR."""
     if params.dimension > DIMENSION_CAP:
-        raise ScaleError(f"dimension {params.dimension} exceeds the scan cap {DIMENSION_CAP}")
+        return f"dimension {params.dimension} exceeds the scan cap {DIMENSION_CAP}"
+    if scan_words(params) > 1 << SCAN_WORD_BITS:
+        words = scan_words(params).bit_length() - 1  # a power of two
+        return f"2^{words} scanned words exceed the scan cap 2^{SCAN_WORD_BITS}"
+    return None
 
 
 @functools.lru_cache(maxsize=4)
 def code_scan(params: CodeParams) -> CodeScan:
-    """The kernel's read-only set-up for one code, built once and reused by every scan of it."""
-    require_dimension(params)
+    """The kernel's read-only set-up for one code, built once and reused by every scan
+    of it; ``ScaleError`` with the ``refusal`` before anything is built."""
+    reason = refusal(params)
+    if reason is not None:
+        raise ScaleError(reason)
     words = word_count(params.n)
     masks = tuple(params.monomial_masks())
     tables = np.array([to_words(monomial_table(params.n, m), words) for m in masks],

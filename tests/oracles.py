@@ -3,9 +3,10 @@
 Conversions between 0/1 value lists, packed truth tables and F_2 value
 tables, the XOR of two tables, a function file's text and its writer, an
 enumerator's minimum positive weight, the F_q distance, the bigint iterated
-derivative that checks the batched derivative kernel, and the ``Fraction``
-coefficient walk that checks the approximator's integer coefficients. The
-library itself needs none of them.
+derivative that checks the batched derivative kernel, the ``Fraction``
+coefficient walk that checks the approximator's integer coefficients, the
+default approximator parameters of a code, and the dict walk that checks the
+exhaustive bias-bounds check. The library itself needs none of them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from rmlist import (
+    ApproximatorParams,
+    CodeParams,
     DegenerateBiasError,
     FunctionTable,
     GrmTable,
@@ -24,7 +27,7 @@ from rmlist import (
     bias,
     derive,
 )
-from rmlist.derivatives import require_low_weight
+from rmlist.derivatives import BiasBoundCheck, BiasBoundReport, require_low_weight
 
 
 def table_from_values(values) -> FunctionTable:
@@ -132,3 +135,39 @@ def representation_coefficient(
     for b in biases:
         value /= b
     return RepresentationCoefficient(value, tuple(biases))
+
+
+def approximator_params_for_code(code: CodeParams, k: int, eps: Fraction, seed: int,
+                                 retry_budget: int = 10) -> ApproximatorParams:
+    """Default target distance 2^-(d+2): half of half the minimum distance."""
+    return ApproximatorParams(k=k, eps=eps, delta=Fraction(1, 1 << (code.d + 2)), seed=seed,
+                              retry_budget=retry_budget)
+
+
+def exhaustive_bias_bounds(f: FunctionTable, k: int, eps: Fraction) -> BiasBoundReport:
+    """Oracle of the exhaustive ``check_bias_bounds`` walk, with no weight gate.
+
+    For each prefix length s, levels 1..s are derived afresh into a dict of the
+    distinct bigint derivatives, each keyed to the first direction tuple that
+    reaches it; every distinct derivative's bias is then compared with the bound.
+    """
+    size, checks = f.size, []
+    for s in range(k):
+        bound = 1 - Fraction(1 - eps) / (1 << (k - 1 - s))
+        layer = {f.bits: ()}
+        for _ in range(s):
+            nxt: dict[int, tuple[int, ...]] = {}
+            for bits, rep in layer.items():
+                g = FunctionTable(f.n, bits)
+                for a in range(size):
+                    nxt.setdefault(derive(g, a).bits, rep + (a,))
+            layer = nxt
+        biases = [(rep, bias(FunctionTable(f.n, bits))) for bits, rep in layer.items()]
+        checks.append(BiasBoundCheck(
+            prefix_length=s,
+            bound=bound,
+            min_bias=min(b for _, b in biases),
+            tuples_checked=size**s,
+            violations=tuple((t, b) for t, b in biases if b < bound),
+        ))
+    return BiasBoundReport(k=k, eps=eps, exhaustive=True, checks=tuple(checks))

@@ -38,7 +38,12 @@ from rmlist.derivatives import derive
 from rmlist.errors import InvariantFailure, ScaleError
 
 from conftest import random_table, random_table_below_weight, table_of
-from oracles import derive_iterated, representation_coefficient, xor_tables
+from oracles import (
+    approximator_params_for_code,
+    derive_iterated,
+    representation_coefficient,
+    xor_tables,
+)
 
 
 def serialize_approximator(approx: SampledApproximator) -> dict:
@@ -188,7 +193,7 @@ class TestParams:
             assert widths[-1] < Fraction(1, 10**12)
 
     def test_for_code_sets_quarter_min_distance(self):
-        p = ApproximatorParams.for_code(CodeParams(8, 3), k=1, eps=Fraction(1, 2), seed=1)
+        p = approximator_params_for_code(CodeParams(8, 3), k=1, eps=Fraction(1, 2), seed=1)
         assert p.delta == Fraction(1, 32)
 
     def test_coefficient_bound(self):
@@ -551,6 +556,18 @@ class TestUniqueDecode:
         for n, d in [(5, 3), (26, 1)]:
             unique_decode_within(FunctionTable.zero(n), CodeParams(n, d), Fraction(1, 1 << (d + 2)))
         assert chosen == ["exhaustive", "majority"]
+
+    def test_auto_backend_decodes_past_the_scan_word_cap(self):
+        # Dimension 21, but a scan of 2^35 words: auto must not pick the scan.
+        code = CodeParams(20, 1)
+        rng = random.Random(20)
+        planted = AnfPolynomial(20, frozenset(m for m in code.monomial_masks()
+                                              if rng.getrandbits(1)))
+        received = anf_to_table(planted).bits
+        for v in rng.sample(range(code.block_length), 5):
+            received ^= 1 << v
+        assert unique_decode_within(FunctionTable(20, received), code,
+                                    Fraction(1, 8)) == planted
 
 
 def loop_decode_majority(g: FunctionTable, params: CodeParams, radius: Fraction,

@@ -24,6 +24,7 @@ from rmlist import (
     weight,
 )
 
+from rmlist import boolfunc
 from rmlist.boolfunc import monomial_masks
 
 from conftest import random_table, table_of
@@ -216,6 +217,23 @@ class TestTranslate:
     def test_is_bijection_on_small_tables(self):
         seen = {translate(FunctionTable(2, bits), 3).bits for bits in range(16)}
         assert seen == set(range(16))
+
+
+def byte_block_mask(n: int, i: int) -> int:
+    """2^i ones then 2^i zeros, repeated over 2^n >= 8 bits, from one period's
+    bytes (0x55, 0x33, 0x0f below a byte) repeated as a byte string."""
+    if i < 3:
+        period = bytes([(0x55, 0x33, 0x0F)[i]])
+    else:
+        period = b"\xff" * (1 << (i - 3)) + b"\x00" * (1 << (i - 3))
+    return int.from_bytes(period * ((1 << (n - 3)) // len(period)), "little")
+
+
+@pytest.mark.parametrize("n", [3, 8, 21, 22])
+def test_block_masks_match_repeated_bytes(n):
+    # n = 21 and 22 are past the cache tier, where each mask is built on every call.
+    for i in range(n):
+        assert boolfunc._low_block_mask(n, i) == byte_block_mask(n, i)
 
 
 class TestDegree:

@@ -48,6 +48,13 @@ class TestExitCodes:
     def test_scale_error_exit(self, outdir):
         assert run("enum", "--n", "6", "--d", "3", "--out", "e.csv") == 3
 
+    def test_scan_word_cap_exit(self, outdir, capsys):
+        # RM(20,1): 2^21 codewords of 2^14 words, 2^35 scanned words past 2^33.
+        assert run("enum", "--n", "20", "--d", "1", "--out", "e.csv") == 3
+        assert capsys.readouterr().out == ""
+        assert not Path("e.csv").exists()
+        assert not Path("e.csv.manifest.json").exists()
+
     @pytest.mark.parametrize(
         "argv,code",
         [

@@ -28,7 +28,7 @@ from rmlist import (
     weight,
 )
 
-from rmlist import boolfunc, derivatives
+from rmlist import derivatives
 from rmlist.derivatives import (
     BiasBoundCheck,
     BiasBoundReport,
@@ -41,7 +41,12 @@ from rmlist.errors import InputError, RmlistError
 from rmlist.scan import to_words, word_count
 
 from conftest import random_table, random_table_below_weight, table_of
-from oracles import derive_iterated, representation_coefficient, table_from_values
+from oracles import (
+    derive_iterated,
+    exhaustive_bias_bounds,
+    representation_coefficient,
+    table_from_values,
+)
 
 
 def iterated_by_subset_sums(f: FunctionTable, directions) -> FunctionTable:
@@ -569,15 +574,6 @@ def sampled_bias_bounds(f: FunctionTable, k: int, eps: Fraction, samples: int,
     return BiasBoundReport(k=k, eps=eps, exhaustive=False, checks=tuple(checks))
 
 
-def doubled_block_mask(n: int, i: int) -> int:
-    """``boolfunc._low_block_mask`` built by doubling one period, not by a 2^n-bit division."""
-    mask, length = (1 << (1 << i)) - 1, 1 << (i + 1)
-    while length < 1 << n:
-        mask |= mask << length
-        length <<= 1
-    return mask
-
-
 class TestBiasBounds:
     def test_triple_product(self):
         f = table_of(3, [1, 2, 3])
@@ -669,18 +665,35 @@ class TestBiasBounds:
         assert report.violation_count > 0
         assert report == sampled_bias_bounds(f, 3, Fraction(1, 2), 40, 3)
 
-    def test_samples_run_past_the_bigint_cliff(self, monkeypatch):
-        # At n = 21 the library's sampled check takes well under a second. The
-        # oracle's bigint ``translate`` would rebuild each block mask by a
-        # 2^21-bit division, seconds per mask; it gets the same masks by doubling.
-        for i in range(7):
-            assert doubled_block_mask(7, i) == boolfunc._low_block_mask(7, i)
-        monkeypatch.setattr(boolfunc, "_low_block_mask", doubled_block_mask)
+    def test_samples_run_past_the_bigint_cliff(self):
+        # At n = 21 block masks are built on every call, for the oracle's bigint
+        # ``translate``; the library's sampled check takes well under a second.
         f = FunctionTable(21, (1 << 5) | (1 << 70000) | (1 << 1999999))
         report = check_bias_bounds(f, 3, Fraction(1, 2), samples=20, seed=21)
         assert not report.exhaustive
         assert [c.tuples_checked for c in report.checks] == [1, 20, 20]
         assert report == sampled_bias_bounds(f, 3, Fraction(1, 2), 20, 21)
+
+    def test_exhaustive_walk_matches_the_dict_walk(self, monkeypatch):
+        # The walk carries each level into the next and keeps no table at the
+        # last; the oracle re-derives every level into a dict. Low-weight
+        # functions have no violations; with the weight gate lifted, random
+        # functions have many, and they must come in the same order.
+        rng = random.Random(77)
+        cases = [(n, k, eps) for n in range(4, 8) for k in (2, 3)
+                 for eps in (Fraction(1, 4), Fraction(1, 2))]
+        for n, k, eps in cases:
+            f = random_table_below_weight(n, int((1 << n) * (1 - eps)) >> k, rng)
+            assert check_bias_bounds(f, k, eps) == exhaustive_bias_bounds(f, k, eps)
+        monkeypatch.setattr(derivatives, "require_low_weight", lambda *args: None)
+        violations = 0
+        for n, k, eps in cases:
+            f = random_table(n, rng)
+            report = check_bias_bounds(f, k, eps)
+            assert report.exhaustive
+            assert report == exhaustive_bias_bounds(f, k, eps)
+            violations += report.violation_count
+        assert violations > 0
 
     def test_sampled_derived_table_cap(self, monkeypatch):
         def no_kernel(*args):

@@ -136,6 +136,12 @@ class TestLowWeightFamily:
         for p in fam.members:
             assert weight(anf_to_table(p)) == Fraction(1, 8)
 
+    def test_family_past_the_mask_cache(self):
+        # n = 21 builds its block masks uncached, on every call.
+        fam = construct_low_weight_family(21, 2, 1, limit=4)
+        assert fam.distinct_count == 4
+        assert all(p.degree <= 2 for p in fam.members)
+
     def test_k_one_balanced(self):
         fam = construct_low_weight_family(5, 2, 1, limit=32)
         for p in fam.members:

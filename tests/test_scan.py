@@ -235,18 +235,36 @@ def test_weight_blocks_cover_every_coefficient_vector_once():
     assert sorted(seen) == list(range(1 << params.dimension))
 
 
+def test_one_walk_in_process_whatever_the_shard_count(monkeypatch):
+    walks = []
+    walk = scan.weight_blocks
+
+    def spy(kernel, base, free=None):
+        walks.append(free)  # the number of tables a walk spans
+        return walk(kernel, base, free)
+
+    monkeypatch.setattr(scan, "weight_blocks", spy)
+    params = CodeParams(4, 2)  # 2^11 words: no pool
+    assert enumerate_weights(params, shards=32, workers=2).counts == oracle_shard(params, 0, 0)
+    assert walks == [params.dimension]
+
+
 def test_every_scan_stops_just_past_the_dimension_cap(monkeypatch):
     def no_scan(*args, **kwargs):
-        raise AssertionError("scanned past the dimension cap")
+        raise AssertionError("scanned past a scan cap")
 
     monkeypatch.setattr(scan, "weight_blocks", no_scan)
+    monkeypatch.setattr(scan, "monomial_table", no_scan)
     monkeypatch.setattr(multiprocessing, "Pool", no_scan)
-    params = CodeParams(30, 1)  # dimension 31
-    center = FunctionTable.zero(30)
-    for run in [lambda: ball(center, Fraction(1, 4), params),
-                lambda: ball_size(0, Fraction(1, 4), params),
-                lambda: estimate_list_size(Fraction(1, 4), params, strategy="family"),
-                lambda: enumerate_weights(params, shards=4, workers=2),
-                lambda: unique_decode_within(center, params, Fraction(1, 8), "exhaustive")]:
-        with pytest.raises(ScaleError):
-            run()
+    # RM(30,1) has 2^31 codewords; RM(20,1) has 2^21 of 2^14 words each, 2^35 words.
+    for n, cap in [(30, "dimension 31"), (20, "2\\^35 scanned words")]:
+        params = CodeParams(n, 1)
+        center = FunctionTable.zero(n)
+        for run in [lambda: ball(center, Fraction(1, 4), params),
+                    lambda: ball_size(0, Fraction(1, 4), params),
+                    lambda: estimate_list_size(Fraction(1, 4), params, strategy="family"),
+                    lambda: enumerate_weights(params, shards=4, workers=2),
+                    lambda: enumerate_weights(params, shards=3),
+                    lambda: unique_decode_within(center, params, Fraction(1, 8), "exhaustive")]:
+            with pytest.raises(ScaleError, match=cap):
+                run()
