@@ -30,7 +30,13 @@ from .boolfunc import (
 )
 from . import scan
 from .caps import EXHAUSTIVE_DECODE_DIMENSION
-from .derivatives import derivative_chunks, point_counts, require_derived_bits, require_low_weight
+from .derivatives import (
+    derivative_chunks,
+    direction_array,
+    point_counts,
+    require_derived_bits,
+    require_low_weight,
+)
 from .errors import (
     ApproximationFailure,
     DegenerateBiasError,
@@ -130,9 +136,10 @@ class SampledApproximator:
     """Weighted majority over m sampled order-k derivatives of a base function.
 
     Only the base, the m direction tuples and their rounded coefficients are
-    kept. The derivative tables are not: ``approximator_table`` re-derives
-    them from ``directions`` a kernel chunk at a time whenever the majority
-    is evaluated.
+    kept. The derivative tables are not: at k >= 2 ``approximator_table``
+    re-derives them from ``directions`` a kernel chunk at a time whenever the
+    majority is evaluated; at k=1 it derives none, since the majority is one
+    XOR convolution of the base with the coefficients summed per direction.
     """
 
     n: int
@@ -203,9 +210,9 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
     depth k-1; it is computed exactly once per distinct weight tuple, in
     order of first occurrence, so a zero prefix bias or a coefficient past
     the bound raises at the first sample that has it. No derivative table is
-    kept: ``approximator_table`` re-derives them for the achieved distance.
-    Builds whose m tables of 2^n bits pass ``DERIVED_TABLE_BITS_CAP`` raise
-    ``ScaleError`` before any table is derived.
+    kept: for the achieved distance, ``approximator_table`` re-derives them
+    at k >= 2 and derives none at k=1. Builds with m * 2^n past
+    ``DERIVED_TABLE_BITS_CAP`` raise ``ScaleError`` before anything is derived.
     """
     require_low_weight(f, params.k, params.eps)
     m, n, k = params.samples, f.n, params.k
@@ -246,8 +253,50 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
     )
 
 
+def _direction_rows(approx: SampledApproximator) -> np.ndarray:
+    """The ``(m, k)`` int64 array of the sampled direction tuples."""
+    return np.fromiter(itertools.chain.from_iterable(approx.directions), dtype=np.int64,
+                       count=approx.m * approx.k).reshape(approx.m, approx.k)
+
+
+def _walsh_hadamard(values: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of 2^n int64 values: n exact butterflies."""
+    values = values.copy()
+    for i in range(n):
+        pairs = values.reshape(-1, 2, 1 << i)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    return values
+
+
 def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
     """Per-point integer sums of s_i * (-1)^{h_i(x)}, exact in int64.
+
+    At k=1, h_i(x) = f(x) + f(x + a_i), so with F = (-1)^f the sum is F(x)
+    times the XOR convolution sum_a W(a) F(x + a), where W(a) is the sum of
+    the coefficients sampled at direction a. Two forward Walsh-Hadamard
+    transforms, their product and one inverse give it whatever m is, and no
+    derivative table is derived; the inverse's division by 2^n is an exact
+    shift. No intermediate exceeds 2^n * sum |s_i|. At k >= 2 every sample
+    has its own prefix derivative, so ``_derived_accumulation`` derives the
+    tables. ``InputError`` before any sum if a direction is outside [0, 2^n)
+    or the bound (2^n * sum |s_i| at k=1, sum |s_i| at k >= 2) reaches 2^63.
+    """
+    n = approx.n
+    bound = sum(map(abs, approx.coefficients)) << (n if approx.k == 1 else 0)
+    if bound >= 1 << 63:
+        raise InputError(f"accumulation bound 2^{bound.bit_length() - 1} passes int64")
+    if approx.k > 1:
+        return _derived_accumulation(approx)
+    spread = np.zeros(1 << n, dtype=np.int64)
+    np.add.at(spread, direction_array(_direction_rows(approx), n)[:, 0],
+              np.array(approx.coefficients, dtype=np.int64))
+    signs = 1 - 2 * point_counts(scan.to_words(approx.base.bits, scan.word_count(n))[None], n)
+    product = _walsh_hadamard(spread, n) * _walsh_hadamard(signs, n)
+    return signs * (_walsh_hadamard(product, n) >> n)
+
+
+def _derived_accumulation(approx: SampledApproximator) -> np.ndarray:
+    """``_signed_accumulation`` from the derived sample tables, at any k.
 
     ``derivative_chunks`` re-derives the sample tables h_i from the base and
     the directions, and each chunk is folded into the sums as it comes:
@@ -257,10 +306,8 @@ def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
     """
     acc = np.zeros(1 << approx.n, dtype=np.int64)
     coeffs = np.array(approx.coefficients, dtype=np.int64)
-    directions = np.fromiter(itertools.chain.from_iterable(approx.directions), dtype=np.int64,
-                             count=approx.m * approx.k).reshape(approx.m, approx.k)
     start = 0
-    for tables, _ in derivative_chunks(approx.base, directions):
+    for tables, _ in derivative_chunks(approx.base, _direction_rows(approx)):
         s = coeffs[start:start + len(tables)]
         start += len(tables)
         for c in np.unique(s).tolist():

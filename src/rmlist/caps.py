@@ -32,8 +32,10 @@ ALL_FUNCTIONS_VARS = 4
 # Derivative-table bits one call derives: m * 2^n for an approximator, 4^n for
 # the single-derivative identity, 2^(n(k+1)) for the representation check,
 # 2^(nk) for the exhaustive bias-bounds walk and (k-1) * samples * 2^n for the
-# sampled one. This bounds time: a k=1 approximator at the cap (n=16) builds
-# in 1.6 s. ``derivatives.require_derived_bits``.
+# sampled one. This bounds time: a k=2 approximator at the cap (n=16,
+# m=65,536) builds in 5.6-7.6 s on a 2-core VM. A k=1 one derives no table and
+# builds there in 0.04 s; the cap still refuses it past m * 2^n = 2^32, so that
+# every k admits the same (m, n). ``derivatives.require_derived_bits``.
 DERIVED_TABLE_BITS_CAP = 1 << 32
 # ``check_bias_bounds`` walks every direction tuple while n*(k-1) <= 24 and
 # samples past it. ``derivatives.check_bias_bounds``.

@@ -74,6 +74,15 @@ def _translate_rows(tables: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return tables
 
 
+def direction_array(directions, n: int) -> np.ndarray:
+    """``directions`` as int64, or ``InputError`` if one is outside [0, 2^n)."""
+    directions = np.asarray(directions, dtype=np.int64)
+    outside = (directions < 0) | (directions >= 1 << n)
+    if outside.any():
+        raise InputError(f"direction {directions[outside][0]} out of range for n={n}")
+    return directions
+
+
 def derivative_chunks(
     f: FunctionTable, directions: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -86,10 +95,7 @@ def derivative_chunks(
     of its j-th prefix f, f_{a_1}, ..., f_{a_1..a_{k-1}}. Every count is an
     integer popcount.
     """
-    directions = np.asarray(directions, dtype=np.int64)
-    outside = (directions < 0) | (directions >= f.size)
-    if outside.any():
-        raise InputError(f"direction {directions[outside][0]} out of range for n={f.n}")
+    directions = direction_array(directions, f.n)
     words = scan.word_count(f.n)
     base = scan.to_words(f.bits, words)
     rows = max(1, CHUNK_BITS >> f.n)

@@ -33,7 +33,7 @@ from rmlist import (
     unique_decode_within,
 )
 from rmlist import approximator, derivatives, scan
-from rmlist.approximator import _signed_accumulation, approximator_json
+from rmlist.approximator import _derived_accumulation, _signed_accumulation, approximator_json
 from rmlist.derivatives import derive
 from rmlist.errors import InvariantFailure, ScaleError
 
@@ -431,10 +431,64 @@ class TestEval:
             self.manual(random_table(7, rng), [3, -3, 1, 2, -1, 3, -2],
                         [(rng.randrange(128), rng.randrange(128)) for _ in range(7)]),
         ]
+        order_two = shapes[-1]
+        for n in (8, 10):  # order 1, mixed signs, some directions drawn twice
+            size = 1 << n
+            coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(20)]
+            shapes.append(self.manual(random_table(n, rng), coeffs,
+                                      [(rng.randrange(size // 8),) for _ in range(20)]))
+        shapes += [
+            self.manual(table_of(1, [1]), [2, -1], [(1,), (0,)]),  # n=1
+            self.manual(table_of(1, []), [1, 1, 1], [(1,), (1,), (0,)]),  # all-ones base
+            self.manual(table_of(4, [1], [2]), [3, 1], [(0,), (0,)]),  # direction 0 only
+            self.manual(table_of(4, [1, 2], [3]), [2, -2, 5, -5, 1],  # cancelling repeats
+                        [(6,), (6,), (9,), (9,), (9,)]),
+            self.manual(FunctionTable.ones(5), [1, -2, 3], [(7,), (30,), (0,)]),
+            self.manual(FunctionTable.ones(3), [1, -1], [(5,), (5,)]),  # cancel to 0
+        ]
         for approx in shapes:
-            assert _signed_accumulation(approx).tolist() == direct_accumulation(approx)
+            expected = direct_accumulation(approx)
+            assert _signed_accumulation(approx).tolist() == expected
+            assert _derived_accumulation(approx).tolist() == expected
         monkeypatch.setattr(derivatives, "CHUNK_BITS", 2 * 128)  # two tables per chunk
-        assert _signed_accumulation(shapes[-1]).tolist() == direct_accumulation(shapes[-1])
+        assert _signed_accumulation(order_two).tolist() == direct_accumulation(order_two)
+
+    def test_order_one_build_matches_the_derived_tables(self):
+        # The benchmark's shape: x1 x2 (x3 + x5) at n=12, m = 44,362 samples.
+        n = 12
+        f = anf_to_table(AnfPolynomial.from_variable_lists(n, [[1, 2, 3], [1, 2, 5]]))
+        params = ApproximatorParams(k=1, eps=Fraction(1, 2), delta=Fraction(1, 32), seed=7)
+        approx = build_approximator(f, params).approximator
+        assert approx.m == 44362
+        assert np.array_equal(_signed_accumulation(approx), _derived_accumulation(approx))
+
+    def test_walsh_hadamard_matches_its_definition(self):
+        rng = random.Random(8)
+        for n in range(0, 6):
+            values = [rng.randint(-9, 9) for _ in range(1 << n)]
+            spectrum = approximator._walsh_hadamard(np.array(values, dtype=np.int64), n)
+            assert spectrum.tolist() == [
+                sum(v * (-1) ** (u & x).bit_count() for x, v in enumerate(values))
+                for u in range(1 << n)]
+
+    def test_accumulation_refuses_int64_overflow(self):
+        # 2^62 + 2^62 would wrap to -2^63 and give the all-ones table; the bound
+        # is 2^n * sum |s_i| at k=1 and sum |s_i| at k >= 2, checked before any sum.
+        base = table_of(2, [1])
+        for coeffs, k in (((2**62, 2**62), 1), ((2**60, 2**60), 1), ((2**62, -2**62), 2)):
+            approx = self.manual(base, coeffs, [(0,) * k, (0,) * k])
+            with pytest.raises(InputError, match="int64"):
+                approximator_table(approx)
+        for coeffs, k in (((2**60, -(2**60 - 1)), 1), ((2**62, 2**62 - 1), 2)):
+            approx = self.manual(base, coeffs, [(1,) * k, (2,) * k])
+            assert _signed_accumulation(approx).tolist() == direct_accumulation(approx)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_accumulation_rejects_out_of_range_directions(self, k, bad):
+        approx = self.manual(table_of(3, [1]), [1, 1], [(1,) * k, (bad,) * k])
+        with pytest.raises(InputError, match="out of range"):
+            approximator_table(approx)
 
 
 class TestCandidate:
