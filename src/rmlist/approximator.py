@@ -361,8 +361,8 @@ def _decode_exhaustive(
 ) -> AnfPolynomial | None:
     kernel = scan.code_scan(params)
     hits = scan.within(kernel, scan.to_words(g.bits, kernel.words), max_flips)
-    code, _ = next(hits, (None, None))
-    return None if code is None else kernel.polynomial(code)
+    codes, _ = next(hits, (None, None))
+    return None if codes is None else kernel.polynomial(int(codes[0]))
 
 
 def _decode_majority(

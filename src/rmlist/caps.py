@@ -4,7 +4,9 @@ Past a cap a call raises before it allocates: ``ScaleError`` (exit 3) or,
 for the variable and field counts and the F_q block length, ``InputError``
 (exit 2). A counting bound keeps its terms at any size; only its integer
 ``value`` is capped, by ``BOUND_VALUE_BITS``, and ``bounds`` checks both
-bounds before it multiplies either out. Two entries only choose a method:
+bounds before it multiplies either out. A ball's member count is known only
+as its scan runs, so ``BALL_MEMBER_CAP`` is checked while the hits are
+collected, before any row is built. Two entries only choose a method:
 ``EXHAUSTIVE_DECODE_DIMENSION`` and ``EXHAUSTIVE_TUPLE_BITS``. Each is
 compared in the one function named beside it; none is configurable.
 """
@@ -21,6 +23,14 @@ DIMENSION_CAP = 30
 # RM(20,1) (2^35) took 74 s. Only the first-order codes past n = 19 reach it
 # under the dimension cap. ``scan.refusal``.
 SCAN_WORD_BITS = 33
+# A list-decoding ball holds at most 2^20 members. A member costs about 56
+# bytes of CSV and about 200 bytes of peak RSS: a 944,000-member RM(6,2) ball
+# (radius 28/64) lists in 1.0-1.5 s at a peak RSS of 220 MiB on a 2-core VM.
+# Past it, RM(6,2) around 0 at 31/64 holds 1,183,085 members (refused in
+# 0.3 s at a 50 MiB peak) and RM(7,2) near 1/2 about 2^28. The count is
+# checked while the scan collects the hits, before any member is ranked or
+# rendered. ``listdecode.ball``.
+BALL_MEMBER_CAP = 1 << 20
 # "auto" unique decoding scans the code up to this dimension, if the scan caps
 # admit it, and uses majority logic otherwise. ``approximator.unique_decode_within``.
 EXHAUSTIVE_DECODE_DIMENSION = 26

@@ -11,9 +11,12 @@ A family file holds several polynomial records separated by ``---`` lines;
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
+
+import numpy as np
 
 from .boolfunc import AnfPolynomial, FunctionTable
 from .enumeration import LowerBoundFamily, WeightEnumerator
@@ -113,15 +116,38 @@ def anf_to_string(p: AnfPolynomial) -> str:
     return "+".join(_monomial_name(p.n, m) for m in sorted(p.monomials)) or "0"
 
 
+@lru_cache(maxsize=8)
+def _name_chunks(n: int, order: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """Names by byte of a ``Ball.ranked`` value, top byte first: each byte's shift and
+    the object array of what its 256 values select, every name followed by '+'."""
+    top = len(order) - 1
+    chunks = []
+    for shift in reversed(range(0, len(order), 8)):
+        # Ranks ascend as bits descend, so a byte's names run from its high bit.
+        bits = [(t, _monomial_name(n, order[top - shift - t]) + "+")
+                for t in reversed(range(min(8, len(order) - shift)))]
+        names = ["".join(name for t, name in bits if value >> t & 1) for value in range(256)]
+        chunks.append((shift, np.array(names, dtype=object)))
+    return tuple(chunks)
+
+
 def ball_csv(b: Ball) -> str:
     size = b.center.size
-    lines = [
+    text = [
         f"# n={b.center.n},radius={b.radius},members={b.size}",
         "distance_count,relative_distance,monomials",
     ]
+    names = _name_chunks(b.center.n, b.order)
     last, prefix = None, ""
-    for p, dist in b.members:  # sorted by distance: one prefix per run of ties
-        if dist != last:
-            last, prefix = dist, f"{int(dist * size)},{dist},"
-        lines.append(prefix + anf_to_string(p))
-    return "\n".join(lines) + "\n"
+    block = 1 << 16  # members rendered at a time: only the text outlives a block's rows
+    for start in range(0, b.size, block):
+        ranked = b.ranked[start:start + block]
+        # A row's monomials are its bytes' names joined, less the last '+'.
+        rows = reduce(operator.add, [table[ranked >> shift & 255] for shift, table in names])
+        lines = []
+        for dist, row in zip(b.flips[start:start + block].tolist(), rows.tolist()):
+            if dist != last:  # sorted by distance: one prefix per run of ties
+                last, prefix = dist, f"{dist},{Fraction(dist, size)},"
+            lines.append(prefix + (row[:-1] or "0"))
+        text.append("\n".join(lines))
+    return "\n".join(text) + "\n"

@@ -11,6 +11,11 @@ count of rows within a radius, or the rows themselves. ``histogram`` batches
 the bincounts of this walk and of the F_q walk in ``grm``, which reads
 ``TILE_BYTES`` too.
 
+The walk also takes a batch of bases as a leading axis, ``(C, 1, words)``,
+broadcast against the tile: every step then XORs C running bases and yields C
+rows of weights. ``count_within`` counts a batch of centers this way, in
+chunks whose ``(chunk, 2^L, words)`` XOR stays within 4 x ``TILE_BYTES``.
+
 A scan's work is ``scan_words``, the uint64 words it XORs: 2^dimension x
 ``word_count(n)``. ``code_scan`` is the one admission point: it asks
 ``refusal`` before it builds anything, so every scan stops there past
@@ -112,9 +117,10 @@ def weight_blocks(kernel: CodeScan, base: np.ndarray,
                   free: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Weights of ``base`` XOR every codeword spanned by the first ``free`` tables (all by default).
 
-    Each step yields ``(first, weights)``: ``weights[i]`` belongs to the
+    Each step yields ``(first, weights)``: ``weights[..., i]`` belongs to the
     coefficient vector ``first | i`` over those tables. The high part of
-    ``first`` runs in Gray-code order.
+    ``first`` runs in Gray-code order. ``base`` is one word, ``(words,)``, or a
+    batch of C words, ``(C, 1, words)``, whose weights come as C rows.
     """
     tables = kernel.tables[:free]
     low = min(len(tables), len(kernel.tile).bit_length() - 1)
@@ -151,14 +157,26 @@ def weight_histogram(kernel: CodeScan, base: np.ndarray, free: int,
                      block_length)
 
 
-def within(kernel: CodeScan, base: np.ndarray, max_flips: int) -> Iterator[tuple[int, int]]:
-    """``(coefficient vector, weight)`` of every scanned word of weight <= max_flips, lazily."""
+def within(kernel: CodeScan, base: np.ndarray,
+           max_flips: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(coefficient vectors, weights)`` of the scanned words of weight <= max_flips,
+    one block of the walk at a time, lazily; blocks without such a word are skipped."""
     for first, weights in weight_blocks(kernel, base):
-        for i in np.flatnonzero(weights <= max_flips).tolist():
-            yield first | i, int(weights[i])
+        hits = np.flatnonzero(weights <= max_flips)
+        if len(hits):
+            yield hits | first, weights[hits]
 
 
-def count_within(kernel: CodeScan, base: np.ndarray, max_flips: int) -> int:
-    """Number of scanned words of weight <= max_flips."""
-    return sum(int(np.count_nonzero(weights <= max_flips))
-               for _, weights in weight_blocks(kernel, base))
+def count_within(kernel: CodeScan, centers: np.ndarray, max_flips: int) -> np.ndarray:
+    """Number of scanned words of weight <= max_flips around each row of a ``(C, words)``
+    batch of centers: one walk per chunk of centers, whose XOR of the chunk against
+    the tile stays within 4 x ``TILE_BYTES``."""
+    counts = np.zeros(len(centers), dtype=np.int64)
+    step = max(1, 4 * TILE_BYTES // kernel.tile.nbytes)
+    for start in range(0, len(centers), step):
+        chunk = counts[start:start + step]  # a view: the walk adds into ``counts``
+        for _, weights in weight_blocks(kernel, centers[start:start + step, None]):
+            # A row has at most TILE_BYTES / 8 weights, so a uint16 sum of its
+            # bools is exact, and several times faster than ``count_nonzero``.
+            chunk += (weights <= max_flips).view(np.uint8).sum(axis=-1, dtype=np.uint16)
+    return counts

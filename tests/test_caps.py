@@ -47,7 +47,7 @@ def loading_functions(caps: set[str]) -> dict[str, set[str]]:
 
 def test_every_cap_has_one_reader_the_one_its_comment_names():
     readers = cap_readers()
-    assert len(readers) == 12 and "SCAN_WORD_BITS" in readers
+    assert len(readers) == 13 and "BALL_MEMBER_CAP" in readers
     for cap, scopes in loading_functions(set(readers)).items():
         named = readers[cap]
         assert len(scopes) == 1, (cap, scopes)

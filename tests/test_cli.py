@@ -137,6 +137,15 @@ class TestListdecodeCommand:
         assert run("listdecode", "--center", "zero.txt", "--alpha", "1/4",
                    "--n", "4", "--d", "2", "--out", "ball.csv") == 2
 
+    def test_ball_past_the_member_cap_exits_3(self, outdir, capsys):
+        # RM(6,2) around 0 at 31/64 holds 1,183,085 codewords, past 2^20.
+        write_function_file("zero.txt", FunctionTable.zero(6))
+        assert run("listdecode", "--center", "zero.txt", "--alpha", "31/64",
+                   "--n", "6", "--d", "2", "--out", "ball.csv") == 3
+        assert "member" in capsys.readouterr().err
+        assert not Path("ball.csv").exists()
+        assert not Path("ball.csv.manifest.json").exists()
+
 
 class TestApproxCommand:
     def test_zero_function_report(self, outdir, capsys):
@@ -465,8 +474,13 @@ class TestListdecodeOutputDigests:
             # x1x2 + x3x4, bent on x1..x4: all 16 members tie at distance 24.
             (6, 1, "3/8", table_of(6, [1, 2], [3, 4]),
              "fcfcb4ee32f2c8f1efea906084af53a60e358eb9be4276be3ef347df544e323d"),
+            # 1 + x2 + x6 + x1x2 + x3x5 + x4x6 with five flips: 3,638 members at six
+            # distances, dimension 22, so three bytes of monomial names per row.
+            (6, 2, "5/16", FunctionTable(6, table_of(6, [], [2], [6], [1, 2], [3, 5], [4, 6]).bits
+                                         ^ (1 << 3 | 1 << 12 | 1 << 30 | 1 << 41 | 1 << 58)),
+             "5d21cee2fae044f925c9251ab075bcbe362687162cb10efe6ce997683a1210cf"),
         ],
-        ids=["rm-4-2-codeword", "rm-5-2-noisy", "rm-6-1-ties"],
+        ids=["rm-4-2-codeword", "rm-5-2-noisy", "rm-6-1-ties", "rm-6-2-noisy"],
     )
     def test_output_bytes(self, outdir, n, d, alpha, center, digest):
         write_function_file("center.txt", center)

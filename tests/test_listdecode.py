@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rmlist import (
     AnfPolynomial,
@@ -24,7 +25,7 @@ from rmlist import (
     monomial_table,
 )
 
-from rmlist import listdecode
+from rmlist import listdecode, scan
 
 from conftest import random_table, table_of
 from oracles import xor_tables
@@ -86,6 +87,18 @@ class TestBall:
             large = {p.monomials for p, _ in ball(center, Fraction(3, 8), params).members}
             assert small <= large
 
+    @given(st.sampled_from([(1, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (7, 1), (8, 1)]),
+           st.randoms(use_true_random=False), st.integers(0, 8))
+    def test_ball_size_is_constant_on_a_coset(self, code, rnd, eighths):
+        params = CodeParams(*code)
+        codeword = 0
+        for m in params.monomial_masks():
+            if rnd.getrandbits(1):
+                codeword ^= monomial_table(params.n, m)
+        center = rnd.getrandbits(params.block_length)
+        alpha = Fraction(eighths, 8)
+        assert ball_size(center ^ codeword, alpha, params) == ball_size(center, alpha, params)
+
     def test_linearity_symmetry(self, rng: random.Random):
         params = CodeParams(4, 2)
         codeword = anf_to_table(AnfPolynomial.from_variable_lists(4, [[1, 3], [2]]))
@@ -105,6 +118,19 @@ class TestBall:
     def test_dimension_cap(self):
         with pytest.raises(ScaleError):
             ball(FunctionTable.zero(6), Fraction(1, 2), CodeParams(6, 3))
+
+    def test_member_cap_is_checked_before_any_row(self, monkeypatch):
+        params = CodeParams(4, 2)  # 141 codewords within 1/4 of 0
+        monkeypatch.setattr(listdecode, "BALL_MEMBER_CAP", 141)
+        assert ball(FunctionTable.zero(4), Fraction(1, 4), params).size == 141
+
+        def no_rows(*args):
+            raise AssertionError("ranked the members of a ball past the cap")
+
+        monkeypatch.setattr(listdecode, "BALL_MEMBER_CAP", 140)
+        monkeypatch.setattr(listdecode, "_mask_ranks", no_rows)
+        with pytest.raises(ScaleError, match="140"):
+            ball(FunctionTable.zero(4), Fraction(1, 4), params)
 
 
 class TestBallSizeInputs:
@@ -212,7 +238,7 @@ class TestEstimate:
         def no_ball(*args):
             raise AssertionError("tried a center before the count check")
 
-        monkeypatch.setattr(listdecode, "ball_size", no_ball)
+        monkeypatch.setattr(scan, "count_within", no_ball)
         monkeypatch.setattr(listdecode, "construct_low_weight_family", no_ball)
         with pytest.raises(InputError, match="count"):
             estimate_list_size(Fraction(1, 4), CodeParams(4, 2), strategy=strategy, count=-1)
@@ -276,8 +302,36 @@ class TestExhaustiveCosets:
         else:  # each minimum is below the rest of its coset
             assert all(f < f ^ c for f in minima for c in codewords[1:])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_function_reduces_to_its_coset_minimum(self, d):
+        params = CodeParams(4, d)
+        functions = list(range(1 << params.block_length))
+        reduced = listdecode._coset_reduce(functions, params)[:, 0].astype(np.int64)
+        minima = np.array(listdecode._coset_minima(params))
+        codewords = np.zeros(1, dtype=np.int64)
+        for m in params.monomial_masks():
+            codewords = np.concatenate([codewords, codewords ^ monomial_table(4, m)])
+        # Each reduction is a coset minimum, and it differs from its function by a codeword.
+        assert np.isin(reduced, minima).all()
+        assert np.isin(reduced ^ np.array(functions), codewords).all()
+        radii = (4, 5, 6)
+        for r, sizes in zip(radii, all_center_ball_sizes(params, radii)):
+            assert np.array_equal(sizes[reduced], sizes)
+            assert np.array_equal(
+                listdecode._coset_ball_sizes(functions, Fraction(r, 16), params), sizes)
+
+    def test_best_center_is_checked_against_its_own_ball(self, monkeypatch):
+        # A reduction that leaves the cosets: the zero center becomes the word 1
+        # (36 codewords of RM(4,2) within 4 flips) and every random center the
+        # word 0 (141), so the first random center looks best.
+        monkeypatch.setattr(listdecode, "_coset_reduce", lambda centers, params: np.array(
+            [[1]] + [[0]] * (len(centers) - 1), dtype=np.uint64))
+        with pytest.raises(InvariantFailure, match="coset minimum"):
+            estimate_list_size(Fraction(1, 4), CodeParams(4, 2), "random", count=3)
+
     def test_rank_deficient_tables_raise(self, monkeypatch):
         monkeypatch.setattr(listdecode, "monomial_table", lambda n, mask: 1)
+        listdecode._pivot_rows.cache_clear()  # the pivots are built once per code
         with pytest.raises(InvariantFailure):
             listdecode._coset_minima(CodeParams(3, 1))
 
@@ -299,7 +353,8 @@ class TestJohnsonBound:
         assert est.best_size == (1 << 11) - 1
 
     def test_every_strategy_is_checked(self, monkeypatch):
-        monkeypatch.setattr(listdecode, "ball_size", lambda bits, alpha, params: 5)
+        monkeypatch.setattr(scan, "count_within",
+                            lambda kernel, centers, max_flips: np.full(len(centers), 5))
         for strategy in ("zero", "random", "family", "exhaustive"):
             with pytest.raises(InvariantFailure):
                 estimate_list_size(Fraction(1, 4), CodeParams(4, 1), strategy, count=2)

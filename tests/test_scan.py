@@ -196,6 +196,13 @@ def oracle_estimate(alpha: Fraction, params: CodeParams, strategy: str, count: i
     (4, 1, "family", 6),
     (8, 1, "family", 4),  # multi-word centers
     (4, 3, "zero", 0),
+    (3, 1, "random", 8195),  # 8,196 centers: one past a chunk of 2^16 bytes of one-word centers
+    (7, 1, "random", 6),  # two-word centers
+    (8, 1, "random", 4),  # four-word centers
+    (4, 2, "random", 0),
+    (4, 1, "family", 0),
+    (2, 2, "random", 30),  # the whole space is the code: every ball ties
+    (2, 2, "exhaustive", 0),
 ])
 def test_estimates_match_center_by_center_scan(n, d, strategy, count):
     params = CodeParams(n, d)
@@ -203,6 +210,18 @@ def test_estimates_match_center_by_center_scan(n, d, strategy, count):
         got = estimate_list_size(alpha, params, strategy, count=count, seed=5)
         assert (got.centers_tried, got.best_center, got.best_center_bits,
                 got.best_size) == oracle_estimate(alpha, params, strategy, count, 5)
+
+
+def test_estimates_match_across_many_chunks(monkeypatch):
+    # With 64-byte chunks of eight one-word centers, the best center at 1/4
+    # (random[42]) lies six chunks in, and the counts run one center per walk.
+    params = CodeParams(4, 1)
+    scan.code_scan(params)  # built before the patch: the kernel keeps its tile
+    monkeypatch.setattr(scan, "TILE_BYTES", 64)
+    for alpha in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)):
+        got = estimate_list_size(alpha, params, "random", count=60, seed=8)
+        assert (got.centers_tried, got.best_center, got.best_center_bits,
+                got.best_size) == oracle_estimate(alpha, params, "random", 60, 8)
 
 
 def test_pool_starts_only_above_threshold(monkeypatch):
