@@ -2,7 +2,9 @@
 
 The enumerator is the performance core. It hands the walk to the scan kernel
 (``scan``), which admits it, XORs a running base of high monomial tables into
-a precomputed tile of all low combinations and histograms the popcounts. Only
+a precomputed tile of all low combinations and histograms the popcounts. It
+walks the half of the code whose constant coefficient is 0 and counts each
+weight w at w and at 2^n - w, for the word's complement. Only
 a pool shards the walk: each shard fixes the high-order coefficient bits, and
 the shards' histogram sum is exact for any shard count or worker schedule. A
 pool starts only when ``scan.scan_words`` passes ``scan.POOL_MIN_WORDS``;

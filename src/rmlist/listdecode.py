@@ -1,13 +1,13 @@
 """List-decoding balls and list-size estimation over center strategies.
 
-``ball`` is exact: the scan kernel (``scan``) XORs the center into every
-codeword of the code, a tile of low coefficient combinations at a time, and
-keeps the rows within the radius as arrays of coefficient vectors and
-distances. It sorts them by distance, then canonical ANF order, with one
-integer key per member, and refuses a ball past ``caps.BALL_MEMBER_CAP``
-members before any row is built. The true list size maximizes the ball over
-every possible center, which is only feasible exhaustively at n <= 4; other
-strategies are labeled lower estimates.
+``ball`` is exact: the scan kernel (``scan``) XORs the center into half the
+codewords of the code, a tile of low coefficient combinations at a time, and
+keeps the words within the radius, walked rows and their complements alike,
+as arrays of coefficient vectors and distances. It sorts them by distance,
+then canonical ANF order, with one integer key per member, and refuses a ball
+past ``caps.BALL_MEMBER_CAP`` members before any row is built. The true list
+size maximizes the ball over every possible center, which is only feasible
+exhaustively at n <= 4; other strategies are labeled lower estimates.
 
 A ball's size depends only on the center's coset f + RM(n, d). So
 ``estimate_list_size``, whatever its strategy, reduces each chunk of centers
@@ -302,15 +302,16 @@ def _check_johnson_bound(list_size: int, max_flips: int, params: CodeParams) -> 
     With delta the relative minimum distance and rho = max_flips / 2^n < 1/2,
     wherever 2 rho (1 - rho) < delta no ball of radius rho holds more than
     delta / (delta - 2 rho (1 - rho)) codewords (Cauchy-Schwarz on the +-1
-    codewords).
+    codewords). The test runs in integers, times N^2 with N = 2^n: delta N^2 is
+    2^(n-d) N, and 2 rho (1 - rho) N^2 is 2 max_flips (N - max_flips).
     """
-    delta = params.min_distance
-    rho = Fraction(max_flips, params.block_length)
-    spread = 2 * rho * (1 - rho)
-    if rho < Fraction(1, 2) and spread < delta and list_size > delta / (delta - spread):
+    size = params.block_length
+    delta = (size >> params.d) * size
+    spread = 2 * max_flips * (size - max_flips)
+    if 2 * max_flips < size and spread < delta and list_size * (delta - spread) > delta:
         raise InvariantFailure(
             f"list size {list_size} of RM({params.n},{params.d}) at {max_flips} flips "
-            f"exceeds the Johnson bound {delta / (delta - spread)}")
+            f"exceeds the Johnson bound {Fraction(delta, delta - spread)}")
 
 
 def _family_centers(params: CodeParams, count: int) -> list[tuple[str, int]]:

@@ -1,14 +1,22 @@
 """The codeword-scan kernel behind enumeration, list-decoding balls and exhaustive decoding.
 
 A codeword of the degree-<= d code is the XOR of the monomial tables its
-coefficient vector selects. The kernel splits that vector into its L low bits
-and the remaining high bits. It precomputes all 2^L low combinations once per
-code, as a ``(2^L, words)`` uint64 tile whose size ``TILE_BYTES`` bounds, and
-walks only the high bits in Gray-code order: each step XORs one high table
-into a running base, XORs the base into the whole tile and takes every row's
-popcount. Callers reduce each block of weights their own way: a histogram, a
-count of rows within a radius, or the rows themselves. ``histogram`` batches
-the bincounts of this walk and of the F_q walk in ``grm``, which reads
+coefficient vector selects. Bit 0 selects the constant monomial, whose table
+is the all-ones word, and a word XOR all-ones has weight block_length - w. So
+the kernel walks only the half of the code whose constant coefficient is 0,
+and every weight w it finds stands for a complement pair: the word at w and
+its partner at block_length - w, whose vector also sets bit 0.
+
+The kernel splits the rest of the coefficient vector into its L low bits
+above bit 0 and the remaining high bits. It precomputes all 2^L low
+combinations once per code, as a ``(2^L, words)`` uint64 tile whose size
+``TILE_BYTES`` bounds, and walks only the high bits in Gray-code order: each
+step XORs one high table into a running base, XORs the base into the whole
+tile and takes every row's popcount, kept as uint8 for a one-word code (n <=
+6, weights up to 64) and widened only where it is counted. Callers read each
+weight as its pair and reduce each block their own way: a histogram, a count
+of words within a radius, or the words themselves. ``histogram`` batches the
+bincounts of this walk and of the F_q walk in ``grm``, which reads
 ``TILE_BYTES`` too.
 
 The walk also takes a batch of bases as a leading axis, ``(C, 1, words)``,
@@ -16,10 +24,11 @@ broadcast against the tile: every step then XORs C running bases and yields C
 rows of weights. ``count_within`` counts a batch of centers this way, in
 chunks whose ``(chunk, 2^L, words)`` XOR stays within 4 x ``TILE_BYTES``.
 
-A scan's work is ``scan_words``, the uint64 words it XORs: 2^dimension x
-``word_count(n)``. ``code_scan`` is the one admission point: it asks
-``refusal`` before it builds anything, so every scan stops there past
-2^``caps.DIMENSION_CAP`` codewords or 2^``caps.SCAN_WORD_BITS`` words.
+A scan's work measure is ``scan_words``: 2^dimension x ``word_count(n)``
+uint64 words, twice what the half walk XORs. ``code_scan`` is the one
+admission point: it asks ``refusal`` before it builds anything, so every scan
+stops there past 2^``caps.DIMENSION_CAP`` codewords or
+2^``caps.SCAN_WORD_BITS`` words.
 """
 
 from __future__ import annotations
@@ -35,11 +44,12 @@ from .caps import DIMENSION_CAP, SCAN_WORD_BITS
 from .errors import ScaleError
 
 TILE_BYTES = 1 << 16  # bound on the tile of low combinations
-# A sharded enumeration starts worker processes only when it XORs more uint64
-# words than this (``scan_words``). At 3-6 ns per word on two cores, that is
-# where halving the scan first repays the ~30 ms a two-process pool takes to
-# start.
-POOL_MIN_WORDS = 1 << 24
+# A sharded enumeration starts worker processes only when its ``scan_words``
+# pass this: the crossover of a two-worker pool (4 shards) and one in-process
+# walk on a 2-core VM (medians of 5-9 runs). RM(14,1), 2^23 words, takes 15-17
+# ms in-process and 29-48 ms pooled; RM(15,1), 2^25, 51-64 ms either way;
+# RM(5,3), 2^26, 156-169 ms in-process and 110-115 ms pooled.
+POOL_MIN_WORDS = 1 << 25
 
 
 def word_count(n: int) -> int:
@@ -66,8 +76,8 @@ class CodeScan:
 
     n: int
     masks: tuple[int, ...]  # ``CodeParams.monomial_masks``
-    tables: np.ndarray  # (dimension, words)
-    tile: np.ndarray  # (2^L, words): row i XORs the tables selected by the bits of i
+    tables: np.ndarray  # (dimension, words); ``tables[0]`` is the all-ones word
+    tile: np.ndarray  # (2^L, words): row i XORs the tables ``1 + j`` for the bits j of i
 
     @property
     def words(self) -> int:
@@ -107,7 +117,7 @@ def code_scan(params: CodeParams) -> CodeScan:
     tables = np.array([to_words(monomial_table(params.n, m), words) for m in masks],
                       dtype=np.uint64)
     tile = np.zeros((1, words), dtype=np.uint64)
-    for table in tables[:tile_bits(words)]:
+    for table in tables[1:1 + tile_bits(words)]:
         tile = np.concatenate([tile, tile ^ table])
     tables.flags.writeable = tile.flags.writeable = False
     return CodeScan(params.n, masks, tables, tile)
@@ -115,21 +125,27 @@ def code_scan(params: CodeParams) -> CodeScan:
 
 def weight_blocks(kernel: CodeScan, base: np.ndarray,
                   free: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Weights of ``base`` XOR every codeword spanned by the first ``free`` tables (all by default).
+    """Weights of ``base`` XOR half the codewords spanned by the first ``free`` >= 1
+    tables (all by default): those whose constant coefficient, bit 0, is 0.
 
     Each step yields ``(first, weights)``: ``weights[..., i]`` belongs to the
-    coefficient vector ``first | i`` over those tables. The high part of
-    ``first`` runs in Gray-code order. ``base`` is one word, ``(words,)``, or a
-    batch of C words, ``(C, 1, words)``, whose weights come as C rows.
+    coefficient vector ``first | i << 1``, and its partner ``first | i << 1 | 1``
+    has weight block_length - ``weights[..., i]``. The high part of ``first``
+    runs in Gray-code order. ``base`` is one word, ``(words,)``, or a batch of C
+    words, ``(C, 1, words)``, whose weights come as C rows: uint8 for a
+    one-word code, intp otherwise.
     """
-    tables = kernel.tables[:free]
+    tables = kernel.tables[1:free]
     low = min(len(tables), len(kernel.tile).bit_length() - 1)
     tile = kernel.tile[:1 << low]
     high = tables[low:]
+    one_word = kernel.words == 1
     for t in range(1 << len(high)):
         if t:
             base = base ^ high[(t & -t).bit_length() - 1]
-        yield (t ^ (t >> 1)) << low, np.bitwise_count(base ^ tile).sum(axis=-1, dtype=np.intp)
+        counts = np.bitwise_count(base ^ tile)
+        yield ((t ^ (t >> 1)) << (low + 1),
+               counts[..., 0] if one_word else counts.sum(axis=-1, dtype=np.intp))
 
 
 def histogram(blocks: Iterable[np.ndarray], block_length: int) -> np.ndarray:
@@ -152,31 +168,45 @@ def histogram(blocks: Iterable[np.ndarray], block_length: int) -> np.ndarray:
 
 def weight_histogram(kernel: CodeScan, base: np.ndarray, free: int,
                      block_length: int) -> np.ndarray:
-    """Number of scanned codewords of each weight 0..block_length."""
-    return histogram((weights for _, weights in weight_blocks(kernel, base, free)),
-                     block_length)
+    """Number of codewords of each weight 0..block_length among ``base`` XOR every
+    codeword spanned by the first ``free`` tables: each walked weight w counts at w
+    and, for its complement, at block_length - w."""
+    if free == 0:  # every coefficient is fixed, the constant too: one word, no pair
+        return histogram([np.bitwise_count(base).sum(keepdims=True, dtype=np.intp)],
+                         block_length)
+    counts = histogram((weights for _, weights in weight_blocks(kernel, base, free)),
+                       block_length)
+    return counts + counts[::-1]
 
 
 def within(kernel: CodeScan, base: np.ndarray,
            max_flips: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``(coefficient vectors, weights)`` of the scanned words of weight <= max_flips,
-    one block of the walk at a time, lazily; blocks without such a word are skipped."""
+    one block of the walk at a time, lazily; blocks without such a word are skipped.
+    A block yields its walked words first, then the complements within the radius."""
+    size = 1 << kernel.n
     for first, weights in weight_blocks(kernel, base):
-        hits = np.flatnonzero(weights <= max_flips)
-        if len(hits):
-            yield hits | first, weights[hits]
+        near = np.flatnonzero(weights <= max_flips)
+        far = np.flatnonzero(weights >= size - max_flips)  # complements within the radius
+        if len(near) or len(far):
+            yield (np.concatenate([near << 1 | first, far << 1 | (first | 1)]),
+                   np.concatenate([weights[near], size - weights[far]]).astype(np.intp))
 
 
 def count_within(kernel: CodeScan, centers: np.ndarray, max_flips: int) -> np.ndarray:
-    """Number of scanned words of weight <= max_flips around each row of a ``(C, words)``
-    batch of centers: one walk per chunk of centers, whose XOR of the chunk against
-    the tile stays within 4 x ``TILE_BYTES``."""
+    """Number of codewords within max_flips of each row of a ``(C, words)`` batch of
+    centers: one walk per chunk of centers, whose XOR of the chunk against the tile
+    stays within 4 x ``TILE_BYTES``."""
+    far = (1 << kernel.n) - max_flips  # a walked weight >= far puts the complement within
     counts = np.zeros(len(centers), dtype=np.int64)
     step = max(1, 4 * TILE_BYTES // kernel.tile.nbytes)
     for start in range(0, len(centers), step):
         chunk = counts[start:start + step]  # a view: the walk adds into ``counts``
         for _, weights in weight_blocks(kernel, centers[start:start + step, None]):
-            # A row has at most TILE_BYTES / 8 weights, so a uint16 sum of its
-            # bools is exact, and several times faster than ``count_nonzero``.
-            chunk += (weights <= max_flips).view(np.uint8).sum(axis=-1, dtype=np.uint16)
+            # Members per walked word, 0 to 2: two comparisons, several times
+            # faster than a lookup table. A row has at most TILE_BYTES / 8
+            # weights, so a uint16 sum is exact, and faster than an intp one.
+            members = (weights <= max_flips).view(np.uint8)
+            members += weights >= far
+            chunk += members.sum(axis=-1, dtype=np.uint16)
     return counts

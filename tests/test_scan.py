@@ -2,9 +2,12 @@
 
 The oracle walks every coefficient vector in Gray-code order, XORs one
 monomial table (a Python int) into the running word per step and takes one
-popcount per codeword. Codes are chosen around the kernel's tile: dimension
-below, equal to and above its L low bits, blocks shorter than one uint64 word
-(n <= 5) and tables spanning several words (n >= 7).
+popcount per codeword. The kernel walks only the codewords whose constant
+coefficient is 0 and reads each weight w as a complement pair, w and
+block_length - w; the oracle walks both halves. Codes are chosen around the
+kernel's tile: walked tables (dimension - 1) below and above its L low bits,
+blocks shorter than one uint64 word (n <= 5) and tables spanning several
+words (n >= 7).
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ SMALL_CODES = [
     (n, d) for n in range(1, 16) for d in range(1, n + 1)
     if CodeParams(n, d).dimension <= 16
 ]
-# Short blocks (n <= 5), multi-word tables (n = 7..11), and dimension below
-# (RM(7,1), RM(8,1)), equal to (RM(9,1)) and above (RM(10,1), RM(11,1),
-# RM(5,2)) the tile's L.
+# Short blocks (n <= 5), multi-word tables (n = 7..11), and walked tables
+# below (RM(7,1), RM(8,1), RM(9,1)) and above (RM(10,1), RM(11,1), RM(5,2))
+# the tile's L.
 BALL_CODES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 1), (5, 2),
               (7, 1), (8, 1), (9, 1), (10, 1), (11, 1)]
 
@@ -117,12 +120,13 @@ def test_kernel_polynomial_selects_the_kernel_tables(n, d):
 
 
 def test_codes_straddle_the_tile():
+    # The walk spans every table but the constant one: dimension - 1 of them.
     assert scan.tile_bits(scan.word_count(5)) == 13  # one word, 8192-row tile
-    for n, relation in [(7, -1), (8, -1), (9, 0), (10, 1), (11, 1)]:
-        dim = CodeParams(n, 1).dimension
+    for n, relation in [(7, -1), (8, -1), (9, -1), (10, 1), (11, 1)]:
+        walked = CodeParams(n, 1).dimension - 1
         low = scan.tile_bits(scan.word_count(n))
-        assert (dim > low) - (dim < low) == relation
-    assert CodeParams(5, 2).dimension > scan.tile_bits(1)
+        assert (walked > low) - (walked < low) == relation
+    assert CodeParams(5, 2).dimension - 1 > scan.tile_bits(1)
 
 
 @pytest.mark.parametrize("n,d", SMALL_CODES)
@@ -165,6 +169,68 @@ def test_exhaustive_decode_matches_gray_walk(n, d):
         g = noisy_codeword(params, flips, rng)
         assert unique_decode_within(g, params, radius, "exhaustive") == oracle_decode(
             g, params, radius)
+
+
+def test_shards_that_fix_every_coefficient_match_gray_walk():
+    # At shards = 2^dimension a shard fixes the constant coefficient too, so it
+    # has no complement to fold: it counts its one base word.
+    for n, d in [(1, 1), (3, 1), (4, 1), (3, 2), (7, 1)]:
+        params = CodeParams(n, d)
+        for index in range(1 << params.dimension):
+            got = _shard_job((n, d, params.dimension, index)).tolist()
+            assert {w: c for w, c in enumerate(got) if c} == oracle_shard(
+                params, params.dimension, index)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (4, 2), (5, 1), (5, 2), (7, 1), (9, 1),
+                                 (10, 1)])
+def test_radii_past_half_the_block_count_both_members_of_a_pair(n, d):
+    # At or past block_length / 2 a walked word and its complement can both lie
+    # in the ball: ball, ball_size, a batched count_within and the estimates
+    # must count each of them once.
+    params = CodeParams(n, d)
+    rng = random.Random(n * 7 + d)
+    centers = [noisy_codeword(params, flips, rng)
+               for flips in (0, 1, params.block_length // 4, params.block_length // 2)]
+    centers.append(FunctionTable(n, rng.getrandbits(params.block_length)))
+    kernel = scan.code_scan(params)
+    batch = np.array([scan.to_words(c.bits, kernel.words) for c in centers])
+    walks = [[w for _, w in gray_walk(params, c.bits)] for c in centers]
+    for alpha in (Fraction(1, 2), Fraction(5, 8), Fraction(1)):
+        max_flips = alpha.numerator * params.block_length // alpha.denominator
+        expected = [sum(w <= max_flips for w in walk) for walk in walks]
+        for center, size in zip(centers, expected):
+            if params.dimension <= 12:
+                assert ball(center, alpha, params).members == oracle_ball(center, alpha, params)
+            assert ball_size(center.bits, alpha, params) == size
+        assert scan.count_within(kernel, batch, max_flips).tolist() == expected
+        if alpha == 1:
+            assert expected == [1 << params.dimension] * len(centers)
+        if params.dimension <= 11:
+            got = estimate_list_size(alpha, params, "random", count=6, seed=3)
+            assert (got.centers_tried, got.best_center, got.best_center_bits,
+                    got.best_size) == oracle_estimate(alpha, params, "random", 6, 3)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (4, 1), (4, 2), (5, 2), (7, 1), (10, 1)])
+def test_exhaustive_decode_finds_planted_words_of_either_constant(n, d):
+    # A planted codeword with constant coefficient 0 is a walked word; with 1
+    # it is the complement of one, found through its pair.
+    params = CodeParams(n, d)
+    rng = random.Random(n * 13 + d)
+    max_flips = -(-params.block_length // (1 << (d + 1))) - 1
+    radius = Fraction(max_flips, params.block_length)
+    masks = params.monomial_masks()
+    for constant in (0, 1):
+        for flips in sorted({0, max_flips // 2, max_flips}):
+            chosen = {m for m in masks[1:] if rng.getrandbits(1)} | ({0} if constant else set())
+            planted = AnfPolynomial(n, frozenset(chosen))
+            word = anf_to_table(planted).bits
+            for v in rng.sample(range(params.block_length), flips):
+                word ^= 1 << v
+            g = FunctionTable(n, word)
+            assert unique_decode_within(g, params, radius, "exhaustive") == planted
+            assert oracle_decode(g, params, radius) == planted
 
 
 def oracle_estimate(alpha: Fraction, params: CodeParams, strategy: str, count: int,
@@ -233,11 +299,13 @@ def test_pool_starts_only_above_threshold(monkeypatch):
         return start_pool(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", spy)
-    # 2^22 one-word codewords: scanned in-process.
+    # 2^22 one-word codewords, and 2^16 codewords of 512 words each (2^25
+    # words, at the threshold): scanned in-process.
     assert enumerate_weights(CodeParams(6, 2), shards=4, workers=2).total() == 1 << 22
+    assert enumerate_weights(CodeParams(15, 1), shards=4, workers=2).total() == 1 << 16
     assert started == []
-    # 2^26 one-word codewords, and 2^16 codewords of 512 words each: pooled.
-    for n, d in [(5, 3), (15, 1)]:
+    # 2^26 one-word codewords, and 2^17 codewords of 1024 words each: pooled.
+    for n, d in [(5, 3), (16, 1)]:
         params = CodeParams(n, d)
         pooled = enumerate_weights(params, shards=4, workers=2)
         assert pooled.counts == enumerate_weights(params, shards=4).counts
@@ -246,12 +314,24 @@ def test_pool_starts_only_above_threshold(monkeypatch):
 
 
 def test_weight_blocks_cover_every_coefficient_vector_once():
-    params = CodeParams(10, 1)  # tile of 2^9 rows, two high bits
-    kernel = scan.code_scan(params)
-    seen = [first | i for first, weights in
-            scan.weight_blocks(kernel, scan.to_words(0, kernel.words))
-            for i in range(len(weights))]
-    assert sorted(seen) == list(range(1 << params.dimension))
+    # The walk yields one vector v of each pair (v, v | 1), and the pairs cover
+    # every coefficient vector once. RM(10,1): a tile of 2^9 rows and one high
+    # bit; RM(5,2): a one-word tile and two high bits; RM(3,1): three walked
+    # tables, all in a sliced tile.
+    for n, d in [(10, 1), (5, 2), (3, 1)]:
+        params = CodeParams(n, d)
+        kernel = scan.code_scan(params)
+        walked = {}
+        for first, weights in scan.weight_blocks(kernel, scan.to_words(0, kernel.words)):
+            for i, w in enumerate(weights.tolist()):
+                walked[first | i << 1] = w
+        assert len(walked) == 1 << (params.dimension - 1)
+        seen = sorted(v for code in walked for v in (code, code | 1))
+        assert seen == list(range(1 << params.dimension))
+        # A pair is a word and its complement, of weights w and block_length - w.
+        weights = dict(gray_walk(params, 0))
+        for code, w in walked.items():
+            assert (weights[code], weights[code | 1]) == (w, params.block_length - w)
 
 
 def test_one_walk_in_process_whatever_the_shard_count(monkeypatch):
@@ -266,6 +346,36 @@ def test_one_walk_in_process_whatever_the_shard_count(monkeypatch):
     params = CodeParams(4, 2)  # 2^11 words: no pool
     assert enumerate_weights(params, shards=32, workers=2).counts == oracle_shard(params, 0, 0)
     assert walks == [params.dimension]
+
+
+def test_every_scan_walks_half_the_code(monkeypatch):
+    # Each scan walks the 2^(dimension - 1) codewords whose constant
+    # coefficient is 0 and reads their complements from the same weights.
+    rows = []
+    walk = scan.weight_blocks
+
+    def spy(kernel, base, free=None):
+        rows.append(0)
+        for first, weights in walk(kernel, base, free):
+            rows[-1] += weights.shape[-1]
+            yield first, weights
+
+    monkeypatch.setattr(scan, "weight_blocks", spy)
+    for n, d in [(3, 1), (5, 2), (10, 1)]:
+        params = CodeParams(n, d)
+        half = 1 << (params.dimension - 1)
+        rng = random.Random(n + d)
+        center = FunctionTable(n, rng.getrandbits(params.block_length))
+        radius = Fraction(-(-params.block_length // (1 << (d + 1))) - 1, params.block_length)
+        while oracle_decode(center, params, radius) is not None:  # decoding walks it all
+            center = FunctionTable(n, rng.getrandbits(params.block_length))
+        for run in [lambda: enumerate_weights(params),
+                    lambda: ball(center, Fraction(1, 4), params),
+                    lambda: ball_size(center.bits, Fraction(1, 4), params),
+                    lambda: unique_decode_within(center, params, radius, "exhaustive")]:
+            rows.clear()
+            run()
+            assert rows == [half]
 
 
 def test_every_scan_stops_just_past_the_dimension_cap(monkeypatch):
