@@ -44,6 +44,7 @@ from .errors import (
     InvariantFailure,
     RadiusError,
 )
+from .transforms import walsh_hadamard
 
 COEFFICIENT_BOUND_NUMERATOR = 10  # coefficient bound is 10/eps
 
@@ -259,15 +260,6 @@ def _direction_rows(approx: SampledApproximator) -> np.ndarray:
                        count=approx.m * approx.k).reshape(approx.m, approx.k)
 
 
-def _walsh_hadamard(values: np.ndarray, n: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of 2^n int64 values: n exact butterflies."""
-    values = values.copy()
-    for i in range(n):
-        pairs = values.reshape(-1, 2, 1 << i)
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-    return values
-
-
 def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
     """Per-point integer sums of s_i * (-1)^{h_i(x)}, exact in int64.
 
@@ -291,8 +283,8 @@ def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
     np.add.at(spread, direction_array(_direction_rows(approx), n)[:, 0],
               np.array(approx.coefficients, dtype=np.int64))
     signs = 1 - 2 * point_counts(scan.to_words(approx.base.bits, scan.word_count(n))[None], n)
-    product = _walsh_hadamard(spread, n) * _walsh_hadamard(signs, n)
-    return signs * (_walsh_hadamard(product, n) >> n)
+    product = walsh_hadamard(spread, n) * walsh_hadamard(signs, n)
+    return signs * (walsh_hadamard(product, n) >> n)
 
 
 def _derived_accumulation(approx: SampledApproximator) -> np.ndarray:

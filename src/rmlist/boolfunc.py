@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .caps import ALL_FUNCTIONS_VARS, MAX_VARIABLES
+from .caps import ALL_FUNCTIONS_VARS, DIMENSION_CAP, MAX_VARIABLES
 from .errors import InputError, ScaleError
 
 
@@ -55,6 +55,13 @@ class CodeParams:
     @property
     def min_distance(self) -> Fraction:
         return Fraction(1, 1 << self.d)
+
+    def dimension_refusal(self) -> str | None:
+        """Why the code is too large to scan or to enumerate past d = 2, or None:
+        more than 2^``DIMENSION_CAP`` codewords."""
+        if self.dimension > DIMENSION_CAP:
+            return f"dimension {self.dimension} exceeds the cap {DIMENSION_CAP}"
+        return None
 
     def monomial_masks(self) -> list[int]:
         """The code's monomial basis, in coefficient-vector order (see ``monomial_masks``)."""

@@ -16,14 +16,18 @@ compared in the one function named beside it; none is configurable.
 MAX_VARIABLES = 30
 # Largest code dimension a codeword scan covers; RM(7,2), dimension 29, takes
 # 11-12 s on a 2-core VM (the kernel walks half the code and folds in the
-# complements). Every scan is admitted by ``scan.code_scan``,
-# which asks, before it builds a table, ``scan.refusal``.
+# complements). It also bounds the enumerators past d = 2, RM(n,n-2..n),
+# whose up to 2^n + 1 weights come from binomials and MacWilliams sums;
+# RM(n,1) and RM(n,2) have closed forms of at most n + 3 weights at every n.
+# ``scan.refusal``, which admits every scan, and ``enumeration._weight_counts``
+# both ask ``boolfunc.CodeParams.dimension_refusal``.
 DIMENSION_CAP = 30
 # A scan covers at most 2^33 uint64 words (2^dimension x words per table; the
 # half walk XORs half of them): RM(7,2) (2^30 words) takes 11-12 s and RM(19,1)
 # (2^33) 15-16 s on a 2-core VM, where, before the half walk, RM(20,1) (2^35)
 # took 74 s. Only the first-order codes past n = 19 reach it under the
-# dimension cap. ``scan.refusal``.
+# dimension cap, for balls, list-size estimates and exhaustive decoding;
+# ``enum`` scans no code. ``scan.refusal``.
 SCAN_WORD_BITS = 33
 # A list-decoding ball holds at most 2^20 members. A member costs about 56
 # bytes of CSV and about 200 bytes of peak RSS: a 944,000-member RM(6,2) ball

@@ -1,14 +1,24 @@
 """Exact weight enumerators, low-weight codeword families, and explicit counting bounds.
 
-The enumerator is the performance core. It hands the walk to the scan kernel
-(``scan``), which admits it, XORs a running base of high monomial tables into
-a precomputed tile of all low combinations and histograms the popcounts. It
-walks the half of the code whose constant coefficient is 0 and counts each
-weight w at w and at 2^n - w, for the word's complement. Only
-a pool shards the walk: each shard fixes the high-order coefficient bits, and
-the shards' histogram sum is exact for any shard count or worker schedule. A
-pool starts only when ``scan.scan_words`` passes ``scan.POOL_MIN_WORDS``;
-otherwise the code is walked once, in-process.
+Every code ``enumerate_weights`` admits has a closed-form weight
+distribution, so no codeword is walked. With N = 2^n:
+
+- RM(n,1): A_0 = A_N = 1 and A_{N/2} = 2^(n+1) - 2.
+- RM(n,2): for 1 <= h <= n/2, the weights N/2 +- 2^(n-1-h) each count
+  2^(h(h+1)) prod_{i=n-2h+1..n} (2^i - 1) / prod_{i=1..h} (4^i - 1)
+  (Sloane & Berlekamp, IEEE Trans. IT 1970); A_{N/2} takes the rest.
+- RM(n,n): the binomials C(N, w).
+- RM(n,n-1) and RM(n,n-2): the MacWilliams images of their duals, the
+  repetition code and RM(n,1) (``transforms.macwilliams``).
+
+The first two hold at every n, with at most n + 3 weights; the last three
+only up to 2^``DIMENSION_CAP`` codewords, since their enumerators have up to
+N + 1 weights. No other code is enumerated: every RM(n,d) with 3 <= d <= n-3
+has dimension past the cap. Each enumerator passes three checks before it
+is returned, and a miss is an ``InvariantFailure``: every count is a
+positive int, the counts sum to 2^dimension, and Pless's second power
+moment sum_w A_w (N - 2w)^2 = N 2^dimension holds (the dual's distance is
+at least 3), which catches a wrong Sloane-Berlekamp term.
 
 The paper's two counting bounds share one argument and one builder: a
 codeword of weight <= 2^-k (1-eps), or a list member at that radius, is
@@ -27,11 +37,11 @@ from typing import Iterator
 
 import numpy as np
 
-from . import scan
 from .approximator import COEFFICIENT_BOUND_NUMERATOR, sample_count
 from .boolfunc import AnfPolynomial, CodeParams, anf_to_table, flip_budget, monomial_masks
 from .caps import BOUND_VALUE_BITS
 from .errors import InputError, InvariantFailure, ScaleError
+from .transforms import macwilliams
 
 
 @dataclass(frozen=True)
@@ -63,46 +73,76 @@ def accumulative(enumerator: WeightEnumerator, alpha: Fraction) -> int:
     return sum(c for w, c in enumerator.counts.items() if w <= threshold)
 
 
-def _shard_job(args: tuple[int, int, int, int]) -> np.ndarray:
-    """Weight histogram of one shard: the codewords whose top ``shard_bits``
-    coefficient bits spell ``shard_index`` (the whole code at ``shard_bits`` 0)."""
-    n, d, shard_bits, shard_index = args
-    params = CodeParams(n, d)
-    kernel = scan.code_scan(params)
-    free = len(kernel.tables) - shard_bits
-    base = np.zeros(kernel.words, dtype=np.uint64)
-    for j in range(shard_bits):
-        if (shard_index >> j) & 1:
-            base ^= kernel.tables[free + j]
-    return scan.weight_histogram(kernel, base, free, params.block_length)
+def _first_order_counts(n: int) -> dict[int, int]:
+    return {0: 1, 1 << (n - 1): (2 << n) - 2, 1 << n: 1}
+
+
+def _quadric_count(n: int, h: int) -> int:
+    """Codewords of RM(n,2) at each of the weights 2^(n-1) +- 2^(n-1-h), 1 <= h <= n/2."""
+    numerator = math.prod((1 << i) - 1 for i in range(n - 2 * h + 1, n + 1)) << (h * (h + 1))
+    return numerator // math.prod((1 << 2 * i) - 1 for i in range(1, h + 1))
+
+
+def _second_order_counts(n: int, dimension: int) -> dict[int, int]:
+    half = 1 << (n - 1)
+    counts = {0: 1, 2 * half: 1}
+    for h in range(1, n // 2 + 1):
+        counts[half - (half >> h)] = counts[half + (half >> h)] = _quadric_count(n, h)
+    counts[half] = (1 << dimension) - sum(counts.values())
+    return dict(sorted(counts.items()))
+
+
+def _weight_counts(params: CodeParams) -> dict[int, int]:
+    """The one route to the code's weight distribution (see the module docstring), or
+    ``ScaleError`` for a code without one."""
+    n, d, size = params.n, params.d, params.block_length
+    if d == 1:
+        return _first_order_counts(n)
+    if d == 2:
+        return _second_order_counts(n, params.dimension)
+    reason = params.dimension_refusal()
+    if reason is not None:
+        raise ScaleError(f"{reason}, past which only d <= 2 is enumerated")
+    if d == n:
+        return {w: math.comb(size, w) for w in range(size + 1)}
+    if d == n - 1:
+        return macwilliams({0: 1, size: 1}, 2, size)
+    if d == n - 2:
+        return macwilliams(_first_order_counts(n), 2 << n, size)
+    raise ScaleError(f"RM({n},{d}) has no weight enumerator route: 3 <= d <= n-3")
+
+
+def _check_counts(params: CodeParams, counts: dict[int, int]) -> None:
+    """``InvariantFailure`` unless every count is a positive int, the counts sum to
+    2^dimension and Pless's second power moment holds."""
+    size, codewords = params.block_length, 1 << params.dimension
+    code = f"RM({params.n},{params.d})"
+    if not all(type(c) is int and c > 0 for c in counts.values()):
+        raise InvariantFailure(f"{code} enumerator has a count that is not a positive int")
+    if sum(counts.values()) != codewords:
+        raise InvariantFailure(f"{code} enumerator counts {sum(counts.values())} "
+                               f"codewords, not 2^{params.dimension}")
+    moment = sum(c * (size - 2 * w) ** 2 for w, c in counts.items())
+    if moment != size * codewords:
+        raise InvariantFailure(f"{code} enumerator's second power moment {moment} "
+                               f"!= N 2^dimension = {size * codewords}")
 
 
 def enumerate_weights(
     params: CodeParams, shards: int = 1, workers: int = 1
 ) -> WeightEnumerator:
-    """Exact weight enumerator of the degree-<= d code on n variables.
+    """Exact weight enumerator of the degree-<= d code on n variables, by its closed form.
 
-    ``shards`` must be a power of two no larger than 2^dimension; each shard of
-    a pooled walk fixes that many high-order coefficient bits. Results are
-    identical for every shard/worker count.
+    ``shards`` must be a power of two no larger than 2^dimension. ``shards`` and
+    ``workers`` are kept for the CLI and its manifests; neither changes the work.
     """
-    scan.code_scan(params)  # past a scan cap, ScaleError before the shards are checked
+    counts = _weight_counts(params)  # past the cap, ScaleError before the shards are checked
     if shards < 1 or shards & (shards - 1):
         raise InputError(f"shards must be a power of two, got {shards}")
-    shard_bits = shards.bit_length() - 1
-    if shard_bits > params.dimension:
+    if shards.bit_length() - 1 > params.dimension:
         raise InputError(f"{shards} shards exceed 2^dimension")
-    if workers > 1 and shards > 1 and scan.scan_words(params) > scan.POOL_MIN_WORDS:
-        # Imported here: most runs start no pool, and the module costs about
-        # 0.8 MiB of resident memory.
-        import multiprocessing
-
-        jobs = [(params.n, params.d, shard_bits, s) for s in range(shards)]
-        with multiprocessing.Pool(processes=min(workers, shards)) as pool:
-            total = sum(pool.imap(_shard_job, jobs))
-    else:
-        total = _shard_job((params.n, params.d, 0, 0))
-    return WeightEnumerator.from_histogram(params, total)
+    _check_counts(params, counts)
+    return WeightEnumerator(params, counts)
 
 
 @dataclass(frozen=True)

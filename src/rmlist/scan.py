@@ -1,4 +1,4 @@
-"""The codeword-scan kernel behind enumeration, list-decoding balls and exhaustive decoding.
+"""The codeword-scan kernel behind list-decoding balls and exhaustive decoding.
 
 A codeword of the degree-<= d code is the XOR of the monomial tables its
 coefficient vector selects. Bit 0 selects the constant monomial, whose table
@@ -14,10 +14,11 @@ combinations once per code, as a ``(2^L, words)`` uint64 tile whose size
 step XORs one high table into a running base, XORs the base into the whole
 tile and takes every row's popcount, kept as uint8 for a one-word code (n <=
 6, weights up to 64) and widened only where it is counted. Callers read each
-weight as its pair and reduce each block their own way: a histogram, a count
-of words within a radius, or the words themselves. ``histogram`` batches the
-bincounts of this walk and of the F_q walk in ``grm``, which reads
-``TILE_BYTES`` too.
+weight as its pair and reduce each block their own way: a count of words
+within a radius, or the words themselves. ``histogram`` batches the bincounts
+of the F_q walk in ``grm``, which reads ``TILE_BYTES`` too. Weight
+enumerators walk no code: ``enumeration`` has a closed form for every code it
+admits.
 
 The walk also takes a batch of bases as a leading axis, ``(C, 1, words)``,
 broadcast against the tile: every step then XORs C running bases and yields C
@@ -40,16 +41,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .boolfunc import AnfPolynomial, CodeParams, monomial_table
-from .caps import DIMENSION_CAP, SCAN_WORD_BITS
+from .caps import SCAN_WORD_BITS
 from .errors import ScaleError
 
 TILE_BYTES = 1 << 16  # bound on the tile of low combinations
-# A sharded enumeration starts worker processes only when its ``scan_words``
-# pass this: the crossover of a two-worker pool (4 shards) and one in-process
-# walk on a 2-core VM (medians of 5-9 runs). RM(14,1), 2^23 words, takes 15-17
-# ms in-process and 29-48 ms pooled; RM(15,1), 2^25, 51-64 ms either way;
-# RM(5,3), 2^26, 156-169 ms in-process and 110-115 ms pooled.
-POOL_MIN_WORDS = 1 << 25
 
 
 def word_count(n: int) -> int:
@@ -97,12 +92,11 @@ def scan_words(params: CodeParams) -> int:
 def refusal(params: CodeParams) -> str | None:
     """Why no scan of the code is admitted, or None: more than 2^``DIMENSION_CAP``
     codewords, or more than 2^``SCAN_WORD_BITS`` words to XOR."""
-    if params.dimension > DIMENSION_CAP:
-        return f"dimension {params.dimension} exceeds the scan cap {DIMENSION_CAP}"
-    if scan_words(params) > 1 << SCAN_WORD_BITS:
+    reason = params.dimension_refusal()
+    if reason is None and scan_words(params) > 1 << SCAN_WORD_BITS:
         words = scan_words(params).bit_length() - 1  # a power of two
         return f"2^{words} scanned words exceed the scan cap 2^{SCAN_WORD_BITS}"
-    return None
+    return reason
 
 
 @functools.lru_cache(maxsize=4)
@@ -164,19 +158,6 @@ def histogram(blocks: Iterable[np.ndarray], block_length: int) -> np.ndarray:
     if pending:
         counts += np.bincount(np.concatenate(pending), minlength=block_length + 1)
     return counts
-
-
-def weight_histogram(kernel: CodeScan, base: np.ndarray, free: int,
-                     block_length: int) -> np.ndarray:
-    """Number of codewords of each weight 0..block_length among ``base`` XOR every
-    codeword spanned by the first ``free`` tables: each walked weight w counts at w
-    and, for its complement, at block_length - w."""
-    if free == 0:  # every coefficient is fixed, the constant too: one word, no pair
-        return histogram([np.bitwise_count(base).sum(keepdims=True, dtype=np.intp)],
-                         block_length)
-    counts = histogram((weights for _, weights in weight_blocks(kernel, base, free)),
-                       block_length)
-    return counts + counts[::-1]
 
 
 def within(kernel: CodeScan, base: np.ndarray,

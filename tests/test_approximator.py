@@ -32,7 +32,7 @@ from rmlist import (
     table_to_anf,
     unique_decode_within,
 )
-from rmlist import approximator, derivatives, scan
+from rmlist import approximator, derivatives, scan, transforms
 from rmlist.approximator import _derived_accumulation, _signed_accumulation, approximator_json
 from rmlist.derivatives import derive
 from rmlist.errors import InvariantFailure, ScaleError
@@ -466,7 +466,7 @@ class TestEval:
         rng = random.Random(8)
         for n in range(0, 6):
             values = [rng.randint(-9, 9) for _ in range(1 << n)]
-            spectrum = approximator._walsh_hadamard(np.array(values, dtype=np.int64), n)
+            spectrum = transforms.walsh_hadamard(np.array(values, dtype=np.int64), n)
             assert spectrum.tolist() == [
                 sum(v * (-1) ** (u & x).bit_count() for x, v in enumerate(values))
                 for u in range(1 << n)]

@@ -49,11 +49,22 @@ class TestExitCodes:
         assert run("enum", "--n", "6", "--d", "3", "--out", "e.csv") == 3
 
     def test_scan_word_cap_exit(self, outdir, capsys):
-        # RM(20,1): 2^21 codewords of 2^14 words, 2^35 scanned words past 2^33.
-        assert run("enum", "--n", "20", "--d", "1", "--out", "e.csv") == 3
+        # RM(7,3): 3 <= d <= n-3 has no enumerator route, and dimension 64.
+        assert run("enum", "--n", "7", "--d", "3", "--out", "e.csv") == 3
         assert capsys.readouterr().out == ""
         assert not Path("e.csv").exists()
         assert not Path("e.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("n,d,weights", [(20, 1, 3), (30, 2, 33)])
+    def test_closed_forms_enumerate_past_the_scan_caps(self, outdir, n, d, weights):
+        # RM(20,1) has 2^35 scan words and RM(30,2) 2^466 codewords: no scan admits
+        # either, and both enumerators are closed forms.
+        assert run("enum", "--n", str(n), "--d", str(d), "--shards", "4",
+                   "--out", "e.csv") == 0
+        rows = Path("e.csv").read_text().splitlines()[2:]
+        assert len(rows) == weights
+        assert rows[0] == "0,0,1" and rows[-1] == f"{1 << n},1,1"
+        assert load_manifest("e.csv.manifest.json").params["shards"] == 4
 
     @pytest.mark.parametrize(
         "argv,code",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from rmlist import (
     ApproximatorParams,
     CodeParams,
     InputError,
+    InvariantFailure,
     ScaleError,
     accumulative,
     accumulative_weight_bound,
@@ -16,14 +18,36 @@ from rmlist import (
     construct_low_weight_family,
     degree,
     enumerate_weights,
+    enumeration,
     growth_probe,
     iter_low_weight_family,
     monomial_table,
+    scan,
     weight,
 )
+from rmlist.caps import DIMENSION_CAP, MAX_VARIABLES
 from rmlist.enumeration import binomial_le, coefficient_choices
 
-from oracles import min_positive_weight
+from oracles import _shard_job, min_positive_weight, scan_enumerator
+
+ALL_CODES = [(n, d) for n in range(1, MAX_VARIABLES + 1) for d in range(1, n + 1)]
+
+
+def admitted(n: int, d: int) -> bool:
+    try:
+        enumerate_weights(CodeParams(n, d))
+    except ScaleError:
+        return False
+    return True
+
+
+ADMITTED = [code for code in ALL_CODES if admitted(*code)]
+
+
+def gaussian_binomial(n: int, k: int) -> int:
+    """[n, k]_2: the number of k-dimensional subspaces of F_2^n."""
+    num = math.prod((1 << (n - i)) - 1 for i in range(k))
+    return num // math.prod((1 << (i + 1)) - 1 for i in range(k))
 
 
 def naive_enumerator_counts(params: CodeParams) -> dict[int, int]:
@@ -96,6 +120,71 @@ class TestEnumerator:
     def test_dimension_cap(self):
         with pytest.raises(ScaleError):
             enumerate_weights(CodeParams(6, 3))  # dimension 42
+
+
+class TestClosedForms:
+    def test_admits_every_low_order_code_and_the_high_order_codes_under_the_cap(self):
+        assert ADMITTED == [(n, d) for n, d in ALL_CODES if d <= 2 or (
+            d >= n - 2 and CodeParams(n, d).dimension <= DIMENSION_CAP)]
+        # Past d = 2 that is exactly the set the codeword scan admits.
+        for n, d in ALL_CODES:
+            if d >= 3:
+                assert admitted(n, d) == (scan.refusal(CodeParams(n, d)) is None)
+
+    @pytest.mark.parametrize("n,d", [code for code in ADMITTED
+                                     if scan.scan_words(CodeParams(*code)) <= 1 << 26])
+    def test_formulas_match_the_scan_oracle(self, n, d):
+        params = CodeParams(n, d)
+        walked = scan_enumerator(params).counts
+        assert enumerate_weights(params).counts == walked
+        # Four serial shards, each fixing the top two coefficient bits.
+        shards = sum(_shard_job((n, d, 2, s)) for s in range(4))
+        assert enumerate_weights(params, shards=4).counts == {
+            w: c for w, c in enumerate(shards.tolist()) if c} == walked
+
+    @pytest.mark.parametrize("n,d", ADMITTED)
+    def test_minimum_weight_words_are_the_flats(self, n, d):
+        # A_{2^(n-d)} = 2^d [n, d]_2, the number of (n-d)-flats, and no lighter word.
+        enum = enumerate_weights(CodeParams(n, d))
+        assert enum.multiplicity(1 << (n - d)) == gaussian_binomial(n, d) << d
+        assert min_positive_weight(enum) == 1 << (n - d)
+
+    def test_no_scan_and_no_pool_past_the_scan_caps(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(scan, "weight_blocks", no_scan)
+        monkeypatch.setattr(scan, "monomial_table", no_scan)
+        monkeypatch.setattr(multiprocessing, "Pool", no_scan)
+        for params, shards, workers in [(CodeParams(30, 1), 1, 1), (CodeParams(20, 1), 4, 2),
+                                        (CodeParams(30, 2), 1, 1)]:
+            enum = enumerate_weights(params, shards=shards, workers=workers)
+            assert enum.total() == 1 << params.dimension
+        with pytest.raises(InputError):
+            enumerate_weights(CodeParams(30, 1), shards=3)
+        rows = growth_probe(2, 1, Fraction(1, 10), [30])
+        dimension = CodeParams(30, 2).dimension
+        quarter, probe, half = (r.count for r in rows)
+        assert quarter == 1 + (gaussian_binomial(30, 2) << 2)  # 0 and the minimum weight
+        assert quarter <= probe <= half < 1 << dimension
+
+    def test_an_off_by_one_quadric_count_trips_the_moment_check(self, monkeypatch):
+        # A_{N/2} takes the remainder, so the sum still holds; the moment does not.
+        count = enumeration._quadric_count
+        monkeypatch.setattr(enumeration, "_quadric_count",
+                            lambda n, h: count(n, h) + (h == 2))
+        with pytest.raises(InvariantFailure, match="moment"):
+            enumerate_weights(CodeParams(6, 2))
+
+    @pytest.mark.parametrize("counts,message", [
+        ({0: 1, 2: 6, 4: 1, 3: 0}, "positive int"),
+        ({0: 1, 2: 6.0, 4: 1}, "positive int"),
+        ({0: 1, 2: 5, 4: 1}, "not 2\\^3"),
+        ({0: 1, 1: 2, 3: 4, 4: 1}, "moment"),  # 8 codewords, moment 56, not 32
+    ])
+    def test_invariants_raise(self, counts, message):
+        with pytest.raises(InvariantFailure, match=message):
+            enumeration._check_counts(CodeParams(2, 1), counts)
 
 
 class TestAccumulative:

@@ -34,8 +34,9 @@ from rmlist import (
     scan,
     unique_decode_within,
 )
-from rmlist.enumeration import _shard_job
 from rmlist.listdecode import _family_centers
+
+from oracles import _shard_job, scan_enumerator
 
 SMALL_CODES = [
     (n, d) for n in range(1, 16) for d in range(1, n + 1)
@@ -301,14 +302,14 @@ def test_pool_starts_only_above_threshold(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", spy)
     # 2^22 one-word codewords, and 2^16 codewords of 512 words each (2^25
     # words, at the threshold): scanned in-process.
-    assert enumerate_weights(CodeParams(6, 2), shards=4, workers=2).total() == 1 << 22
-    assert enumerate_weights(CodeParams(15, 1), shards=4, workers=2).total() == 1 << 16
+    assert scan_enumerator(CodeParams(6, 2), shards=4, workers=2).total() == 1 << 22
+    assert scan_enumerator(CodeParams(15, 1), shards=4, workers=2).total() == 1 << 16
     assert started == []
     # 2^26 one-word codewords, and 2^17 codewords of 1024 words each: pooled.
     for n, d in [(5, 3), (16, 1)]:
         params = CodeParams(n, d)
-        pooled = enumerate_weights(params, shards=4, workers=2)
-        assert pooled.counts == enumerate_weights(params, shards=4).counts
+        pooled = scan_enumerator(params, shards=4, workers=2)
+        assert pooled.counts == scan_enumerator(params, shards=4).counts
         assert pooled.total() == 1 << params.dimension
     assert started == [2, 2]
 
@@ -344,7 +345,7 @@ def test_one_walk_in_process_whatever_the_shard_count(monkeypatch):
 
     monkeypatch.setattr(scan, "weight_blocks", spy)
     params = CodeParams(4, 2)  # 2^11 words: no pool
-    assert enumerate_weights(params, shards=32, workers=2).counts == oracle_shard(params, 0, 0)
+    assert scan_enumerator(params, shards=32, workers=2).counts == oracle_shard(params, 0, 0)
     assert walks == [params.dimension]
 
 
@@ -369,7 +370,7 @@ def test_every_scan_walks_half_the_code(monkeypatch):
         radius = Fraction(-(-params.block_length // (1 << (d + 1))) - 1, params.block_length)
         while oracle_decode(center, params, radius) is not None:  # decoding walks it all
             center = FunctionTable(n, rng.getrandbits(params.block_length))
-        for run in [lambda: enumerate_weights(params),
+        for run in [lambda: scan_enumerator(params),
                     lambda: ball(center, Fraction(1, 4), params),
                     lambda: ball_size(center.bits, Fraction(1, 4), params),
                     lambda: unique_decode_within(center, params, radius, "exhaustive")]:
@@ -392,8 +393,6 @@ def test_every_scan_stops_just_past_the_dimension_cap(monkeypatch):
         for run in [lambda: ball(center, Fraction(1, 4), params),
                     lambda: ball_size(0, Fraction(1, 4), params),
                     lambda: estimate_list_size(Fraction(1, 4), params, strategy="family"),
-                    lambda: enumerate_weights(params, shards=4, workers=2),
-                    lambda: enumerate_weights(params, shards=3),
                     lambda: unique_decode_within(center, params, Fraction(1, 8), "exhaustive")]:
             with pytest.raises(ScaleError, match=cap):
                 run()
