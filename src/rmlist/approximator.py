@@ -10,12 +10,12 @@ down uniquely, which ``unique_decode_within`` then recovers.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .caps import EXHAUSTIVE_DECODE_DIMENSION
 from .derivatives import (
     derivative_chunks,
     direction_array,
+    draw_directions,
     point_counts,
     require_derived_bits,
     require_low_weight,
@@ -132,12 +133,14 @@ class ApproximatorParams:
         return self.m if self.m is not None else sample_count(self.eps, self.delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledApproximator:
     """Weighted majority over m sampled order-k derivatives of a base function.
 
-    Only the base, the m direction tuples and their rounded coefficients are
-    kept. The derivative tables are not: at k >= 2 ``approximator_table``
+    Only the base, the m direction tuples, a read-only ``(m, k)`` int64 array,
+    and their rounded coefficients, a read-only ``(m,)`` int64 array, are
+    kept; sequences given for either are converted. Equality is by value.
+    The derivative tables are not kept: at k >= 2 ``approximator_table``
     re-derives them from ``directions`` a kernel chunk at a time whenever the
     majority is evaluated; at k=1 it derives none, since the majority is one
     XOR convolution of the base with the coefficients summed per direction.
@@ -147,8 +150,22 @@ class SampledApproximator:
     k: int
     seed: int
     base: FunctionTable
-    directions: tuple[tuple[int, ...], ...]
-    coefficients: tuple[int, ...]
+    directions: np.ndarray
+    coefficients: np.ndarray
+
+    def __post_init__(self) -> None:
+        coefficients = np.array(self.coefficients, dtype=np.int64)
+        directions = np.array(self.directions, dtype=np.int64).reshape(len(coefficients), self.k)
+        for name, array in (("directions", directions), ("coefficients", coefficients)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampledApproximator):
+            return NotImplemented
+        return ((self.n, self.k, self.seed, self.base) == (other.n, other.k, other.seed, other.base)
+                and np.array_equal(self.directions, other.directions)
+                and np.array_equal(self.coefficients, other.coefficients))
 
     @property
     def m(self) -> int:
@@ -222,9 +239,8 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
     rounded: dict[tuple[int, ...], int] = {}
     best: tuple[Fraction, SampledApproximator] | None = None
     for retry in range(params.retry_budget):
-        rng = random.Random(_retry_seed(params.seed, retry))
-        flat = [rng.getrandbits(n) for _ in range(m * k)]
-        weights = _prefix_weights(f, np.array(flat, dtype=np.int64).reshape(m, k))
+        directions = draw_directions(random.Random(_retry_seed(params.seed, retry)), m, k, n)
+        weights = _prefix_weights(f, directions)
         keys, first, inverse = np.unique(weights, axis=0, return_index=True,
                                          return_inverse=True)
         values = [0] * len(keys)
@@ -238,8 +254,8 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
             k=k,
             seed=params.seed,
             base=f,
-            directions=tuple(zip(*[iter(flat)] * k)),
-            coefficients=tuple(values[i] for i in inverse.ravel().tolist()),
+            directions=directions,
+            coefficients=np.array(values, dtype=np.int64)[inverse.ravel()],
         )
         achieved = distance(f, approximator_table(approx))
         if best is None or achieved < best[0]:
@@ -252,12 +268,6 @@ def build_approximator(f: FunctionTable, params: ApproximatorParams) -> ApproxRe
         best_distance=best[0],
         retries_used=params.retry_budget,
     )
-
-
-def _direction_rows(approx: SampledApproximator) -> np.ndarray:
-    """The ``(m, k)`` int64 array of the sampled direction tuples."""
-    return np.fromiter(itertools.chain.from_iterable(approx.directions), dtype=np.int64,
-                       count=approx.m * approx.k).reshape(approx.m, approx.k)
 
 
 def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
@@ -274,14 +284,17 @@ def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
     or the bound (2^n * sum |s_i| at k=1, sum |s_i| at k >= 2) reaches 2^63.
     """
     n = approx.n
-    bound = sum(map(abs, approx.coefficients)) << (n if approx.k == 1 else 0)
+    # |s_i| as uint64 (np.abs leaves -2^63 as it is, which reads 2^63 there),
+    # summed exactly as 32-bit halves that cannot wrap below 2^32 samples.
+    magnitudes = np.abs(approx.coefficients).view(np.uint64)
+    bound = (int((magnitudes >> 32).sum()) << 32) + int((magnitudes & 0xFFFFFFFF).sum())
+    bound <<= n if approx.k == 1 else 0
     if bound >= 1 << 63:
         raise InputError(f"accumulation bound 2^{bound.bit_length() - 1} passes int64")
     if approx.k > 1:
         return _derived_accumulation(approx)
     spread = np.zeros(1 << n, dtype=np.int64)
-    np.add.at(spread, direction_array(_direction_rows(approx), n)[:, 0],
-              np.array(approx.coefficients, dtype=np.int64))
+    np.add.at(spread, direction_array(approx.directions, n)[:, 0], approx.coefficients)
     signs = 1 - 2 * point_counts(scan.to_words(approx.base.bits, scan.word_count(n))[None], n)
     product = walsh_hadamard(spread, n) * walsh_hadamard(signs, n)
     return signs * (walsh_hadamard(product, n) >> n)
@@ -297,9 +310,9 @@ def _derived_accumulation(approx: SampledApproximator) -> np.ndarray:
     at x, an integer column count.
     """
     acc = np.zeros(1 << approx.n, dtype=np.int64)
-    coeffs = np.array(approx.coefficients, dtype=np.int64)
+    coeffs = approx.coefficients
     start = 0
-    for tables, _ in derivative_chunks(approx.base, _direction_rows(approx)):
+    for tables, _ in derivative_chunks(approx.base, approx.directions):
         s = coeffs[start:start + len(tables)]
         start += len(tables)
         for c in np.unique(s).tolist():
@@ -403,8 +416,10 @@ def approximator_json(approx: SampledApproximator, achieved: Fraction,
     table. Byte for byte as ``json.dumps(record, sort_keys=True, indent=2) + "\\n"``
     writes it.
 
-    Only the header goes through ``json.dumps``; the samples, the bulk of the
-    record, are written from one fixed per-sample template.
+    Only the header goes through ``json.dumps``. The samples, the bulk of the
+    record, are picked from one table of strings, one per distinct coefficient
+    and two per distinct direction value (inside a tuple or at its end), and
+    the record is written by a single join.
     """
     header = {"n": approx.n, "k": approx.k, "m": approx.m, "seed": approx.seed,
               "achieved_distance": str(achieved), "retries_used": retries_used,
@@ -412,9 +427,24 @@ def approximator_json(approx: SampledApproximator, achieved: Fraction,
     text = json.dumps(header, sort_keys=True, indent=2)
     if not approx.m:
         return text + "\n"
-    directions = ("[\n" + ",\n".join(["        %d"] * approx.k) + "\n      ]"
-                  if approx.k else "[]")
-    template = '    {\n      "coefficient": %d,\n      "directions": ' + directions + "\n    }"
-    block = ",\n".join(template % (s, *t)
-                       for s, t in zip(approx.coefficients, approx.directions))
-    return text.replace('"samples": []', '"samples": [\n' + block + "\n  ]", 1) + "\n"
+    head, _, rest = text.partition('"samples": []')
+    m, k = approx.m, approx.k
+    coefficients, coefficient_index = np.unique(approx.coefficients, return_inverse=True)
+    values, value_index = np.unique(approx.directions, return_inverse=True)
+    opening = "[\n        " if k else "[]\n    }"
+    values = values.tolist()
+    table = [',\n    {\n      "coefficient": %d,\n      "directions": %s' % (c, opening)
+             for c in coefficients.tolist()]
+    table += ["%d,\n        " % a for a in values] + ["%d\n      ]\n    }" % a for a in values]
+    # Sample i is the strings table[index[i, 0..k]]: its coefficient and the
+    # directions' opening, then each direction value, the last one closing it.
+    index = np.empty((m, k + 1), dtype=np.int64)
+    index[:, 0] = coefficient_index
+    if k:
+        index[:, 1:] = value_index.reshape(m, k) + len(coefficients)
+        index[:, k] += len(values)
+    # itemgetter of a single index returns that item, not a 1-tuple.
+    picked = itemgetter(*index.ravel().tolist())(table) if index.size > 1 else (table[index[0, 0]],)
+    parts = [head, '"samples": [\n', *picked, "\n  ]", rest, "\n"]
+    parts[2] = parts[2][2:]  # the first sample has no separator before it
+    return "".join(parts)

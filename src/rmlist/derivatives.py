@@ -74,6 +74,21 @@ def _translate_rows(tables: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return tables
 
 
+def draw_directions(rng: random.Random, rows: int, k: int, n: int) -> np.ndarray:
+    """``(rows, k)`` int64: what ``rows * k`` calls to ``rng.getrandbits(n)`` return,
+    row by row, from one call, leaving ``rng`` in the same state.
+
+    For 1 <= n <= 32, ``getrandbits(n)`` is the top n bits of one 32-bit
+    Mersenne Twister output, and ``getrandbits(32 * c)`` lays c outputs out
+    little-endian, the first in the lowest word.
+    """
+    if not 1 <= n <= 32:
+        raise InputError(f"directions are drawn for 1 <= n <= 32, got n={n}")
+    count = rows * k
+    words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+    return (words >> (32 - n)).astype(np.int64).reshape(rows, k)
+
+
 def direction_array(directions, n: int) -> np.ndarray:
     """``directions`` as int64, or ``InputError`` if one is outside [0, 2^n)."""
     directions = np.asarray(directions, dtype=np.int64)
@@ -431,15 +446,14 @@ def check_bias_bounds(
             layer = nxt
             violators = [(rep, bits.bit_count()) for bits, rep in heavy.items()]
         else:
-            tuples = [tuple(rng.getrandbits(n) for _ in range(s))
-                      for _ in range(samples if s else 1)]
+            tuples = draw_directions(rng, samples if s else 1, s, n)
             checked = len(tuples)
             weights = np.concatenate([
                 np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
-                for tables, _ in derivative_chunks(f, np.array(tuples, dtype=np.int64))
+                for tables, _ in derivative_chunks(f, tuples)
             ]).tolist()
             heaviest = max(weights)
-            violators = [(t, w) for t, w in zip(tuples, weights) if w > limit]
+            violators = [(tuple(t), w) for t, w in zip(tuples.tolist(), weights) if w > limit]
         checks.append(
             BiasBoundCheck(
                 prefix_length=s,

@@ -52,7 +52,7 @@ def serialize_approximator(approx: SampledApproximator) -> dict:
         "n": approx.n, "k": approx.k, "m": approx.m, "seed": approx.seed,
         "samples": [
             {"directions": list(t), "coefficient": s}
-            for t, s in zip(approx.directions, approx.coefficients)
+            for t, s in zip(approx.directions.tolist(), approx.coefficients.tolist())
         ],
     }
 
@@ -235,10 +235,10 @@ class TestBuild:
         f = table_of(4, [1, 2, 3])
         a = build_approximator(f, small_params(seed=5)).approximator
         b = build_approximator(f, small_params(seed=5)).approximator
-        assert a.directions == b.directions
-        assert a.coefficients == b.coefficients
+        assert a.directions.tolist() == b.directions.tolist()
+        assert a.coefficients.tolist() == b.coefficients.tolist()
         c = build_approximator(f, small_params(seed=6)).approximator
-        assert c.directions != a.directions
+        assert c.directions.tolist() != a.directions.tolist()
 
     def test_coefficients_within_bound(self):
         f = table_of(4, [1, 2, 3])
@@ -353,6 +353,25 @@ class TestBuildAgainstPerSampleLoop:
                 assert new == outcome(per_sample_build, f, params, check_weight=False)
                 seen.add(new[0] if isinstance(new, tuple) else ApproxResult)
         assert {DegenerateBiasError, InvariantFailure, ApproxResult} <= seen
+
+    def test_one_draw_per_retry(self, monkeypatch):
+        # The m directions of a retry come from one getrandbits call, never
+        # from one call per sample.
+        draws = []
+
+        class CountingRandom(random.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(approximator.random, "Random", CountingRandom)
+        monkeypatch.setattr(approximator, "approximator_table",
+                            lambda approx: FunctionTable.ones(approx.n))
+        params = ApproximatorParams(k=1, eps=Fraction(1, 2), delta=Fraction(1, 4), seed=1,
+                                    retry_budget=3)
+        with pytest.raises(ApproximationFailure):
+            build_approximator(table_of(12, [1, 2, 3]), params)
+        assert draws == [32 * params.samples] * 3
 
     def test_retries_and_failure(self, monkeypatch):
         # With m >= sample_count the majority was exact on every input tried,
@@ -482,6 +501,15 @@ class TestEval:
         for coeffs, k in (((2**60, -(2**60 - 1)), 1), ((2**62, 2**62 - 1), 2)):
             approx = self.manual(base, coeffs, [(1,) * k, (2,) * k])
             assert _signed_accumulation(approx).tolist() == direct_accumulation(approx)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("coeffs", [(-2**63, 1), (2**63 - 1, 1)])
+    def test_accumulation_bound_is_exact_at_the_int64_ends(self, k, coeffs):
+        # np.abs(-2^63) wraps to -2^63 and an int64 sum of these wraps; the
+        # bound, sum |s_i| = 2^63 + 1 or 2^63, must still reach 2^63.
+        approx = self.manual(table_of(2, [1]), coeffs, [(0,) * k, (1,) * k])
+        with pytest.raises(InputError, match="int64"):
+            approximator_table(approx)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("bad", [-1, 8])
@@ -727,21 +755,42 @@ class TestSerialization:
             build_approximator(FunctionTable.zero(20), params)
 
     def test_json_matches_json_dumps(self):
+        def expected_json(approx, achieved, retries):
+            record = serialize_approximator(approx)
+            record["achieved_distance"] = str(achieved)
+            record["retries_used"] = retries
+            return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+        def direction(n):
+            # Every length below 2^n: 1 to 10 decimal digits at n = 30.
+            digits = rng.randint(1, len(str((1 << n) - 1)))
+            return rng.randrange(10 ** (digits - 1) if digits > 1 else 0,
+                                 min(10 ** digits, 1 << n))
+
+        def coefficient():
+            return rng.choice((0, 1, -1, 10**6, -(10**6), rng.randint(-40, 40)))
+
         rng = random.Random(5)
-        for k in range(0, 4):
-            for m in (0, 1, 6):
-                directions = tuple(tuple(rng.randrange(32) for _ in range(k)) for _ in range(m))
-                approx = SampledApproximator(
-                    n=5, k=k, seed=rng.getrandbits(20), base=FunctionTable.zero(5),
-                    directions=directions,
-                    coefficients=tuple(rng.randint(-40, 40) for _ in range(m)),
-                )
-                achieved, retries = Fraction(rng.randrange(32), 32), rng.randint(1, 10)
-                record = serialize_approximator(approx)
-                record["achieved_distance"] = str(achieved)
-                record["retries_used"] = retries
-                expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
-                assert approximator_json(approx, achieved, retries) == expected
+        for n in (5, 30):
+            for k in range(0, 4):
+                for m in (0, 1, 2, 6, 1000):
+                    approx = SampledApproximator(
+                        n=n, k=k, seed=rng.getrandbits(20), base=FunctionTable.zero(n),
+                        directions=tuple(tuple(direction(n) for _ in range(k))
+                                         for _ in range(m)),
+                        coefficients=tuple(coefficient() for _ in range(m)),
+                    )
+                    achieved, retries = Fraction(rng.randrange(32), 32), rng.randint(1, 10)
+                    assert (approximator_json(approx, achieved, retries)
+                            == expected_json(approx, achieved, retries))
+        # The benchmark's size: n=12, k=1, m=44,362.
+        params = ApproximatorParams(k=1, eps=Fraction(1, 2), delta=Fraction(1, 32), seed=71)
+        result = build_approximator(table_of(12, [1, 2, 3], [1, 2, 7]), params)
+        assert result.approximator.m == 44362
+        assert (approximator_json(result.approximator, result.achieved_distance,
+                                  result.retries_used)
+                == expected_json(result.approximator, result.achieved_distance,
+                                 result.retries_used))
 
 
 def test_end_to_end_small_pipeline():

@@ -35,6 +35,7 @@ from rmlist.derivatives import (
     IdentityReport,
     SweepReport,
     derivative_chunks,
+    draw_directions,
     point_counts,
 )
 from rmlist.errors import InputError, RmlistError
@@ -249,6 +250,27 @@ def per_direction_rows(f: FunctionTable, directions) -> tuple[list[int], list[li
     weights = [[derive_iterated(f, tup[:j]).bits.bit_count() for j in range(len(tup))]
                for tup in directions]
     return tables, weights
+
+
+class TestDrawDirections:
+    def test_matches_one_call_per_direction(self):
+        # One getrandbits(32 * rows * k) call gives the directions of rows * k
+        # getrandbits(n) calls and leaves the generator where they leave it.
+        for n in range(1, 33):
+            for k in (1, 2, 3):
+                for rows in (0, 1, 7):
+                    seed = (n << 8) | (k << 4) | rows
+                    ours, oracle = random.Random(seed), random.Random(seed)
+                    drawn = draw_directions(ours, rows, k, n)
+                    assert drawn.dtype == np.int64 and drawn.shape == (rows, k)
+                    assert drawn.tolist() == [[oracle.getrandbits(n) for _ in range(k)]
+                                              for _ in range(rows)]
+                    assert ours.getrandbits(32) == oracle.getrandbits(32)
+
+    @pytest.mark.parametrize("n", [0, 33])
+    def test_rejects_widths_past_one_output(self, n):
+        with pytest.raises(InputError, match="1 <= n <= 32"):
+            draw_directions(random.Random(0), 2, 1, n)
 
 
 class TestDerivativeKernel:
@@ -664,6 +686,24 @@ class TestBiasBounds:
         report = check_bias_bounds(f, 3, Fraction(1, 2), samples=40, seed=3)
         assert report.violation_count > 0
         assert report == sampled_bias_bounds(f, 3, Fraction(1, 2), 40, 3)
+
+    def test_sampled_draws_match_the_oracle_over_seeds(self, monkeypatch):
+        # n*(k-1) > 24 on every case. The tuples come from one draw per prefix
+        # length; the report, violation tuples as Python ints included, is the
+        # oracle's on every seed.
+        rng = random.Random(76)
+        for n, k, samples in [(13, 3, 40), (9, 4, 25), (7, 5, 20)]:
+            f = FunctionTable(n, sum(1 << x for x in rng.sample(range(1 << n), 2)))
+            for seed in (101, 202, 303):
+                report = check_bias_bounds(f, k, Fraction(1, 4), samples=samples, seed=seed)
+                assert report == sampled_bias_bounds(f, k, Fraction(1, 4), samples, seed)
+        monkeypatch.setattr(derivatives, "require_low_weight", lambda *args: None)
+        f = random_table(13, rng)
+        for seed in (4, 5, 6):
+            report = check_bias_bounds(f, 3, Fraction(1, 2), samples=30, seed=seed)
+            assert report.violation_count > 0
+            assert report == sampled_bias_bounds(f, 3, Fraction(1, 2), 30, seed)
+            assert {type(a) for c in report.checks for t, _ in c.violations for a in t} == {int}
 
     def test_samples_run_past_the_bigint_cliff(self):
         # At n = 21 block masks are built on every call, for the oracle's bigint
