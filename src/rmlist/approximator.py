@@ -295,7 +295,7 @@ def _signed_accumulation(approx: SampledApproximator) -> np.ndarray:
         return _derived_accumulation(approx)
     spread = np.zeros(1 << n, dtype=np.int64)
     np.add.at(spread, direction_array(approx.directions, n)[:, 0], approx.coefficients)
-    signs = 1 - 2 * point_counts(scan.to_words(approx.base.bits, scan.word_count(n))[None], n)
+    signs = 1 - 2 * point_counts(scan.to_words([approx.base.bits], n), n)
     product = walsh_hadamard(spread, n) * walsh_hadamard(signs, n)
     return signs * (walsh_hadamard(product, n) >> n)
 
@@ -324,8 +324,7 @@ def _derived_accumulation(approx: SampledApproximator) -> np.ndarray:
 def approximator_table(approx: SampledApproximator) -> FunctionTable:
     """Materialize the weighted majority at every point."""
     acc = _signed_accumulation(approx)
-    packed = np.packbits((acc < 0).astype(np.uint8), bitorder="little")
-    return FunctionTable(approx.n, int.from_bytes(packed.tobytes(), "little"))
+    return FunctionTable(approx.n, scan.from_point_bits(acc < 0))
 
 
 def unique_decode_within(
@@ -365,7 +364,7 @@ def _decode_exhaustive(
     g: FunctionTable, params: CodeParams, max_flips: int
 ) -> AnfPolynomial | None:
     kernel = scan.code_scan(params)
-    hits = scan.within(kernel, scan.to_words(g.bits, kernel.words), max_flips)
+    hits = scan.within(kernel, scan.to_words([g.bits], params.n), max_flips)
     codes, _ = next(hits, (None, None))
     return None if codes is None else kernel.polynomial(int(codes[0]))
 
@@ -390,8 +389,7 @@ def _decode_majority(
     residual = g.bits
     recovered: set[int] = set()
     for deg in range(params.d, 0, -1):
-        raw = np.frombuffer(residual.to_bytes(max(1, size // 8), "little"), dtype=np.uint8)
-        cube = np.unpackbits(raw, count=size, bitorder="little").reshape((2,) * n)
+        cube = scan.point_bits(scan.to_words([residual], n), n).reshape((2,) * n)
         layer: list[int] = []
         for mask in (m for m in masks if m.bit_count() == deg):
             axes = tuple(n - 1 - i for i in range(n) if (mask >> i) & 1)

@@ -26,7 +26,7 @@ from .approximator import (
     approximator_json,
     build_approximator,
 )
-from .boolfunc import CodeParams, FunctionTable
+from .boolfunc import CodeParams, FunctionTable, flip_budget
 from .derivatives import (
     check_bias_bounds,
     single_derivative_identity,
@@ -80,15 +80,14 @@ def _resolve_out(out: str) -> Path:
 
 def _run_enum(params: dict, out: Path) -> dict:
     code = CodeParams(params["n"], params["d"])
+    alphas = {f"A({text})": parse_fraction(text) for text in params.get("alphas", [])}
+    for alpha in alphas.values():  # every alpha is range-checked before the CSV is written
+        flip_budget(alpha, code.block_length)
     enum = enumerate_weights(
         code, shards=params.get("shards", 1), workers=params.get("workers", 1)
     )
     out.write_text(enumerator_csv(enum))
-    results = {}
-    for text in params.get("alphas", []):
-        alpha = parse_fraction(text)
-        results[f"A({text})"] = accumulative(enum, alpha)
-    return results
+    return {key: accumulative(enum, alpha) for key, alpha in alphas.items()}
 
 
 def _run_listdecode(params: dict, out: Path) -> dict:
@@ -292,12 +291,18 @@ def replay(manifest_path: Path, out_dir: Path) -> dict:
     manifest = load_manifest(manifest_path)
     if manifest.command not in RUNNERS:
         raise InputError(f"manifest names unknown command {manifest.command!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     if len(manifest.outputs) != 1:
         raise InputError("manifest must record exactly one output")
     name, recorded = next(iter(manifest.outputs.items()))
+    # A plain file name, so the run deletes and writes only inside ``out_dir``.
+    if name in ("", "..") or "\0" in name or Path(name).name != name:
+        raise InputError(f"manifest output {name!r} is not a plain file name")
+    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / name
-    execute(manifest.command, manifest.params, out)
+    try:
+        execute(manifest.command, manifest.params, out)
+    except KeyError as exc:
+        raise InputError(f"manifest params have no {exc.args[0]!r}") from None
     actual = sha256_file(out)
     if actual != recorded:
         raise InvariantFailure(

@@ -106,17 +106,16 @@ def derivative_chunks(
     Yields ``(tables, weights)`` for consecutive chunks of the rows, each of
     at most ``CHUNK_BITS`` table bits: ``tables[i]`` is the derivative along
     the chunk's i-th direction tuple as little-endian uint64 words
-    (``scan.to_words`` layout), and ``weights[i, j]`` is the number of ones
+    (``scan.to_words`` rows), and ``weights[i, j]`` is the number of ones
     of its j-th prefix f, f_{a_1}, ..., f_{a_1..a_{k-1}}. Every count is an
     integer popcount.
     """
     directions = direction_array(directions, f.n)
-    words = scan.word_count(f.n)
-    base = scan.to_words(f.bits, words)
+    base = scan.to_words([f.bits], f.n)
     rows = max(1, CHUNK_BITS >> f.n)
     for start in range(0, len(directions), rows):
         chunk = directions[start:start + rows]
-        tables = np.broadcast_to(base, (len(chunk), words))
+        tables = np.broadcast_to(base, (len(chunk), base.shape[1]))
         weights = np.empty(chunk.shape, dtype=np.int64)
         for j in range(chunk.shape[1]):
             weights[:, j] = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
@@ -124,16 +123,10 @@ def derivative_chunks(
         yield np.ascontiguousarray(tables), weights
 
 
-def _point_bits(tables: np.ndarray, n: int) -> np.ndarray:
-    """``(rows, 2^n)`` uint8 values of ``(rows, words)`` uint64 tables, point by point."""
-    raw = tables.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=1 << n, bitorder="little")
-
-
 def _block_counts(tables: np.ndarray, n: int, blocks: int) -> np.ndarray:
     """``(blocks, 2^n)`` int64: per point, how many rows of each of ``blocks`` equal
     consecutive blocks of ``(rows, words)`` uint64 tables are 1 there."""
-    bits = _point_bits(tables, n).reshape(blocks, -1, 1 << n)
+    bits = scan.point_bits(tables, n).reshape(blocks, -1, 1 << n)
     # The smallest unsigned type that holds a block's row count sums fastest and exactly.
     return bits.sum(axis=1, dtype=np.min_scalar_type(bits.shape[1])).astype(np.int64)
 
@@ -241,7 +234,7 @@ def verify_derivative_representation(
     require_low_weight(f, k, eps)
     n, size = f.n, f.size
     require_derived_bits(size ** (k + 1), f"representation check at n={n}, k={k}")
-    tables = scan.to_words(f.bits, scan.word_count(n))[None, :]
+    tables = scan.to_words([f.bits], n)
     scales = [Fraction(1)]
     for depth in range(k):
         # ``tables`` holds the distinct depth-``depth`` prefixes and ``scales``
@@ -253,7 +246,7 @@ def verify_derivative_representation(
             )
         scales = [s * Fraction(size, abs(b)) for s, b in zip(scales, biases.tolist())]
         ones, children = _level(tables, n, keep=depth + 1 < k)
-        signs = 1 - 2 * _point_bits(tables, n).astype(np.int64)
+        signs = 1 - 2 * scan.point_bits(tables, n).astype(np.int64)
         if not np.array_equal(size - 2 * ones, biases[:, None] * signs):
             raise InvariantFailure(
                 f"single-derivative identity failed at a depth-{depth} prefix"
@@ -283,7 +276,7 @@ def single_derivative_identity(g: FunctionTable) -> IdentityReport:
     if bias_num == 0:
         raise ZeroBiasError("balanced function: identity undefined")
     require_derived_bits(size * size, f"single-derivative identity at n={g.n}")
-    table = scan.to_words(g.bits, scan.word_count(g.n))[None, :]
+    table = scan.to_words([g.bits], g.n)
     ones = _level(table, g.n, keep=False)[0][0]
     signs = 1 - 2 * point_counts(table, g.n)
     # (acc/size) / bias - sign = (acc - sign*bias_num) / bias_num, acc = size - 2*ones
@@ -326,8 +319,7 @@ def verify_single_derivative_exhaustive(n: int) -> SweepReport:
     require_all_functions(n, "exhaustive function sweep")
     size = 1 << n
     count = 1 << size
-    funcs = np.arange(count, dtype=np.uint32)
-    table_bits = ((funcs[:, None] >> np.arange(size)[None, :]) & 1).astype(np.uint8)
+    table_bits = scan.point_bits(scan.to_words(range(count), n), n)
     ones = np.zeros((count, size), dtype=np.uint8)
     points = np.arange(size)
     for a in range(size):

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .approximator import COEFFICIENT_BOUND_NUMERATOR, sample_count
 from .boolfunc import AnfPolynomial, CodeParams, anf_to_table, flip_budget, monomial_masks
 from .caps import BOUND_VALUE_BITS
@@ -50,11 +48,6 @@ class WeightEnumerator:
 
     params: object  # ``CodeParams`` or ``grm.GrmParams``
     counts: dict[int, int]
-
-    @classmethod
-    def from_histogram(cls, params, histogram: np.ndarray) -> "WeightEnumerator":
-        """The enumerator of a scan's histogram over weights 0..block_length."""
-        return cls(params, {w: c for w, c in enumerate(histogram.tolist()) if c})
 
     @property
     def block_length(self) -> int:

@@ -490,19 +490,24 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
         tile = np.concatenate([(tile + c * table) % q for c in range(q)])
     high = tables[low:]
     wrap = np.uint8(q)
-
-    def blocks() -> Iterator[np.ndarray]:
-        base = np.zeros(size, dtype=np.uint8)
-        for step in range(q ** len(high)):
-            if step:
-                digit, rest = 0, step  # the digit a step bumps: q-adic valuation of the step
-                while rest % q == 0:
-                    rest //= q
-                    digit += 1
-                # mod q without a division: a sum below q wraps past 255 when q
-                # is subtracted, so the minimum keeps it; one of q..2q-2 drops by q.
-                total = base + high[digit]
-                base = np.minimum(total, total - wrap)
-            yield size - np.count_nonzero(tile == base, axis=1)
-
-    return WeightEnumerator.from_histogram(params, scan.histogram(blocks(), size))
+    # A bincount costs size + 1 however few rows it counts, so the weights of
+    # ``batch`` steps are counted together (long tables make small tiles).
+    batch, steps = size // len(tile) + 1, q ** len(high)
+    counts = np.zeros(size + 1, dtype=np.int64)
+    base = np.zeros(size, dtype=np.uint8)
+    pending = []
+    for step in range(steps):
+        if step:
+            digit, rest = 0, step  # the digit a step bumps: q-adic valuation of the step
+            while rest % q == 0:
+                rest //= q
+                digit += 1
+            # mod q without a division: a sum below q wraps past 255 when q
+            # is subtracted, so the minimum keeps it; one of q..2q-2 drops by q.
+            total = base + high[digit]
+            base = np.minimum(total, total - wrap)
+        pending.append(size - np.count_nonzero(tile == base, axis=1))
+        if len(pending) == batch or step == steps - 1:
+            counts += np.bincount(np.concatenate(pending), minlength=size + 1)
+            pending = []
+    return WeightEnumerator(params, {w: c for w, c in enumerate(counts.tolist()) if c})

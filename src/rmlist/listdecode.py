@@ -106,7 +106,7 @@ def ball(center: FunctionTable, alpha: Fraction, params: CodeParams) -> Ball:
     kernel = scan.code_scan(params)
     codes, flips, found = [], [], 0
     for block_codes, block_flips in scan.within(
-            kernel, scan.to_words(center.bits, kernel.words), max_flips):
+            kernel, scan.to_words([center.bits], params.n), max_flips):
         found += len(block_codes)
         if found > BALL_MEMBER_CAP:
             raise ScaleError(f"ball holds more than {BALL_MEMBER_CAP} members")
@@ -137,8 +137,7 @@ def ball_size(center_bits: int, alpha: Fraction, params: CodeParams) -> int:
         raise InputError(f"center is not a word of {params.block_length} bits")
     max_flips = flip_budget(alpha, params.block_length)
     kernel = scan.code_scan(params)
-    return int(scan.count_within(kernel, scan.to_words(center_bits, kernel.words)[None],
-                                 max_flips)[0])
+    return int(scan.count_within(kernel, scan.to_words([center_bits], params.n), max_flips)[0])
 
 
 @dataclass(frozen=True)
@@ -246,9 +245,7 @@ def _coset_ball_sizes(centers: list[int], alpha: Fraction, params: CodeParams) -
 
 def _coset_reduce(centers: list[int], params: CodeParams) -> np.ndarray:
     """The coset minimum of each center, as a ``(C, words)`` uint64 array."""
-    words = scan.word_count(params.n)
-    reduced = np.frombuffer(b"".join(c.to_bytes(8 * words, "little") for c in centers),
-                            dtype="<u8").reshape(len(centers), words).astype(np.uint64)
+    reduced = scan.to_words(centers, params.n)
     pivots, rows = _pivot_rows(params)
     for p, row in zip(pivots, rows):  # highest pivot first: a row never sets a higher one
         reduced ^= (reduced[:, p >> 6] >> np.uint64(p & 63) & np.uint64(1))[:, None] * row
@@ -276,8 +273,7 @@ def _pivot_rows(params: CodeParams) -> tuple[tuple[int, ...], np.ndarray]:
             f"monomial tables of RM({params.n},{params.d}) have rank {len(reduced)}, "
             f"not {params.dimension}")
     pivots = tuple(sorted(reduced, reverse=True))
-    words = scan.word_count(params.n)
-    rows = np.array([scan.to_words(reduced[p], words) for p in pivots], dtype=np.uint64)
+    rows = scan.to_words((reduced[p] for p in pivots), params.n)
     rows.flags.writeable = False
     return pivots, rows
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .errors import InputError
+
 
 @dataclass
 class RunManifest:
@@ -56,7 +58,16 @@ def write_manifest(path: Path | str, manifest: RunManifest) -> None:
 
 
 def load_manifest(path: Path | str) -> RunManifest:
-    data = json.loads(Path(path).read_text())
+    """The manifest at ``path``, or ``InputError`` naming what it lacks."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read manifest {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"manifest {path} is not a JSON object")
+    for key, kind in (("command", str), ("params", dict), ("outputs", dict)):
+        if not isinstance(data.get(key), kind):
+            raise InputError(f"manifest {path} has no {key} {kind.__name__}")
     return RunManifest(
         command=data["command"],
         params=data["params"],
@@ -64,5 +75,5 @@ def load_manifest(path: Path | str) -> RunManifest:
         version=data.get("version", ""),
         started_utc=data.get("started_utc", ""),
         finished_utc=data.get("finished_utc", ""),
-        outputs=data.get("outputs", {}),
+        outputs=data["outputs"],
     )

@@ -15,10 +15,14 @@ step XORs one high table into a running base, XORs the base into the whole
 tile and takes every row's popcount, kept as uint8 for a one-word code (n <=
 6, weights up to 64) and widened only where it is counted. Callers read each
 weight as its pair and reduce each block their own way: a count of words
-within a radius, or the words themselves. ``histogram`` batches the bincounts
-of the F_q walk in ``grm``, which reads ``TILE_BYTES`` too. Weight
-enumerators walk no code: ``enumeration`` has a closed form for every code it
-admits.
+within a radius, or the words themselves. Weight enumerators walk no code:
+``enumeration`` has a closed form for every code it admits, and the F_q walk
+in ``grm`` reads only ``TILE_BYTES`` from here.
+
+This module alone converts a truth table, a Python int whose bit x is point
+x, to and from numpy: ``to_words`` packs tables into rows of little-endian
+uint64 words, ``point_bits`` unpacks rows to one uint8 per point and
+``from_point_bits`` packs one row of those back into an int.
 
 The walk also takes a batch of bases as a leading axis, ``(C, 1, words)``,
 broadcast against the tile: every step then XORs C running bases and yields C
@@ -57,9 +61,24 @@ def tile_bits(words: int) -> int:
     return max(0, (TILE_BYTES // (8 * words)).bit_length() - 1)
 
 
-def to_words(bits: int, words: int) -> np.ndarray:
-    """A truth table's bits as little-endian uint64 words."""
-    return np.frombuffer(bits.to_bytes(8 * words, "little"), dtype="<u8").astype(np.uint64)
+def to_words(tables: Iterable[int], n: int) -> np.ndarray:
+    """``(C, word_count(n))`` uint64: the C truth tables on n variables as word rows."""
+    words = word_count(n)
+    if words == 1:  # a one-word table is its own int, which ``fromiter`` takes 4x faster
+        return np.fromiter(tables, dtype=np.uint64).reshape(-1, 1)
+    raw = b"".join(t.to_bytes(8 * words, "little") for t in tables)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, words).astype(np.uint64)
+
+
+def point_bits(rows: np.ndarray, n: int) -> np.ndarray:
+    """``(C, 2^n)`` uint8: the value at each point of ``(C, words)`` uint64 word rows."""
+    raw = rows.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=1 << n, bitorder="little")
+
+
+def from_point_bits(bits: np.ndarray) -> int:
+    """The truth table, as an int, of one row of 0/1 (or bool) values, point by point."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,30 +125,27 @@ def code_scan(params: CodeParams) -> CodeScan:
     reason = refusal(params)
     if reason is not None:
         raise ScaleError(reason)
-    words = word_count(params.n)
     masks = tuple(params.monomial_masks())
-    tables = np.array([to_words(monomial_table(params.n, m), words) for m in masks],
-                      dtype=np.uint64)
-    tile = np.zeros((1, words), dtype=np.uint64)
-    for table in tables[1:1 + tile_bits(words)]:
+    tables = to_words((monomial_table(params.n, m) for m in masks), params.n)
+    tile = np.zeros((1, tables.shape[1]), dtype=np.uint64)
+    for table in tables[1:1 + tile_bits(tables.shape[1])]:
         tile = np.concatenate([tile, tile ^ table])
     tables.flags.writeable = tile.flags.writeable = False
     return CodeScan(params.n, masks, tables, tile)
 
 
-def weight_blocks(kernel: CodeScan, base: np.ndarray,
-                  free: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Weights of ``base`` XOR half the codewords spanned by the first ``free`` >= 1
-    tables (all by default): those whose constant coefficient, bit 0, is 0.
+def weight_blocks(kernel: CodeScan, base: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Weights of ``base`` XOR half the codewords spanned by ``kernel.tables``: those
+    whose constant coefficient, bit 0, is 0.
 
     Each step yields ``(first, weights)``: ``weights[..., i]`` belongs to the
     coefficient vector ``first | i << 1``, and its partner ``first | i << 1 | 1``
     has weight block_length - ``weights[..., i]``. The high part of ``first``
-    runs in Gray-code order. ``base`` is one word, ``(words,)``, or a batch of C
-    words, ``(C, 1, words)``, whose weights come as C rows: uint8 for a
-    one-word code, intp otherwise.
+    runs in Gray-code order. ``base`` is one word row, ``(1, words)`` as
+    ``to_words`` returns it, or a batch of C rows, ``(C, 1, words)``, whose
+    weights come as C rows: uint8 for a one-word code, intp otherwise.
     """
-    tables = kernel.tables[1:free]
+    tables = kernel.tables[1:]
     low = min(len(tables), len(kernel.tile).bit_length() - 1)
     tile = kernel.tile[:1 << low]
     high = tables[low:]
@@ -140,24 +156,6 @@ def weight_blocks(kernel: CodeScan, base: np.ndarray,
         counts = np.bitwise_count(base ^ tile)
         yield ((t ^ (t >> 1)) << (low + 1),
                counts[..., 0] if one_word else counts.sum(axis=-1, dtype=np.intp))
-
-
-def histogram(blocks: Iterable[np.ndarray], block_length: int) -> np.ndarray:
-    """Number of weights equal to each of 0..block_length over every block of weights."""
-    counts = np.zeros(block_length + 1, dtype=np.int64)
-    pending: list[np.ndarray] = []
-    rows = 0
-    for weights in blocks:
-        pending.append(weights)
-        rows += len(weights)
-        # A bincount costs block_length + 1 however few rows it counts, so
-        # small blocks (long tables, small tiles) are counted together.
-        if rows > block_length:
-            counts += np.bincount(np.concatenate(pending), minlength=block_length + 1)
-            pending, rows = [], 0
-    if pending:
-        counts += np.bincount(np.concatenate(pending), minlength=block_length + 1)
-    return counts
 
 
 def within(kernel: CodeScan, base: np.ndarray,

@@ -13,6 +13,7 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,10 +194,10 @@ def weight_histogram(kernel: scan.CodeScan, base: np.ndarray, free: int,
     codeword spanned by the first ``free`` tables: each walked weight w counts at w
     and, for its complement, at block_length - w."""
     if free == 0:  # every coefficient is fixed, the constant too: one word, no pair
-        return scan.histogram([np.bitwise_count(base).sum(keepdims=True, dtype=np.intp)],
-                              block_length)
-    counts = scan.histogram((weights for _, weights in scan.weight_blocks(kernel, base, free)),
-                            block_length)
+        return np.bincount([int(np.bitwise_count(base).sum())], minlength=block_length + 1)
+    spanned = dataclasses.replace(kernel, tables=kernel.tables[:free])
+    counts = sum(np.bincount(weights, minlength=block_length + 1)
+                 for _, weights in scan.weight_blocks(spanned, base))
     return counts + counts[::-1]
 
 
@@ -207,7 +208,7 @@ def _shard_job(args: tuple[int, int, int, int]) -> np.ndarray:
     params = CodeParams(n, d)
     kernel = scan.code_scan(params)
     free = len(kernel.tables) - shard_bits
-    base = np.zeros(kernel.words, dtype=np.uint64)
+    base = np.zeros((1, kernel.words), dtype=np.uint64)
     for j in range(shard_bits):
         if (shard_index >> j) & 1:
             base ^= kernel.tables[free + j]
@@ -229,4 +230,4 @@ def scan_enumerator(params: CodeParams, shards: int = 1, workers: int = 1) -> We
             total = sum(pool.imap(_shard_job, jobs))
     else:
         total = _shard_job((params.n, params.d, 0, 0))
-    return WeightEnumerator.from_histogram(params, total)
+    return WeightEnumerator(params, {w: c for w, c in enumerate(total.tolist()) if c})

@@ -336,6 +336,15 @@ class TestFailedRunLeavesNoManifest:
         assert not Path("x.csv").exists()
         assert not Path("x.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("alpha", ["0.5", "3/2", "-1/4"])
+    def test_rejected_alpha_after_a_run(self, outdir, alpha):
+        # Every --alpha is parsed and range-checked before the CSV is written.
+        assert run("enum", "--n", "3", "--d", "1", "--out", "x.csv") == 0
+        assert run("enum", "--n", "3", "--d", "1", "--alpha", "1/4", f"--alpha={alpha}",
+                   "--out", "x.csv") == 2
+        assert not Path("x.csv").exists()
+        assert not Path("x.csv.manifest.json").exists()
+
     def test_rerun_records_the_new_output(self, outdir):
         assert run("enum", "--n", "3", "--d", "1", "--out", "x.csv") == 0
         assert run("enum", "--n", "3", "--d", "2", "--out", "x.csv") == 0
@@ -532,6 +541,56 @@ class TestReplay:
         data["outputs"]["enum.csv"] = "0" * 64
         manifest_path.write_text(json.dumps(data))
         assert run("replay", str(manifest_path), "--out-dir", "again") == 5
+
+
+class TestReplayRejects:
+    """A manifest that replay cannot run exits 2 with a message naming the problem,
+    and touches no file outside ``--out-dir``."""
+
+    @staticmethod
+    def manifest(**changes) -> Path:
+        assert run("enum", "--n", "2", "--d", "1", "--out", "enum.csv") == 0
+        data = json.loads(Path("enum.csv.manifest.json").read_text())
+        data.update(changes)
+        path = Path("m.json")
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("name", ["/abs/x.csv", "../x.csv", "sub/x.csv", "..", ".", "",
+                                      "x\0.csv"])
+    def test_output_name_that_is_not_a_plain_file_name(self, outdir, capsys, name):
+        # The absolute name and the climbing one both point at ``target`` from
+        # ``--out-dir abs/again``: replay must neither delete it nor create a file.
+        target = outdir / "abs" / "x.csv"
+        target.parent.mkdir()
+        target.write_text("keep")
+        name = name.replace("/abs", str(outdir / "abs"))
+        path = self.manifest(outputs={name: "0" * 64})
+        before = sorted(outdir.rglob("*"))
+        assert run("replay", str(path), "--out-dir", "abs/again") == 2
+        assert "not a plain file name" in capsys.readouterr().err
+        assert sorted(outdir.rglob("*")) == before
+        assert target.read_text() == "keep"
+
+    @pytest.mark.parametrize("text,message", [
+        ("not json {", "cannot read manifest"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"params": {}, "outputs": {"e.csv": ""}}', "no command str"),
+        ('{"command": "enum", "params": [2, 1], "outputs": {"e.csv": ""}}', "no params dict"),
+        ('{"command": "enum", "outputs": {"e.csv": ""}}', "no params dict"),
+        ('{"command": "enum", "params": {"n": 2, "d": 1}, "outputs": ["e.csv"]}',
+         "no outputs dict"),
+        ('{"command": "enum", "params": {"d": 1}, "outputs": {"e.csv": ""}}',
+         "params have no 'n'"),
+    ])
+    def test_malformed_manifest(self, outdir, capsys, text, message):
+        Path("m.json").write_text(text)
+        assert run("replay", "m.json", "--out-dir", "again") == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_manifest(self, outdir, capsys):
+        assert run("replay", "absent.json", "--out-dir", "again") == 2
+        assert "cannot read manifest" in capsys.readouterr().err
 
 
 class TestRepeatedCalls:

@@ -39,7 +39,7 @@ from rmlist.derivatives import (
     point_counts,
 )
 from rmlist.errors import InputError, RmlistError
-from rmlist.scan import to_words, word_count
+from rmlist.scan import from_point_bits, point_bits, to_words, word_count
 
 from conftest import random_table, random_table_below_weight, table_of
 from oracles import (
@@ -239,7 +239,7 @@ def kernel_rows(f: FunctionTable, directions) -> tuple[list[int], list[list[int]
     tables, weights = [], []
     for chunk, chunk_weights in derivative_chunks(f, np.array(directions)):
         assert chunk.dtype == np.uint64 and chunk.shape[1] == word_count(f.n)
-        tables += [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in chunk]
+        tables += [from_point_bits(row) for row in point_bits(chunk, f.n)]
         weights += chunk_weights.tolist()
     return tables, weights
 
@@ -316,7 +316,7 @@ class TestDerivativeKernel:
 
     def test_point_counts(self):
         rows = [FunctionTable(7, bits) for bits in (0, (1 << 128) - 1, 0b1010 << 64)]
-        words = np.array([to_words(t.bits, word_count(7)) for t in rows])
+        words = to_words((t.bits for t in rows), 7)
         expected = [sum((t.bits >> x) & 1 for t in rows) for x in range(128)]
         assert point_counts(words, 7).tolist() == expected
 

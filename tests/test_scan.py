@@ -30,6 +30,7 @@ from rmlist import (
     ball_size,
     enumerate_weights,
     estimate_list_size,
+    evaluate,
     monomial_table,
     scan,
     unique_decode_within,
@@ -104,6 +105,28 @@ def noisy_codeword(params: CodeParams, flips: int, rng: random.Random) -> Functi
     return FunctionTable(params.n, word)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_point_bits_of_word_rows_are_the_table_values(n, rows):
+    # One-word tables up to n = 6, two and four words at n = 7, 8.
+    rng = random.Random(n * 10 + rows)
+    tables = [FunctionTable(n, rng.getrandbits(1 << n)) for _ in range(rows)]
+    words = scan.to_words((f.bits for f in tables), n)
+    assert words.dtype == np.uint64 and words.shape == (rows, scan.word_count(n))
+    bits = scan.point_bits(words, n)
+    assert bits.dtype == np.uint8 and bits.shape == (rows, 1 << n)
+    assert bits.tolist() == [[evaluate(f, v) for v in range(1 << n)] for f in tables]
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_point_bits_round_trip_to_the_table(n):
+    rng = random.Random(n)
+    tables = [0, (1 << (1 << n)) - 1] + [rng.getrandbits(1 << n) for _ in range(6)]
+    bits = scan.point_bits(scan.to_words(tables, n), n)
+    assert [scan.from_point_bits(row) for row in bits] == tables
+    assert [scan.from_point_bits(row.astype(bool)) for row in bits] == tables
+
+
 @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (5, 2), (7, 1)])
 def test_kernel_polynomial_selects_the_kernel_tables(n, d):
     params = CodeParams(n, d)
@@ -112,12 +135,12 @@ def test_kernel_polynomial_selects_the_kernel_tables(n, d):
     rng = random.Random(n * 31 + d)
     for code in [0, (1 << params.dimension) - 1] + [rng.getrandbits(params.dimension)
                                                     for _ in range(20)]:
-        word = np.zeros(kernel.words, dtype=np.uint64)
+        word = np.zeros((1, kernel.words), dtype=np.uint64)
         for j in range(params.dimension):
             if (code >> j) & 1:
                 word ^= kernel.tables[j]
         table = anf_to_table(kernel.polynomial(code))
-        assert np.array_equal(scan.to_words(table.bits, kernel.words), word)
+        assert np.array_equal(scan.to_words([table.bits], n), word)
 
 
 def test_codes_straddle_the_tile():
@@ -195,7 +218,7 @@ def test_radii_past_half_the_block_count_both_members_of_a_pair(n, d):
                for flips in (0, 1, params.block_length // 4, params.block_length // 2)]
     centers.append(FunctionTable(n, rng.getrandbits(params.block_length)))
     kernel = scan.code_scan(params)
-    batch = np.array([scan.to_words(c.bits, kernel.words) for c in centers])
+    batch = scan.to_words((c.bits for c in centers), n)
     walks = [[w for _, w in gray_walk(params, c.bits)] for c in centers]
     for alpha in (Fraction(1, 2), Fraction(5, 8), Fraction(1)):
         max_flips = alpha.numerator * params.block_length // alpha.denominator
@@ -323,7 +346,7 @@ def test_weight_blocks_cover_every_coefficient_vector_once():
         params = CodeParams(n, d)
         kernel = scan.code_scan(params)
         walked = {}
-        for first, weights in scan.weight_blocks(kernel, scan.to_words(0, kernel.words)):
+        for first, weights in scan.weight_blocks(kernel, scan.to_words([0], n)):
             for i, w in enumerate(weights.tolist()):
                 walked[first | i << 1] = w
         assert len(walked) == 1 << (params.dimension - 1)
@@ -339,9 +362,9 @@ def test_one_walk_in_process_whatever_the_shard_count(monkeypatch):
     walks = []
     walk = scan.weight_blocks
 
-    def spy(kernel, base, free=None):
-        walks.append(free)  # the number of tables a walk spans
-        return walk(kernel, base, free)
+    def spy(kernel, base):
+        walks.append(len(kernel.tables))  # the number of tables a walk spans
+        return walk(kernel, base)
 
     monkeypatch.setattr(scan, "weight_blocks", spy)
     params = CodeParams(4, 2)  # 2^11 words: no pool
@@ -355,9 +378,9 @@ def test_every_scan_walks_half_the_code(monkeypatch):
     rows = []
     walk = scan.weight_blocks
 
-    def spy(kernel, base, free=None):
+    def spy(kernel, base):
         rows.append(0)
-        for first, weights in walk(kernel, base, free):
+        for first, weights in walk(kernel, base):
             rows[-1] += weights.shape[-1]
             yield first, weights
 
