@@ -26,7 +26,6 @@ from .boolfunc import (
     anf_to_table,
     distance,
     flip_budget,
-    monomial_table,
 )
 from . import scan
 from .caps import EXHAUSTIVE_DECODE_DIMENSION
@@ -37,6 +36,7 @@ from .derivatives import (
     point_counts,
     require_derived_bits,
     require_low_weight,
+    unit_derivative_counts,
 )
 from .errors import (
     ApproximationFailure,
@@ -377,28 +377,24 @@ def _decode_majority(
     Once the layers above degree deg are peeled off the residual, each coset
     of the subcube spanned by a degree-deg monomial's variables votes with
     the parity of the residual over it, and the coefficient is 1 when more
-    than half of the 2^(n-deg) cosets vote 1. With the residual unpacked once
-    per degree into a ``(2,)*n`` uint8 cube, variable i on axis n-1-i, every
-    coset's parity is one XOR reduction over the monomial's axes. Recovered
+    than half of the 2^(n-deg) cosets vote 1. That parity is the residual's
+    order-deg derivative along the unit vectors of the monomial's variables,
+    constant on the coset, so a monomial's votes are what
+    ``derivatives.unit_derivative_counts`` counts: all monomials of one
+    degree come from one batched walk whose levels share prefixes. Recovered
     layers are XORed out before moving down a degree; the constant is 1 when
     the final residual has more ones than zeros, and the result stands only
     if it differs from g in at most ``max_flips`` points.
     """
     n, size = params.n, g.size
-    masks = params.monomial_masks()
     residual = g.bits
     recovered: set[int] = set()
     for deg in range(params.d, 0, -1):
-        cube = scan.point_bits(scan.to_words([residual], n), n).reshape((2,) * n)
         layer: list[int] = []
-        for mask in (m for m in masks if m.bit_count() == deg):
-            axes = tuple(n - 1 - i for i in range(n) if (mask >> i) & 1)
-            votes = int(np.bitwise_xor.reduce(cube, axis=axes).sum())
-            if 2 * votes > 1 << (n - deg):
-                layer.append(mask)
-        for mask in layer:
-            residual ^= monomial_table(n, mask)
-            recovered.add(mask)
+        for masks, votes in unit_derivative_counts(scan.to_words([residual], n), n, deg):
+            layer += masks[2 * votes > 1 << (n - deg)].tolist()
+        residual ^= anf_to_table(AnfPolynomial(n, frozenset(layer))).bits
+        recovered.update(layer)
     if residual.bit_count() > size // 2:
         recovered.add(0)
     p = AnfPolynomial(n, frozenset(recovered))

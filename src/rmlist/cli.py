@@ -287,10 +287,38 @@ def execute(command: str, params: dict, out: Path) -> dict:
     return results
 
 
+# The type of each param as ``_params_from_args`` records it: a flag is a bool
+# and ``enum``'s repeatable ``--alpha`` a list of str. Only the (command, param)
+# pairs in ``NULLABLE`` may also be null, as their parsers' defaults are.
+PARAM_TYPES = {
+    **dict.fromkeys(("n", "d", "k", "q", "shards", "workers", "seed", "retries", "m",
+                     "samples", "limit"), int),
+    **dict.fromkeys(("alpha", "eps", "delta", "identity", "center_bits_hex",
+                     "function_bits_hex", "table_text"), str),
+    "allow_full": bool,
+    "exhaustive": bool,
+    "alphas": list,
+}
+NULLABLE = {("construct", "limit"), ("grm-bias-scan", "eps")}
+
+
+def _check_param_types(command: str, params: dict) -> None:
+    """``InputError`` naming the first param whose value has the wrong type."""
+    for key, value in params.items():
+        kind = PARAM_TYPES.get(key)
+        if kind is None or (value is None and (command, key) in NULLABLE):
+            continue
+        if type(value) is not kind or (kind is list
+                                       and not all(type(v) is str for v in value)):
+            expected = "a list of str" if kind is list else kind.__name__
+            raise InputError(f"manifest param {key!r} must be {expected}, got {value!r}")
+
+
 def replay(manifest_path: Path, out_dir: Path) -> dict:
     manifest = load_manifest(manifest_path)
     if manifest.command not in RUNNERS:
         raise InputError(f"manifest names unknown command {manifest.command!r}")
+    _check_param_types(manifest.command, manifest.params)
     if len(manifest.outputs) != 1:
         raise InputError("manifest must record exactly one output")
     name, recorded = next(iter(manifest.outputs.items()))

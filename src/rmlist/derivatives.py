@@ -17,6 +17,11 @@ The central objects:
 * ``check_bias_bounds`` - the prefix-bias lower bounds that make the coefficients finite.
 * ``single_derivative_identity`` - the order-1 identity for any non-balanced function,
   one ``_level`` of its one table.
+* ``verify_single_derivative_exhaustive`` - the order-1 identity for every function on
+  n <= 4 variables at once, point-major: each direction XORs and adds contiguous rows.
+* ``unit_derivative_counts`` - the derivatives of one table along every set of
+  ``order`` unit vectors, counted on one point per coset: the subcube parities that
+  majority-logic decoding votes with, walked level by level with shared prefixes.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ CHUNK_BITS = 1 << 22  # most table bits in one chunk of ``derivative_chunks`` or
 # Levels 0..5 of a translation move points inside one uint64 word: each swaps
 # the blocks of 2^i points selected by this mask with their upper neighbours.
 _WORD_MASKS = tuple(np.uint64(_low_block_mask(6, i)) for i in range(6))
+_UNIT_SHIFTS = tuple(np.uint64(1 << i) for i in range(6))
 
 
 def derive(f: FunctionTable, a: int) -> FunctionTable:
@@ -158,6 +164,80 @@ def _level(tables: np.ndarray, n: int, keep: bool) -> tuple[np.ndarray, np.ndarr
         if keep:
             children.append(kids)
     return ones, np.concatenate(children) if keep else None
+
+
+def unit_derivative_counts(table: np.ndarray, n: int,
+                           order: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For every set S of ``order`` variables, the ones of the derivative of a
+    ``(1, words)`` uint64 table along the unit vectors e_i, i in S, counted on
+    the points with x_i = 0 for every i in S.
+
+    That derivative is constant on each coset of the subcube spanned by
+    S, where it is the coset's parity, so the count is the number of cosets
+    of odd parity, its weight / 2^order. Yields ``(masks, counts)`` batch by
+    batch, the variable sets S as int64 masks; each S comes once.
+
+    S is built from its highest variable down and its prefixes are shared: a
+    level derives each table of the level above along every e_j below its
+    lowest variable, keeping x_j = 0 and zeroing x_j = 1, and passes its
+    tables down in batches of at most ``CHUNK_BITS`` bits (or one table).
+    """
+    yield from _unit_levels(table, np.zeros(1, dtype=np.int64), np.array([n]), n, order)
+
+
+def _unit_levels(tables: np.ndarray, masks: np.ndarray, lowest: np.ndarray, n: int,
+                 depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``unit_derivative_counts`` ``depth`` variables below the rows of ``tables``:
+    their variable sets are ``masks`` and their lowest variables ``lowest``, which
+    ascend, so the rows that e_j extends are a suffix of them."""
+    if not depth:
+        yield masks, np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+        return
+    rows = max(1, CHUNK_BITS >> n)
+    firsts = np.searchsorted(lowest, np.arange(n), side="right").tolist()
+    pieces = [(j, start, min(start + rows, len(tables)))
+              for j, first in enumerate(firsts) for start in range(first, len(tables), rows)]
+    batch, held = [], 0
+    for j, start, stop in pieces:
+        if held + stop - start > rows:
+            yield from _unit_levels(*_unit_children(tables, masks, batch, held), n, depth - 1)
+            batch, held = [], 0
+        batch.append((j, start, stop))
+        held += stop - start
+    if batch:
+        yield from _unit_levels(*_unit_children(tables, masks, batch, held), n, depth - 1)
+
+
+def _unit_children(tables: np.ndarray, masks: np.ndarray, batch: list[tuple[int, int, int]],
+                   held: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(children, masks, lowest)``: for each ``(j, start, stop)`` of the batch, the
+    rows ``start:stop`` of ``(rows, words)`` uint64 tables derived along e_j on the
+    points with x_j = 0, the points with x_j = 1 zeroed; ``held`` rows in all.
+
+    Inside a word a shift by 2^j brings x + e_j onto x and ``_WORD_MASKS[j]``
+    keeps the points with x_j = 0. Past the word, e_j XORs the two halves of each
+    block of 2^(j-5) words into the lower one.
+    """
+    words = tables.shape[1]
+    kids = np.empty((held, words), dtype=np.uint64)
+    kid_masks = np.empty(held, dtype=np.int64)
+    lowest = np.empty(held, dtype=np.int64)
+    at = 0
+    for j, start, stop in batch:
+        parents, out = tables[start:stop], kids[at:at + stop - start]
+        if j < 6:
+            np.right_shift(parents, _UNIT_SHIFTS[j], out=out)
+            out ^= parents
+            out &= _WORD_MASKS[j]
+        else:
+            blocks = (-1, words >> (j - 5), 2, 1 << (j - 6))
+            parents, out = parents.reshape(blocks), out.reshape(blocks)
+            np.bitwise_xor(parents[:, :, 0], parents[:, :, 1], out=out[:, :, 0])
+            out[:, :, 1] = 0
+        np.bitwise_or(masks[start:stop], 1 << j, out=kid_masks[at:at + stop - start])
+        lowest[at:at + stop - start] = j
+        at += stop - start
+    return kids, kid_masks, lowest
 
 
 def low_weight_threshold(k: int, eps: Fraction) -> Fraction:
@@ -307,30 +387,59 @@ class SweepReport:
         }
 
 
+def _sweep_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Point-major ``(2^n, 2^(2^n))`` uint8 arrays over every function g on n
+    variables, in table order: g(x), and how many directions a have g_a(x) = 1.
+
+    Viewed as a ``(2,) * n + (functions,)`` cube, with variable i on axis
+    n-1-i, the translate x -> x + a is the cube with the axes of a's bits
+    reversed, a view; so each direction costs one XOR of contiguous rows
+    into a buffer and one add of it into the counts.
+    """
+    size = 1 << n
+    count = 1 << size
+    words = scan.to_words(range(count), n)
+    table_bits = np.stack([scan.point_bit(words, x) for x in range(size)])
+    cube = table_bits.reshape((2,) * n + (count,))
+    ones = np.zeros_like(table_bits)
+    derivative = np.empty_like(cube)
+    for a in range(size):
+        moved = cube[tuple(slice(None, None, -1 if (a >> (n - 1 - axis)) & 1 else 1)
+                           for axis in range(n))]
+        np.bitwise_xor(moved, cube, out=derivative)
+        ones += derivative.reshape(size, count)
+    return table_bits, ones
+
+
 def verify_single_derivative_exhaustive(n: int) -> SweepReport:
     """Run the single-derivative identity over every function on n variables.
 
-    Vectorized over the 2^(2^n) functions at once. For every direction a,
-    the derivative tables at all points are added into per-point counts of
-    ones; all arithmetic is integer-exact in small dtypes (tables and counts
-    in uint8, at most 2^n = 16 per point, signed values in int16), so the
+    Vectorized over the 2^(2^n) functions at once and point-major:
+    ``_sweep_counts`` accumulates, per point, the direction sum of every
+    function's derivatives, and the deviations are taken in the same layout.
+    All arithmetic is integer-exact in small dtypes (tables and counts in
+    uint8, at most 2^n = 16 per point, signed values in int16), so the
     reported deviation is exact. Capped at ``ALL_FUNCTIONS_VARS`` variables.
     """
     require_all_functions(n, "exhaustive function sweep")
     size = 1 << n
     count = 1 << size
-    table_bits = scan.point_bits(scan.to_words(range(count), n), n)
-    ones = np.zeros((count, size), dtype=np.uint8)
-    points = np.arange(size)
-    for a in range(size):
-        ones += table_bits[:, points ^ a] ^ table_bits
-    acc = size - 2 * ones.astype(np.int16)
-    bias_num = size - 2 * table_bits.sum(axis=1, dtype=np.int16)
-    signs = 1 - 2 * table_bits.astype(np.int16)
-    dev_num = np.abs(acc - signs * bias_num[:, None])
+    table_bits, ones = _sweep_counts(n)
+    bias_num = size - 2 * table_bits.sum(axis=0, dtype=np.int16)
+    # |acc - sign * bias_num| in place, with acc = size - 2 * ones the direction
+    # sum of (-1)^{g_a(x)} and sign = 1 - 2 * g(x).
+    dev_num = ones.astype(np.int16)
+    dev_num *= -2
+    dev_num += size
+    signs = table_bits.astype(np.int16)
+    signs *= -2
+    signs += 1
+    signs *= bias_num
+    dev_num -= signs
+    np.abs(dev_num, out=dev_num)
     nonzero = bias_num != 0
     max_dev = Fraction(0)
-    row_max = dev_num[nonzero].max(axis=1)
+    row_max = dev_num.max(axis=0)[nonzero]
     if row_max.any():
         denom = np.abs(bias_num[nonzero])
         fracs = [Fraction(int(a), int(b)) for a, b in zip(row_max, denom) if a]

@@ -248,7 +248,7 @@ def _coset_reduce(centers: list[int], params: CodeParams) -> np.ndarray:
     reduced = scan.to_words(centers, params.n)
     pivots, rows = _pivot_rows(params)
     for p, row in zip(pivots, rows):  # highest pivot first: a row never sets a higher one
-        reduced ^= (reduced[:, p >> 6] >> np.uint64(p & 63) & np.uint64(1))[:, None] * row
+        reduced ^= scan.point_bit(reduced, p)[:, None] * row
     return reduced
 
 

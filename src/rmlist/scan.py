@@ -21,8 +21,9 @@ in ``grm`` reads only ``TILE_BYTES`` from here.
 
 This module alone converts a truth table, a Python int whose bit x is point
 x, to and from numpy: ``to_words`` packs tables into rows of little-endian
-uint64 words, ``point_bits`` unpacks rows to one uint8 per point and
-``from_point_bits`` packs one row of those back into an int.
+uint64 words, ``point_bits`` unpacks rows to one uint8 per point,
+``point_bit`` reads one point of every row and ``from_point_bits`` packs
+one row of point values back into an int.
 
 The walk also takes a batch of bases as a leading axis, ``(C, 1, words)``,
 broadcast against the tile: every step then XORs C running bases and yields C
@@ -65,6 +66,8 @@ def to_words(tables: Iterable[int], n: int) -> np.ndarray:
     """``(C, word_count(n))`` uint64: the C truth tables on n variables as word rows."""
     words = word_count(n)
     if words == 1:  # a one-word table is its own int, which ``fromiter`` takes 4x faster
+        if isinstance(tables, range):  # and a range of them needs no int at all
+            return np.arange(tables.start, tables.stop, tables.step, dtype=np.uint64).reshape(-1, 1)
         return np.fromiter(tables, dtype=np.uint64).reshape(-1, 1)
     raw = b"".join(t.to_bytes(8 * words, "little") for t in tables)
     return np.frombuffer(raw, dtype="<u8").reshape(-1, words).astype(np.uint64)
@@ -74,6 +77,12 @@ def point_bits(rows: np.ndarray, n: int) -> np.ndarray:
     """``(C, 2^n)`` uint8: the value at each point of ``(C, words)`` uint64 word rows."""
     raw = rows.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, axis=-1, count=1 << n, bitorder="little")
+
+
+def point_bit(rows: np.ndarray, p: int) -> np.ndarray:
+    """``(C,)`` uint8: the value at point p of each of ``(C, words)`` uint64 word rows."""
+    raw = rows.astype("<u8", copy=False).view(np.uint8)
+    return raw[:, p >> 3] >> (p & 7) & 1
 
 
 def from_point_bits(bits: np.ndarray) -> int:

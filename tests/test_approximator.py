@@ -720,6 +720,41 @@ class TestMajorityAgainstLoop:
         assert None in results
         assert any(r is not None for r in results)
 
+    def test_seeded_corpus_across_chunk_boundaries(self, monkeypatch):
+        # Batches of at most three tables: every degree's monomials span several
+        # chunks.
+        rng = random.Random(43)
+        for n in range(1, 11):
+            for d in range(1, n):
+                code = CodeParams(n, d)
+                masks = code.monomial_masks()
+                radius = Fraction(1, 1 << (d + 1)) - Fraction(1, 1 << n)
+                limit = (radius.numerator << n) // radius.denominator
+                for flips in (limit, min(2 * limit + 1, 1 << (n - 1))):
+                    p = AnfPolynomial(n, frozenset(m for m in masks if rng.random() < 0.5))
+                    bits = anf_to_table(p).bits
+                    for v in rng.sample(range(1 << n), flips):
+                        bits ^= 1 << v
+                    g = FunctionTable(n, bits)
+                    decoded = loop_decode_majority(g, code, Fraction(1), [])
+                    if flips <= limit:
+                        assert decoded == p
+                    monkeypatch.setattr(derivatives, "CHUNK_BITS", 3 << n)
+                    assert approximator._decode_majority(g, code, g.size) == decoded
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_planted_second_order_words(self, n):
+        # As many random flips as the radius 1/8 - 2^-n admits, 2^(n-3) - 1:
+        # the planted RM(n, 2) word comes back.
+        rng = random.Random(n)
+        code = CodeParams(n, 2)
+        p = AnfPolynomial(n, frozenset(m for m in code.monomial_masks() if rng.getrandbits(1)))
+        noise = np.zeros(1 << n, dtype=np.uint8)
+        noise[rng.sample(range(1 << n), (1 << (n - 3)) - 1)] = 1
+        g = FunctionTable(n, anf_to_table(p).bits ^ scan.from_point_bits(noise))
+        radius = Fraction(1, 8) - Fraction(1, 1 << n)
+        assert unique_decode_within(g, code, radius, backend="majority") == p
+
 
 class TestSerialization:
     def test_round_trip(self):

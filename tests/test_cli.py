@@ -524,6 +524,29 @@ class TestReplay:
         assert run("replay", f"{outname}.manifest.json", "--out-dir", "again") == 0
         assert Path(outname).read_bytes() == (Path("again") / outname).read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ("enum", "--n", "3", "--d", "1", "--alpha", "1/4", "--alpha", "1/2"),
+        ("listdecode", "--center", "f.txt", "--alpha", "1/4", "--n", "4", "--d", "1"),
+        ("listdecode", "--center", "f.txt", "--alpha", "1", "--n", "4", "--d", "1",
+         "--allow-full"),
+        ("approx", "--function", "f.txt", "--k", "1", "--eps", "1/2", "--delta", "1/4",
+         "--m", "17746"),
+        ("verify", "single-der", "--n", "2", "--exhaustive"),
+        ("verify", "bias-bounds", "--function", "f.txt", "--k", "2", "--eps", "1/4"),
+        ("bounds", "--n", "4", "--d", "2", "--k", "1", "--eps", "1/2"),
+        ("construct", "--n", "4", "--d", "2", "--k", "1"),
+        ("grm", "construct", "--q", "3", "--n", "2", "--d", "2", "--k", "1"),
+        ("grm", "bias-scan", "--table", "t.txt"),
+    ], ids=["enum-alphas", "listdecode", "listdecode-full", "approx-m", "sweep",
+            "bias-bounds", "bounds", "construct-no-limit", "grm-construct", "bias-scan-no-eps"])
+    def test_recorded_param_types_replay(self, outdir, argv):
+        # Every param type a run records passes replay's type check.
+        write_function_file("f.txt", table_of(4, [1, 2, 3]))
+        Path("t.txt").write_text("q 3\nn 1\nvalues 012\n")
+        assert run(*argv, "--out", "out.txt") == 0
+        assert run("replay", "out.txt.manifest.json", "--out-dir", "again") == 0
+        assert Path("out.txt").read_bytes() == (Path("again") / "out.txt").read_bytes()
+
     def test_approx_replay(self, outdir):
         p = AnfPolynomial.from_variable_lists(4, [[1, 2, 3]])
         write_function_file("f.txt", anf_to_table(p))
@@ -591,6 +614,26 @@ class TestReplayRejects:
     def test_missing_manifest(self, outdir, capsys):
         assert run("replay", "absent.json", "--out-dir", "again") == 2
         assert "cannot read manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params,message", [
+        ({"n": "4", "d": 1}, "param 'n' must be int, got '4'"),
+        ({"n": 4, "d": 1, "alphas": "1/4"}, "param 'alphas' must be a list of str"),
+        ({"n": 4, "d": 1, "alphas": [1]}, "param 'alphas' must be a list of str"),
+        ({"n": True, "d": 1}, "param 'n' must be int, got True"),
+        ({"n": 4, "d": None}, "param 'd' must be int, got None"),
+    ], ids=["str-for-int", "str-for-list", "int-in-list", "bool-for-int", "null-for-int"])
+    def test_param_of_the_wrong_type(self, outdir, capsys, params, message):
+        # Refused before replay deletes the stale output or writes anything.
+        stale = Path("again") / "e.csv"
+        stale.parent.mkdir()
+        stale.write_text("keep")
+        Path("m.json").write_text(json.dumps({"command": "enum", "params": params,
+                                              "outputs": {"e.csv": ""}}))
+        before = sorted(outdir.rglob("*"))
+        assert run("replay", "m.json", "--out-dir", "again") == 2
+        assert message in capsys.readouterr().err
+        assert sorted(outdir.rglob("*")) == before
+        assert stale.read_text() == "keep"
 
 
 class TestRepeatedCalls:

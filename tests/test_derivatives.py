@@ -224,6 +224,16 @@ class TestSingleDerivativeIdentity:
         for n in range(1, 5):
             assert verify_single_derivative_exhaustive(n) == int64_sweep(n)
 
+    def test_sweep_counts_match_the_level_kernel(self):
+        # Every function at n = 4: the sweep's point-major counts of ones per
+        # point equal those of ``_level``, an independent word kernel, so a wrong
+        # accumulation that still reads deviation 0 is caught.
+        tables = to_words(list(range(1 << 16)), 4)
+        table_bits, ones = derivatives._sweep_counts(4)
+        assert table_bits.shape == ones.shape == (16, 1 << 16)
+        assert np.array_equal(table_bits.T, point_bits(tables, 4))
+        assert np.array_equal(ones.T, derivatives._level(tables, 4, keep=False)[0])
+
     def test_sweep_small(self):
         report = verify_single_derivative_exhaustive(3)
         assert report.max_deviation == 0
@@ -313,6 +323,31 @@ class TestDerivativeKernel:
         for bad in (8, -1):
             with pytest.raises(InputError, match="out of range"):
                 next(derivative_chunks(f, np.array([[1, 2], [3, bad]])))
+
+    @pytest.mark.parametrize("chunk_bits", [None, 64, 640])
+    def test_unit_derivative_counts_match_derivative_chunks(self, monkeypatch, chunk_bits):
+        # Each set S of ``order`` variables comes once, with the weight of f's
+        # derivative along the unit vectors of S over 2^order: the order-``order``
+        # derivative along them is constant on the cosets of their subcube.
+        if chunk_bits is not None:  # at most 64 or 640 table bits per batch
+            monkeypatch.setattr(derivatives, "CHUNK_BITS", chunk_bits)
+        rng = random.Random(22)
+        for n in range(1, 10):
+            for order in range(1, min(n, 3) + 1):
+                f = random_table(n, rng)
+                found = {}
+                for masks, counts in derivatives.unit_derivative_counts(
+                        to_words([f.bits], n), n, order):
+                    for mask, count in zip(masks.tolist(), counts.tolist()):
+                        assert mask not in found
+                        found[mask] = count
+                sets = list(itertools.combinations(range(n), order))
+                assert sorted(found) == sorted(sum(1 << i for i in c) for c in sets)
+                units = np.array([[1 << i for i in c] for c in sets])
+                weights = np.concatenate([np.bitwise_count(tables).sum(axis=1)
+                                          for tables, _ in derivative_chunks(f, units)])
+                assert [found[sum(1 << i for i in c)] << order for c in sets] == \
+                    weights.tolist()
 
     def test_point_counts(self):
         rows = [FunctionTable(7, bits) for bits in (0, (1 << 128) - 1, 0b1010 << 64)]

@@ -118,6 +118,23 @@ def test_point_bits_of_word_rows_are_the_table_values(n, rows):
     assert bits.tolist() == [[evaluate(f, v) for v in range(1 << n)] for f in tables]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_point_bit_reads_one_column_of_point_bits(n):
+    rng = random.Random(n)
+    tables = [0, (1 << (1 << n)) - 1] + [rng.getrandbits(1 << n) for _ in range(6)]
+    words = scan.to_words(tables, n)
+    bits = scan.point_bits(words, n)
+    for p in range(1 << n):
+        column = scan.point_bit(words, p)
+        assert column.dtype == np.uint8 and np.array_equal(column, bits[:, p])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_range_of_tables_packs_like_its_list(n):
+    for tables in (range(1 << (1 << n)), range(3, 1 << (1 << n), 5)):
+        assert np.array_equal(scan.to_words(tables, n), scan.to_words(list(tables), n))
+
+
 @pytest.mark.parametrize("n", range(0, 11))
 def test_point_bits_round_trip_to_the_table(n):
     rng = random.Random(n)
