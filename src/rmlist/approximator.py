@@ -212,7 +212,7 @@ def _prefix_weights(f: FunctionTable, directions: np.ndarray) -> np.ndarray:
     m, k = directions.shape
     if k == 1:
         return np.full((m, 1), f.bits.bit_count(), dtype=np.int64)
-    parts = [np.column_stack([weights, np.bitwise_count(tables).sum(axis=1, dtype=np.int64)])
+    parts = [np.column_stack([weights, scan.weights(tables)])
              for tables, weights in derivative_chunks(f, directions[:, :-1])]
     return np.concatenate(parts)
 
@@ -335,8 +335,8 @@ def unique_decode_within(
     Radius must be below half the minimum distance, which is what makes the
     answer unique. Backends: ``exhaustive`` runs the scan kernel over the
     whole code and returns its first codeword within the radius (``auto``
-    picks it up to dimension ``EXHAUSTIVE_DECODE_DIMENSION`` when the scan
-    caps admit it; both backends return the same word at such a radius);
+    picks it up to dimension ``EXHAUSTIVE_DECODE_DIMENSION``, 11; both backends
+    return the same word at such a radius);
     ``majority`` recovers coefficients by majority votes, top degree first,
     peeling each recovered layer.
     """
@@ -349,10 +349,7 @@ def unique_decode_within(
         )
     max_flips = flip_budget(radius, g.size)
     if backend == "auto":
-        backend = (
-            "exhaustive" if params.dimension <= EXHAUSTIVE_DECODE_DIMENSION
-            and scan.refusal(params) is None else "majority"
-        )
+        backend = "exhaustive" if params.dimension <= EXHAUSTIVE_DECODE_DIMENSION else "majority"
     if backend == "exhaustive":
         return _decode_exhaustive(g, params, max_flips)
     if backend == "majority":

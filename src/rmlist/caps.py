@@ -37,9 +37,11 @@ SCAN_WORD_BITS = 33
 # checked while the scan collects the hits, before any member is ranked or
 # rendered. ``listdecode.ball``.
 BALL_MEMBER_CAP = 1 << 20
-# "auto" unique decoding scans the code up to this dimension, if the scan caps
-# admit it, and uses majority logic otherwise. ``approximator.unique_decode_within``.
-EXHAUSTIVE_DECODE_DIMENSION = 26
+# "auto" unique decoding scans up to this dimension (n <= 10, 2^15 words: under the scan
+# caps), majority logic past it. Whole-code scan vs majority, 2-core VM: RM(4,2) 0.02/0.10
+# ms, RM(10,1) 0.07/0.08 (dimension 11); RM(11,1) 0.21/0.09 (12); RM(6,2) 3.7/0.14 (22);
+# RM(16,1) 173/0.24 (17); RM(18,1) 2800/0.57 ms (19). ``approximator.unique_decode_within``.
+EXHAUSTIVE_DECODE_DIMENSION = 11
 # Every function on n <= 4 variables is 65,536 functions: the single-derivative
 # sweep walks them all; exhaustive list-size centers cover them with one ball
 # per coset of RM(n, d), 2^(2^n - dimension) balls, since cosets x codewords

@@ -1,6 +1,6 @@
 """Discrete derivatives and exact verification of the derivative-representation identities.
 
-The central objects:
+The central objects, whose uint64 word-row kernels all come from ``scan``:
 
 * ``derive`` - f_a(x) = f(x+a) + f(x) on one bigint truth table.
 * ``derivative_chunks`` - the batched kernel: order-k derivatives of one function
@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import scan
-from .boolfunc import FunctionTable, _low_block_mask, require_all_functions, translate, weight
+from .boolfunc import FunctionTable, require_all_functions, translate, weight
 from .caps import DERIVED_TABLE_BITS_CAP, EXHAUSTIVE_TUPLE_BITS
 from .errors import (
     DegenerateBiasError,
@@ -47,37 +47,11 @@ from .errors import (
 )
 
 CHUNK_BITS = 1 << 22  # most table bits in one chunk of ``derivative_chunks`` or ``_level``
-# Levels 0..5 of a translation move points inside one uint64 word: each swaps
-# the blocks of 2^i points selected by this mask with their upper neighbours.
-_WORD_MASKS = tuple(np.uint64(_low_block_mask(6, i)) for i in range(6))
-_UNIT_SHIFTS = tuple(np.uint64(1 << i) for i in range(6))
 
 
 def derive(f: FunctionTable, a: int) -> FunctionTable:
     """Discrete derivative in direction a: x -> f(x + a) + f(x)."""
     return FunctionTable(f.n, f.bits ^ translate(f, a).bits)
-
-
-def _translate_rows(tables: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """Row r of ``(rows, words)`` uint64 tables translated by its own direction a[r]."""
-    tables = tables.copy()
-    moved = np.empty_like(tables)
-    for i in range(min(n, 6)):
-        # A masked delta swap, in place: in the rows whose direction has bit
-        # i, the blocks of 2^i points the mask selects trade places with the
-        # blocks above them.
-        shift = np.uint64(1 << i)
-        np.right_shift(tables, shift, out=moved)
-        moved ^= tables
-        moved &= _WORD_MASKS[i]
-        moved &= np.where((a >> i) & 1, ~np.uint64(0), np.uint64(0))[:, None]
-        tables ^= moved
-        moved <<= shift
-        tables ^= moved
-    if n > 6:  # the higher levels permute whole words
-        index = np.arange(tables.shape[1]) ^ (a >> 6)[:, None]
-        tables = np.take_along_axis(tables, index, axis=1)
-    return tables
 
 
 def draw_directions(rng: random.Random, rows: int, k: int, n: int) -> np.ndarray:
@@ -124,8 +98,8 @@ def derivative_chunks(
         tables = np.broadcast_to(base, (len(chunk), base.shape[1]))
         weights = np.empty(chunk.shape, dtype=np.int64)
         for j in range(chunk.shape[1]):
-            weights[:, j] = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
-            tables = tables ^ _translate_rows(tables, chunk[:, j], f.n)
+            weights[:, j] = scan.weights(tables)
+            tables = tables ^ scan.translate(tables, chunk[:, j], f.n)
         yield np.ascontiguousarray(tables), weights
 
 
@@ -158,7 +132,7 @@ def _level(tables: np.ndarray, n: int, keep: bool) -> tuple[np.ndarray, np.ndarr
     for start in range(0, total, per):
         index = np.arange(start, min(start + per, total))
         parents = tables[index >> n]
-        kids = parents ^ _translate_rows(parents, index & (size - 1), n)
+        kids = parents ^ scan.translate(parents, index & (size - 1), n)
         rows = max(1, len(index) >> n)
         ones[start >> n:(start >> n) + rows] += _block_counts(kids, n, rows)
         if keep:
@@ -191,7 +165,7 @@ def _unit_levels(tables: np.ndarray, masks: np.ndarray, lowest: np.ndarray, n: i
     their variable sets are ``masks`` and their lowest variables ``lowest``, which
     ascend, so the rows that e_j extends are a suffix of them."""
     if not depth:
-        yield masks, np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+        yield masks, scan.weights(tables)
         return
     rows = max(1, CHUNK_BITS >> n)
     firsts = np.searchsorted(lowest, np.arange(n), side="right").tolist()
@@ -211,29 +185,14 @@ def _unit_levels(tables: np.ndarray, masks: np.ndarray, lowest: np.ndarray, n: i
 def _unit_children(tables: np.ndarray, masks: np.ndarray, batch: list[tuple[int, int, int]],
                    held: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(children, masks, lowest)``: for each ``(j, start, stop)`` of the batch, the
-    rows ``start:stop`` of ``(rows, words)`` uint64 tables derived along e_j on the
-    points with x_j = 0, the points with x_j = 1 zeroed; ``held`` rows in all.
-
-    Inside a word a shift by 2^j brings x + e_j onto x and ``_WORD_MASKS[j]``
-    keeps the points with x_j = 0. Past the word, e_j XORs the two halves of each
-    block of 2^(j-5) words into the lower one.
-    """
-    words = tables.shape[1]
-    kids = np.empty((held, words), dtype=np.uint64)
+    ``scan.unit_delta`` of the rows ``start:stop`` of ``(rows, words)`` uint64 tables
+    along e_j; ``held`` rows in all."""
+    kids = np.empty((held, tables.shape[1]), dtype=np.uint64)
     kid_masks = np.empty(held, dtype=np.int64)
     lowest = np.empty(held, dtype=np.int64)
     at = 0
     for j, start, stop in batch:
-        parents, out = tables[start:stop], kids[at:at + stop - start]
-        if j < 6:
-            np.right_shift(parents, _UNIT_SHIFTS[j], out=out)
-            out ^= parents
-            out &= _WORD_MASKS[j]
-        else:
-            blocks = (-1, words >> (j - 5), 2, 1 << (j - 6))
-            parents, out = parents.reshape(blocks), out.reshape(blocks)
-            np.bitwise_xor(parents[:, :, 0], parents[:, :, 1], out=out[:, :, 0])
-            out[:, :, 1] = 0
+        scan.unit_delta(tables[start:stop], j, kids[at:at + stop - start])
         np.bitwise_or(masks[start:stop], 1 << j, out=kid_masks[at:at + stop - start])
         lowest[at:at + stop - start] = j
         at += stop - start
@@ -319,7 +278,7 @@ def verify_derivative_representation(
     for depth in range(k):
         # ``tables`` holds the distinct depth-``depth`` prefixes and ``scales``
         # the largest coefficient of a path down to each.
-        biases = size - 2 * np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+        biases = size - 2 * scan.weights(tables)
         if not biases.all():
             raise DegenerateBiasError(
                 "zero prefix bias under the low-weight precondition"
@@ -332,8 +291,8 @@ def verify_derivative_representation(
                 f"single-derivative identity failed at a depth-{depth} prefix"
             )
         if children is not None:
-            tables, inverse = np.unique(children, axis=0, return_inverse=True)
-            scales = _max_over_parents(scales, inverse.reshape(-1), size)
+            tables, inverse = scan.unique_rows(children)
+            scales = _max_over_parents(scales, inverse, size)
     return IdentityReport(
         max_deviation=Fraction(0),
         max_abs_coefficient=max(scales),
@@ -549,10 +508,8 @@ def check_bias_bounds(
         else:
             tuples = draw_directions(rng, samples if s else 1, s, n)
             checked = len(tuples)
-            weights = np.concatenate([
-                np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
-                for tables, _ in derivative_chunks(f, tuples)
-            ]).tolist()
+            weights = np.concatenate([scan.weights(tables)
+                                      for tables, _ in derivative_chunks(f, tuples)]).tolist()
             heaviest = max(weights)
             violators = [(tuple(t), w) for t, w in zip(tuples.tolist(), weights) if w > limit]
         checks.append(

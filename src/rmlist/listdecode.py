@@ -235,12 +235,8 @@ def _coset_ball_sizes(centers: list[int], alpha: Fraction, params: CodeParams) -
         return np.array([ball_size(centers[0], alpha, params)])
     kernel = scan.code_scan(params)
     max_flips = flip_budget(alpha, params.block_length)
-    reduced = _coset_reduce(centers, params)
-    # Each row as one opaque item: a 1-D ``unique``, about 3x faster than ``axis=0``.
-    cosets, inverse = np.unique(reduced.view(f"V{8 * kernel.words}").ravel(),
-                                return_inverse=True)
-    return scan.count_within(kernel, cosets.view(np.uint64).reshape(-1, kernel.words),
-                             max_flips)[inverse]
+    cosets, inverse = scan.unique_rows(_coset_reduce(centers, params))
+    return scan.count_within(kernel, cosets, max_flips)[inverse]
 
 
 def _coset_reduce(centers: list[int], params: CodeParams) -> np.ndarray:

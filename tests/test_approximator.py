@@ -634,8 +634,8 @@ class TestUniqueDecode:
                             lambda *args: chosen.append("exhaustive"))
         monkeypatch.setattr(approximator, "_decode_majority",
                             lambda *args: chosen.append("majority"))
-        # Dimension 26, then 27.
-        for n, d in [(5, 3), (26, 1)]:
+        # Dimension 11, then 12.
+        for n, d in [(10, 1), (11, 1)]:
             unique_decode_within(FunctionTable.zero(n), CodeParams(n, d), Fraction(1, 1 << (d + 2)))
         assert chosen == ["exhaustive", "majority"]
 

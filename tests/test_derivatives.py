@@ -28,7 +28,7 @@ from rmlist import (
     weight,
 )
 
-from rmlist import derivatives
+from rmlist import derivatives, scan
 from rmlist.derivatives import (
     BiasBoundCheck,
     BiasBoundReport,
@@ -511,13 +511,13 @@ class TestVerifyRepresentation:
         # At 3 * 64 bits a chunk holds part of one prefix's 2^n children, which
         # span several chunks; at 2^12 bits the n <= 5 chunks hold the children
         # of several whole prefixes.
-        kernel, layouts = derivatives._translate_rows, set()
+        kernel, layouts = scan.translate, set()
 
         def spy(tables, a, n):
             layouts.add("rows" if len(a) > 1 << n else "part")
             return kernel(tables, a, n)
 
-        monkeypatch.setattr(derivatives, "_translate_rows", spy)
+        monkeypatch.setattr(scan, "translate", spy)
         for chunk_bits, expected in [(3 * 64, {"part"}), (1 << 12, {"part", "rows"})]:
             monkeypatch.setattr(derivatives, "CHUNK_BITS", chunk_bits)
             layouts.clear()
@@ -549,7 +549,7 @@ class TestVerifyRepresentation:
         assert derivatives._max_over_parents(scales, inverse, 2) == [2, 3, 3]
 
     def test_corrupted_kernel_bit_is_an_invariant_failure(self, monkeypatch):
-        kernel, calls = derivatives._translate_rows, []
+        kernel, calls = scan.translate, []
 
         def corrupted(tables, a, n):
             moved = kernel(tables, a, n)
@@ -558,20 +558,20 @@ class TestVerifyRepresentation:
                 moved[-1, 0] ^= np.uint64(1 << 3)
             return moved
 
-        monkeypatch.setattr(derivatives, "_translate_rows", corrupted)
+        monkeypatch.setattr(scan, "translate", corrupted)
         f = FunctionTable(6, 6758152515158529)
         with pytest.raises(InvariantFailure, match="single-derivative identity failed"):
             verify_derivative_representation(f, 2, Fraction(1, 4))
 
     def test_derives_each_distinct_prefix_extension_once(self, monkeypatch):
-        kernel = derivatives._translate_rows
+        kernel = scan.translate
         derived = []
 
         def counting(tables, a, n):
             derived.append(len(a))
             return kernel(tables, a, n)
 
-        monkeypatch.setattr(derivatives, "_translate_rows", counting)
+        monkeypatch.setattr(scan, "translate", counting)
         f, k = FunctionTable(6, sum(1 << x for x in (0, 5, 17, 40, 63))), 3
         verify_derivative_representation(f, k, Fraction(1, 8))
         # Distinct prefixes at depths 0..k-1, each extended by all 2^n directions.
@@ -585,8 +585,9 @@ class TestVerifyRepresentation:
         def no_kernel(*args):
             raise AssertionError("derived a table past the cap")
 
-        for seam in ("_level", "_translate_rows", "derivative_chunks"):
+        for seam in ("_level", "derivative_chunks"):
             monkeypatch.setattr(derivatives, seam, no_kernel)
+        monkeypatch.setattr(scan, "translate", no_kernel)
         # Each is just past the 2^32 derived table bits: 2^(n(k+1)), then 4^n.
         with pytest.raises(ScaleError, match="needs 2\\^36"):
             verify_derivative_representation(FunctionTable(12, 1), 2, Fraction(1, 2))

@@ -33,8 +33,10 @@ from rmlist import (
     evaluate,
     monomial_table,
     scan,
+    translate,
     unique_decode_within,
 )
+from rmlist.derivatives import _level, derivative_chunks
 from rmlist.listdecode import _family_centers
 
 from oracles import _shard_job, scan_enumerator
@@ -142,6 +144,77 @@ def test_point_bits_round_trip_to_the_table(n):
     bits = scan.point_bits(scan.to_words(tables, n), n)
     assert [scan.from_point_bits(row) for row in bits] == tables
     assert [scan.from_point_bits(row.astype(bool)) for row in bits] == tables
+
+
+def some_tables(n: int, rng: random.Random) -> list[int]:
+    """The all-zero and all-one tables on n variables and six random ones."""
+    return [0, (1 << (1 << n)) - 1] + [rng.getrandbits(1 << n) for _ in range(6)]
+
+
+def some_directions(n: int, rng: random.Random, count: int) -> np.ndarray:
+    """``count`` random directions on n variables, with 0 and 2^n - 1 among them."""
+    return np.array([0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(count - 2)])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_translate_moves_each_row_like_the_bigint_translate(n):
+    # Directions 0 and 2^n - 1 land on random tables, the fixed tables get random ones.
+    rng = random.Random(n)
+    tables = some_tables(n, rng)
+    directions = np.roll(some_directions(n, rng, len(tables)), 2)
+    moved = scan.translate(scan.to_words(tables, n), directions, n)
+    expected = [translate(FunctionTable(n, t), a).bits for t, a in zip(tables, directions.tolist())]
+    assert np.array_equal(moved, scan.to_words(expected, n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_unit_delta_derives_on_the_points_with_the_variable_zero(n):
+    # Variables below 6 move points inside a word, those from 6 on whole words.
+    tables = some_tables(n, random.Random(n))
+    rows = scan.to_words(tables, n)
+    for i in range(n):
+        out = np.full_like(rows, ~np.uint64(0))  # every bit is written
+        scan.unit_delta(rows, i, out)
+        expected = [sum(((t >> x ^ t >> (x | 1 << i)) & 1) << x
+                        for x in range(1 << n) if not x >> i & 1) for t in tables]
+        assert np.array_equal(out, scan.to_words(expected, n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_word_kernels_keep_the_padding_of_a_short_table_zero(n):
+    # The bits past 2^n < 64 points must stay 0, or ``scan.weights`` miscounts.
+    rng = random.Random(n)
+    tables = some_tables(n, rng)
+    rows = scan.to_words(tables, n)
+    outputs = [scan.translate(rows, some_directions(n, rng, len(tables)), n),
+               _level(rows, n, keep=True)[1]]
+    for i in range(n):
+        outputs.append(np.full_like(rows, ~np.uint64(0)))
+        scan.unit_delta(rows, i, outputs[-1])
+    directions = np.array([[rng.randrange(1 << n) for _ in range(3)] for _ in range(20)])
+    outputs += [t for t, _ in derivative_chunks(FunctionTable(n, tables[-1]), directions)]
+    padding = ~np.uint64((1 << (1 << n)) - 1)
+    assert not any((out & padding).any() for out in outputs)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_weights_count_the_ones_of_each_table(n):
+    tables = some_tables(n, random.Random(n))
+    weights = scan.weights(scan.to_words(tables, n))
+    assert weights.dtype == np.int64 and weights.tolist() == [t.bit_count() for t in tables]
+
+
+@pytest.mark.parametrize("words", [1, 2, 16])
+@pytest.mark.parametrize("batch", ["repeats", "one row", "all equal"])
+def test_unique_rows_lists_each_row_once_and_maps_back(words, batch):
+    rng = np.random.default_rng(words)
+    pool = rng.integers(0, 1 << 64, size=(5, words), dtype=np.uint64)
+    picks = {"repeats": rng.integers(0, 5, size=40), "one row": [3], "all equal": [2] * 7}
+    rows = pool[picks[batch]]
+    distinct, inverse = scan.unique_rows(rows)
+    assert distinct.dtype == np.uint64 and np.array_equal(distinct[inverse], rows)
+    as_tuples = [tuple(row) for row in distinct.tolist()]
+    assert len(set(as_tuples)) == len(as_tuples) == len({tuple(row) for row in rows.tolist()})
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (5, 2), (7, 1)])
