@@ -60,17 +60,19 @@ DERIVED_TABLE_BITS_CAP = 1 << 32
 EXHAUSTIVE_TUPLE_BITS = 24
 # Prime fields up to F_7 keep value tables small. ``grm._require_field``.
 MAX_FIELD = 7
-# q^n <= 2^20 points: a ``GrmTable`` holds one Python int per point, and
-# ``grm construct`` keeps one per member; its 64 default members take 24 s
-# and 751 MiB at the cap on a 2-core VM. ``grm.GrmParams``.
+# q^n <= 2^20 points: a ``GrmTable`` holds one uint8 per point, and ``grm
+# construct`` keeps one per member and writes each as a line of digits; its 64
+# default members at the cap, (q,n,d,k) = (2,20,2,1), take 0.7-0.85 s at a
+# 295 MiB peak RSS (a 67 MB CSV) on a 2-core VM, and (7,7,13,2) 1.1 s at
+# 239 MiB. ``grm.GrmParams``.
 GRM_POINT_BITS = 20
 # q^dimension <= 2^24 codewords: once q^(n+1) passes ``scan.TILE_BYTES`` the
 # tile is one row and the walk takes a Python step per codeword; (3,4,2),
-# 3^15 codewords, takes 1.2 s on a 2-core VM. ``grm.grm_enumerate_weights``.
+# 3^15 codewords, takes 0.68 s on a 2-core VM. ``grm.grm_enumerate_weights``.
 ENUM_CAP_BITS = 24
 # q^dimension * q^n <= 2^32 scanned values: near the cap the tile walk costs
-# 0.8 to 1.3 ns per value; (7,5,1) and (2,15,1), 2^30.9 and 2^31 values, take
-# 2.5 and 1.8 s. ``grm.grm_enumerate_weights``.
+# 0.3 to 0.6 ns per value; (7,5,1) and (2,15,1), 2^30.9 and 2^31 values, take
+# 1.2 and 0.6 s on a 2-core VM. ``grm.grm_enumerate_weights``.
 ENUM_VALUE_BITS = 32
 # A counting bound's integer value is built while samples x (bits per sample)
 # <= 2^24; the 12.1-Mbit accumulative value of RM(5,2) at k=1, eps=1/10 takes

@@ -216,7 +216,7 @@ def _run_grm_construct(params: dict, out: Path) -> dict:
     )
     lines = ["index,weight,degree,values,polynomial"]
     for i, (p, table) in enumerate(family.members):
-        digits = "".join(str(v) for v in table.values)
+        digits = (table.values + ord("0")).tobytes().decode("ascii")
         lines.append(f"{i},{family.claimed_weight},{p.degree},{digits},{p}")
     out.write_text("\n".join(lines) + "\n")
     return {

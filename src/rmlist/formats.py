@@ -87,10 +87,12 @@ def grm_table_from_text(text: str) -> GrmTable:
     try:
         q = int(fields["q"])
         n = int(fields["n"])
-        values = tuple(int(c) for c in fields["values"])
-    except ValueError as exc:
+        digits = np.asarray(memoryview(fields["values"].encode("ascii"))) - ord("0")
+    except ValueError as exc:  # a non-ASCII character fails the encode
         raise InputError(f"malformed table record: {exc}") from exc
-    return GrmTable(q, n, values)
+    if (digits > 9).any():  # a byte below '0' wraps past 9 too
+        raise InputError("malformed table record: values must be decimal digits")
+    return GrmTable(q, n, digits)
 
 
 def enumerator_csv(enum: WeightEnumerator) -> str:
@@ -110,10 +112,6 @@ def enumerator_csv(enum: WeightEnumerator) -> str:
 @lru_cache(maxsize=4096)
 def _monomial_name(n: int, mask: int) -> str:
     return "".join(f"x{i + 1}" for i in range(n) if (mask >> i) & 1) or "1"
-
-
-def anf_to_string(p: AnfPolynomial) -> str:
-    return "+".join(_monomial_name(p.n, m) for m in sorted(p.monomials)) or "0"
 
 
 @lru_cache(maxsize=8)

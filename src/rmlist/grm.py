@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,43 +80,67 @@ class GrmParams:
                    for j in range(d // q + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrmTable:
-    """Value table of f: F_q^n -> F_q; index = base-q encoding, x_1 least significant."""
+    """Value table of f: F_q^n -> F_q; index = base-q encoding, x_1 least significant.
+
+    ``values`` is a read-only ``(q^n,)`` uint8 copy of the integers given, which
+    are range-checked as they stand, so that -1 or 256 cannot wrap into [0, q).
+    Equality is by value.
+    """
 
     q: int
     n: int
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.q**self.n:
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iu":
+            raise InputError(f"table values must be integers, got {values.dtype}")
+        if values.shape != (self.q**self.n,):
             raise InputError("value table length must be q^n")
-        if not set(self.values) <= set(range(self.q)):
+        if values.min() < 0 or values.max() >= self.q:
             raise InputError("table values must lie in [0, q)")
+        values = values.astype(np.uint8)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GrmTable):
+            return NotImplemented
+        return (self.q, self.n) == (other.q, other.n) and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.n, self.values.tobytes()))
 
     @property
     def size(self) -> int:
         return self.q**self.n
 
 
-def monomial_tables(q: int, n: int,
-                    exponents: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:
-    """The uint8 value table, over all q^n points, of each monomial x^e in ``exponents``.
+def monomial_tables(q: int, n: int, exponents: Sequence[tuple[int, ...]],
+                    width: int | None = None) -> np.ndarray:
+    """``(len(exponents), width)`` uint8: row j is the value table of x^e_j over all
+    q^n points, then zeros up to ``width`` (default q^n).
 
     Point v's coordinates are its base-q digits, x_1 least significant, so on the
     C-order grid ``(q,) * n`` x_i runs along axis n - i: a broadcast product of powers.
     """
+    size = q**n
+    out = np.zeros((len(exponents), width or size), dtype=np.uint8)
+    grids = out[:, :size].reshape((len(exponents),) + (q,) * n)
     powers = np.array([[pow(x, k, q) for x in range(q)] for k in range(q)], dtype=np.uint8)
-    for e in exponents:
+    for grid, e in zip(grids, exponents):
         table = np.ones((1,) * n, dtype=np.uint8)
         for i, k in enumerate(e):
             if k:
                 table = table * powers[k].reshape((q,) + (1,) * i) % q
-        yield np.broadcast_to(table, (q,) * n).reshape(-1)
+        grid[...] = table
+    return out
 
 
 def grm_weight(f: GrmTable) -> Fraction:
-    return Fraction(f.size - f.values.count(0), f.size)
+    return Fraction(int(np.count_nonzero(f.values)), f.size)
 
 
 @dataclass(frozen=True)
@@ -147,8 +171,7 @@ class BiasValue:
 
 
 def grm_bias(f: GrmTable) -> BiasValue:
-    values = bytes(f.values)  # every value is below q <= 7, one byte each
-    counts = tuple(values.count(j) for j in range(f.q))
+    counts = tuple(np.bincount(f.values, minlength=f.q).tolist())
     return BiasValue(q=f.q, size=f.size, residue_counts=counts)
 
 
@@ -253,13 +276,27 @@ class GrmPolynomial:
     def sort_key(self) -> tuple:
         return tuple(sorted(self.coeffs.items()))
 
-    def evaluate_table(self) -> GrmTable:
-        """Coefficients times the value tables of the terms, summed term by term, mod q."""
-        values = np.zeros(self.q**self.n, dtype=np.int64)
-        for c, table in zip(self.coeffs.values(),
-                            monomial_tables(self.q, self.n, self.coeffs)):
-            values += c * table
-        return GrmTable(self.q, self.n, tuple((values % self.q).tolist()))
+    def evaluate_table(self, monomials: Mapping[tuple[int, ...], np.ndarray] | None = None,
+                       ) -> GrmTable:
+        """Coefficients times the value tables of the terms, summed in uint8, mod q.
+
+        ``monomials`` maps each exponent to its table, as ``construct_grm_family``
+        shares one ``monomial_tables`` matrix among its members; without it each
+        term builds its own. A term adds at most c(q-1) <= 36, so the sum is
+        reduced mod q only before it could pass 255.
+        """
+        q = self.q
+        values = np.zeros(q**self.n, dtype=np.uint8)
+        bound = 0  # the largest value an entry of ``values`` may hold
+        for e, c in self.coeffs.items():
+            table = monomial_tables(q, self.n, [e])[0] if monomials is None else monomials[e]
+            if bound + c * (q - 1) > 255:
+                values %= q
+                bound = q - 1
+            values += table if c == 1 else table * c
+            bound += c * (q - 1)
+        values %= q
+        return GrmTable(q, self.n, values)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -335,19 +372,13 @@ def construct_grm_family(
     if limit < 1:
         raise InputError(f"limit must be >= 1, got {limit}")
     target = {t.k: t.value for t in weight_thresholds(q, d)}[k]
-    members: dict[tuple, tuple[GrmPolynomial, GrmTable]] = {}  # by sort key, first kept
+    chosen: dict[tuple, GrmPolynomial] = {}  # by sort key, first kept
 
     def emit(p: GrmPolynomial) -> bool:
-        if len(members) >= limit:
-            return False
         if p.degree > d:
             raise InvariantFailure(f"family member degree {p.degree} exceeds {d}")
-        table = p.evaluate_table()
-        w = grm_weight(table)
-        if w != target:
-            raise InvariantFailure(f"family member weight {w} != claimed {target}")
-        members.setdefault(p.sort_key(), (p, table))
-        return len(members) < limit
+        chosen.setdefault(p.sort_key(), p)
+        return len(chosen) < limit
 
     if k == 1:
         a, b = _split_degree(q, d)
@@ -378,11 +409,17 @@ def construct_grm_family(
         for g in _iter_polynomials(q, n, d, offset=1):
             if not emit(x1 + g):
                 break
-    return GrmFamily(
-        q=q, n=n, d=d, k=k,
-        claimed_weight=target,
-        members=tuple(members.values()),
-    )
+    # Every member is evaluated from one matrix of the monomial tables they use.
+    exponents = sorted({e for p in chosen.values() for e in p.coeffs})
+    monomials = dict(zip(exponents, monomial_tables(q, n, exponents)))
+    members = []
+    for p in chosen.values():
+        table = p.evaluate_table(monomials)
+        w = grm_weight(table)
+        if w != target:
+            raise InvariantFailure(f"family member weight {w} != claimed {target}")
+        members.append((p, table))
+    return GrmFamily(q=q, n=n, d=d, k=k, claimed_weight=target, members=tuple(members))
 
 
 @dataclass(frozen=True)
@@ -473,9 +510,12 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
     so adds one table, mod q, into a running base. Row r of a step stands for the
     codeword tile[r] - base: its weight is q^n minus the points where tile[r]
     equals base, so no row is reduced mod q, and as base runs over every high
-    combination so does -base. On a 2-core VM (3,4,2), 14.3 million codewords,
-    takes 1.2 s, and near the value cap (7,5,1) and (2,15,1) take 2.5 and 1.8 s:
-    0.8 to 1.3 ns per scanned value there, 2.5 to 4 ns on small codes.
+    combination so does -base. Rows are padded to whole uint64 words, so the
+    matches of a step are one ``scan.weights`` of the bytes of ``tile == base``;
+    the tile's pads hold q and the base's 0, so no pad ever matches. On a 2-core
+    VM (3,4,2), 14.3 million codewords, takes 0.68 s, and near the value cap
+    (7,5,1) and (2,15,1) take 1.2 and 0.6 s: 0.6 and 0.3 ns per scanned value
+    there, 1.1 to 2.4 ns on small codes.
     """
     q, n, dim, size = params.q, params.n, params.dimension, params.block_length
     if _exceeds(q, dim, ENUM_CAP_BITS):
@@ -483,18 +523,22 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
     if _exceeds(q, dim + n, ENUM_VALUE_BITS):
         raise ScaleError(f"q^(dimension + n) = {q}^{dim + n} scanned values exceed "
                          f"the enumeration cap 2^{ENUM_VALUE_BITS}")
-    tables = np.array(list(monomial_tables(q, n, params.monomial_exponents())), dtype=np.uint8)
+    width = -(-size // 8) * 8
+    tables = monomial_tables(q, n, params.monomial_exponents(), width)
     low = tile_digits(q, size, dim)
-    tile = np.zeros((1, size), dtype=np.uint8)
+    tile = np.zeros((1, width), dtype=np.uint8)
     for table in tables[:low]:
         tile = np.concatenate([(tile + c * table) % q for c in range(q)])
+    tile[:, size:] = q
     high = tables[low:]
     wrap = np.uint8(q)
     # A bincount costs size + 1 however few rows it counts, so the weights of
     # ``batch`` steps are counted together (long tables make small tiles).
     batch, steps = size // len(tile) + 1, q ** len(high)
     counts = np.zeros(size + 1, dtype=np.int64)
-    base = np.zeros(size, dtype=np.uint8)
+    base = np.zeros(width, dtype=np.uint8)
+    equal = np.empty(tile.shape, dtype=bool)
+    matched = equal.view(np.uint64)  # eight points' 0/1 matches per word
     pending = []
     for step in range(steps):
         if step:
@@ -506,7 +550,8 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
             # is subtracted, so the minimum keeps it; one of q..2q-2 drops by q.
             total = base + high[digit]
             base = np.minimum(total, total - wrap)
-        pending.append(size - np.count_nonzero(tile == base, axis=1))
+        np.equal(tile, base, out=equal)
+        pending.append(size - scan.weights(matched))
         if len(pending) == batch or step == steps - 1:
             counts += np.bincount(np.concatenate(pending), minlength=size + 1)
             pending = []

@@ -17,7 +17,8 @@ tile and takes every row's popcount, kept as uint8 for a one-word code (n <=
 weight as its pair and reduce each block their own way: a count of words
 within a radius, or the words themselves. Weight enumerators walk no code:
 ``enumeration`` has a closed form for every code it admits, and the F_q walk
-in ``grm`` reads only ``TILE_BYTES`` from here.
+in ``grm`` reads only ``TILE_BYTES`` and ``weights`` from here: it counts the
+matching points of its byte rows, padded to whole words, as ones.
 
 This module alone converts a truth table, a Python int whose bit x is point
 x, to and from numpy: ``to_words`` packs tables into rows of little-endian

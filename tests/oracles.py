@@ -86,14 +86,14 @@ def grm_table_of(f: FunctionTable) -> GrmTable:
 def boolean_table_of(t: GrmTable) -> FunctionTable:
     """An F_2 value table as a packed Boolean truth table."""
     assert t.q == 2
-    return table_from_values(t.values)
+    return table_from_values(t.values.tolist())
 
 
 def grm_distance(f: GrmTable, g: GrmTable) -> Fraction:
     """Fraction of points where two value tables over the same F_q^n disagree."""
     if (f.q, f.n) != (g.q, g.n):
         raise InputError("mismatched field or variable count")
-    return Fraction(sum(1 for a, b in zip(f.values, g.values) if a != b), f.size)
+    return Fraction(int(np.count_nonzero(f.values != g.values)), f.size)
 
 
 def derive_iterated(f: FunctionTable, directions: Sequence[int]) -> FunctionTable:

@@ -448,6 +448,12 @@ class TestGrmCommands:
         assert report["mean_all_equals_one_minus_weight"] is True
         assert report["residue_counts"][0] == [3, 0, 0]
 
+    @pytest.mark.parametrize("values", ["013", "0x2", "0\u06612"])
+    def test_bias_scan_rejects_a_bad_table_with_exit_2(self, outdir, values):
+        Path("t.txt").write_text(f"q 3\nn 1\nvalues {values}\n")
+        assert run("grm", "bias-scan", "--table", "t.txt", "--out", "scan.json") == 2
+        assert not Path("scan.json").exists()
+
 
 class TestGrmOutputDigests:
     """sha256 of fixed F_q outputs: enumerator CSVs and construction member order."""

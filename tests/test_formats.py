@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rmlist import (
@@ -16,7 +17,6 @@ from rmlist import (
     enumerate_weights,
 )
 from rmlist.formats import (
-    anf_to_string,
     ball_csv,
     enumerator_csv,
     family_to_text,
@@ -52,6 +52,12 @@ def family_from_text(text: str) -> list[AnfPolynomial]:
 def grm_table_to_text(t: GrmTable) -> str:
     """An F_q table file, the inverse of ``grm_table_from_text``."""
     return f"q {t.q}\nn {t.n}\nvalues {''.join(str(v) for v in t.values)}\n"
+
+
+def anf_to_string(p: AnfPolynomial) -> str:
+    """A polynomial as its '+'-joined monomial names, '1' for the constant, '0' if empty."""
+    return "+".join("".join(f"x{i + 1}" for i in range(p.n) if m >> i & 1) or "1"
+                    for m in sorted(p.monomials)) or "0"
 
 
 class TestParseFraction:
@@ -135,6 +141,17 @@ class TestGrmTableFile:
     def test_rejects_bad_digits(self):
         with pytest.raises(InputError):
             grm_table_from_text("q 3\nn 1\nvalues 04x\n")
+
+    @pytest.mark.parametrize("values", ["0/1", "0 1", "01:", "0-1", "0\u06611", "013", "019"])
+    def test_rejects_what_is_not_a_digit_below_q(self, values):
+        # '/' sits just below '0' and ':' just above '9'; U+0661 is a non-ASCII digit.
+        with pytest.raises(InputError):
+            grm_table_from_text(f"q 3\nn 1\nvalues {values}\n")
+
+    def test_reads_digits_as_a_read_only_uint8_table(self):
+        t = grm_table_from_text("q 7\nn 1\nvalues 6543210\n")
+        assert t.values.dtype == np.uint8 and not t.values.flags.writeable
+        assert t.values.tolist() == [6, 5, 4, 3, 2, 1, 0]
 
 
 class TestCsv:

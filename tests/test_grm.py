@@ -250,11 +250,18 @@ class TestEvaluateAgainstPerPointOracle:
         for p in polys:
             table = p.evaluate_table()
             assert table == evaluate_per_point(p)
-            assert all(type(v) is int for v in table.values)
+            assert table.values.dtype == np.uint8 and not table.values.flags.writeable
 
     def test_zero_polynomial(self):
         for q in (2, 3, 5, 7):
             assert GrmPolynomial(q, 2).evaluate_table() == GrmTable(q, 2, (0,) * q**2)
+
+    @pytest.mark.parametrize("q,n", [(2, 8), (3, 4), (7, 2)])
+    def test_dense_sums_reduce_before_the_byte_wraps(self, q, n):
+        # Every exponent at coefficient q-1: 256, 81 and 49 terms of up to (q-1)^2,
+        # far more than one uint8 sum holds between reductions.
+        p = GrmPolynomial(q, n, {e: q - 1 for e in itertools.product(range(q), repeat=n)})
+        assert p.evaluate_table() == evaluate_per_point(p)
 
 
 class TestMonomialBasis:
@@ -308,7 +315,33 @@ class TestTileWalkAgainstOdometer:
         assert all(type(w) is int and type(c) is int for w, c in counts.items())
 
 
+class TestOneRowTile:
+    """The walk with no low digit, one padded row per step, on block lengths 9, 25 and 49."""
+
+    @pytest.mark.parametrize("q,n,d", [(3, 2, 1), (3, 2, 2), (5, 2, 1), (7, 2, 1)])
+    def test_matches_brute_force(self, q, n, d, monkeypatch):
+        params = GrmParams(q, n, d)
+        monkeypatch.setattr(scan, "TILE_BYTES", 1)
+        assert grm.tile_digits(q, params.block_length, params.dimension) == 0
+        assert grm_enumerate_weights(params).counts == brute_force_enumerator(params)
+
+
+# ``grm construct``'s specs in the benchmark, then the q = 2 middle case.
+CONSTRUCT_SPECS = [(3, 3, 2, 1), (3, 3, 2, 2), (3, 4, 3, 2), (5, 2, 3, 3), (5, 3, 2, 1),
+                   (7, 2, 3, 3), (2, 4, 3, 2)]
+
+
 class TestConstructions:
+    @pytest.mark.parametrize("limit", [64, 1])
+    @pytest.mark.parametrize("q,n,d,k", CONSTRUCT_SPECS)
+    def test_members_match_per_point_evaluation(self, q, n, d, k, limit):
+        fam = construct_grm_family(q, n, d, k, limit=limit)
+        assert 1 <= fam.distinct_count <= limit
+        assert len({p.sort_key() for p, _ in fam.members}) == fam.distinct_count
+        for p, t in fam.members:
+            assert t == evaluate_per_point(p)
+            assert t.values.dtype == np.uint8 and not t.values.flags.writeable
+
     def test_ternary_k1(self):
         fam = construct_grm_family(3, 3, 2, 1)
         assert fam.claimed_weight == Fraction(1, 3)
@@ -490,3 +523,32 @@ class TestGrmParams:
         for bad in ((0, 1, 3), (0, -1, 2)):
             with pytest.raises(InputError):
                 GrmTable(3, 1, bad)
+
+
+class TestGrmTableValues:
+    @pytest.mark.parametrize("bad", [
+        (0, 1, 3), (0, 256, 2), (0, -1, 2),
+        # 257 and -255 are 1 mod 256: a cast before the check would let them in.
+        (0, 257, 2), (0, -255, 2), np.array([0, 257, 2]), np.array([0, 3, 2], dtype=np.uint8),
+        (0, 1.0, 2), (0, "1", 2), (0, 2**70, 2), (False, True, False)])
+    def test_rejects_values_before_the_uint8_cast(self, bad):
+        with pytest.raises(InputError):
+            GrmTable(3, 1, bad)
+
+    def test_values_are_a_read_only_uint8_copy(self):
+        source = np.array([0, 1, 2], dtype=np.int64)
+        t = GrmTable(3, 1, source)
+        source[0] = 2
+        assert t.values.dtype == np.uint8 and not t.values.flags.writeable
+        assert t.values.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError):
+            t.values[0] = 1
+
+    def test_equality_and_hash_are_by_value(self):
+        t = GrmTable(3, 2, (0, 1, 2, 2, 1, 0, 0, 0, 1))
+        same = GrmTable(3, 2, np.array(t.values.tolist()))
+        assert t == same and hash(t) == hash(same)
+        assert t != GrmTable(3, 2, (0, 1, 2, 2, 1, 0, 0, 0, 2))
+        # Tables over another field or variable count differ, whatever their values.
+        assert GrmTable(3, 1, (0, 0, 0)) != GrmTable(5, 1, (0,) * 5)
+        assert GrmTable(2, 3, (0,) * 8) != GrmTable(2, 2, (0,) * 4)
