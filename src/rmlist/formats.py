@@ -87,6 +87,9 @@ def grm_table_from_text(text: str) -> GrmTable:
     try:
         q = int(fields["q"])
         n = int(fields["n"])
+        # A byte view of the digit string, not of a truth table: ``scan`` owns
+        # truth-table conversions, and ``tests/test_layout.py`` keeps
+        # ``np.frombuffer`` to it, so this view goes through ``memoryview``.
         digits = np.asarray(memoryview(fields["values"].encode("ascii"))) - ord("0")
     except ValueError as exc:  # a non-ASCII character fails the encode
         raise InputError(f"malformed table record: {exc}") from exc

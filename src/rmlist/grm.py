@@ -10,6 +10,7 @@ with w = exp(2 pi i / q) is derived on demand for display.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -280,20 +281,23 @@ class GrmPolynomial:
                        ) -> GrmTable:
         """Coefficients times the value tables of the terms, summed in uint8, mod q.
 
-        ``monomials`` maps each exponent to its table, as ``construct_grm_family``
-        shares one ``monomial_tables`` matrix among its members; without it each
-        term builds its own. A term adds at most c(q-1) <= 36, so the sum is
-        reduced mod q only before it could pass 255.
+        ``monomials`` maps each exponent to its table, as ``evaluate_polynomials``
+        shares each block of a ``monomial_tables`` matrix among many polynomials;
+        without it the polynomial is evaluated alone, ``scan.TILE_BYTES`` of its
+        tables at a time. A term adds at most c(q-1) <= 36, so the sum is reduced
+        mod q only before it could pass 255.
         """
         q = self.q
+        if monomials is None:
+            rows = max(1, scan.TILE_BYTES // q**self.n)
+            return evaluate_polynomials(q, self.n, [self], rows)[0]
         values = np.zeros(q**self.n, dtype=np.uint8)
         bound = 0  # the largest value an entry of ``values`` may hold
         for e, c in self.coeffs.items():
-            table = monomial_tables(q, self.n, [e])[0] if monomials is None else monomials[e]
             if bound + c * (q - 1) > 255:
                 values %= q
                 bound = q - 1
-            values += table if c == 1 else table * c
+            values += monomials[e] if c == 1 else monomials[e] * c
             bound += c * (q - 1)
         values %= q
         return GrmTable(q, self.n, values)
@@ -354,6 +358,36 @@ def _coordinate_product(q: int, n: int, a: int, b: int) -> GrmPolynomial:
     return p
 
 
+def evaluate_polynomials(q: int, n: int, polynomials: Sequence[GrmPolynomial],
+                         rows: int) -> list[GrmTable]:
+    """The value tables of ``polynomials``, from blocks of at most ``rows`` of the
+    monomial tables they use: each block is built once, every polynomial evaluates
+    its terms there, and a polynomial spread over several blocks sums its parts."""
+    exponents = sorted({e for p in polynomials for e in p.coeffs})
+    index = {e: i for i, e in enumerate(exponents)}
+    # Each polynomial's exponents in block order, and how many are evaluated.
+    orders = [sorted(p.coeffs, key=index.__getitem__) for p in polynomials]
+    done = [0] * len(polynomials)
+    tables: list[GrmTable | None] = [None] * len(polynomials)
+    for start in range(0, len(exponents), rows):
+        block = exponents[start:start + rows]
+        monomials = dict(zip(block, monomial_tables(q, n, block)))
+        for i, (order, p) in enumerate(zip(orders, polynomials)):
+            stop = bisect.bisect_left(order, start + rows, lo=done[i], key=index.__getitem__)
+            if stop == done[i]:
+                continue
+            part = p
+            if stop - done[i] < len(order):
+                part = GrmPolynomial(q, n)  # p's terms are reduced already
+                part.coeffs = {e: p.coeffs[e] for e in order[done[i]:stop]}
+            done[i] = stop
+            table, previous = part.evaluate_table(monomials), tables[i]
+            tables[i] = table if previous is None else GrmTable(
+                q, n, (previous.values + table.values) % q)
+    zero = np.zeros(q**n, dtype=np.uint8)
+    return [GrmTable(q, n, zero) if t is None else t for t in tables]
+
+
 def construct_grm_family(
     q: int, n: int, d: int, k: int, limit: int = 64
 ) -> GrmFamily:
@@ -409,12 +443,12 @@ def construct_grm_family(
         for g in _iter_polynomials(q, n, d, offset=1):
             if not emit(x1 + g):
                 break
-    # Every member is evaluated from one matrix of the monomial tables they use.
-    exponents = sorted({e for p in chosen.values() for e in p.coeffs})
-    monomials = dict(zip(exponents, monomial_tables(q, n, exponents)))
+    # The members share the monomial tables they use, held in blocks no larger
+    # than the members' own tables (or one scan tile).
+    size = q**n
+    rows = max(len(chosen) * size, scan.TILE_BYTES) // size
     members = []
-    for p in chosen.values():
-        table = p.evaluate_table(monomials)
+    for p, table in zip(chosen.values(), evaluate_polynomials(q, n, list(chosen.values()), rows)):
         w = grm_weight(table)
         if w != target:
             raise InvariantFailure(f"family member weight {w} != claimed {target}")
@@ -492,10 +526,10 @@ def bias_scaling_scan(p: GrmTable, eps: Fraction | None = None) -> BiasScalingRe
     )
 
 
-def tile_digits(q: int, size: int, dimension: int) -> int:
-    """Largest L <= dimension whose (q^L, size) uint8 tile fits ``scan.TILE_BYTES`` (at least 0)."""
+def tile_digits(q: int, width: int, dimension: int) -> int:
+    """Largest L <= dimension whose (q^L, width) uint8 tile fits ``scan.TILE_BYTES`` (at least 0)."""
     low = 0
-    while low < dimension and q ** (low + 1) * size <= scan.TILE_BYTES:
+    while low < dimension and q ** (low + 1) * width <= scan.TILE_BYTES:
         low += 1
     return low
 
@@ -504,14 +538,15 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
     """Exact enumerator over all q^dimension codewords, as a walk over a tile of low digits.
 
     A codeword is sum_j c_j T_j mod q over the monomial tables T_j. The first L
-    coefficient digits (``tile_digits``) are precomputed once as a (q^L, q^n)
-    uint8 tile of all their combinations. The other digits run in the modular
-    q-ary Gray order, an odometer in which every step bumps one digit by one and
-    so adds one table, mod q, into a running base. Row r of a step stands for the
-    codeword tile[r] - base: its weight is q^n minus the points where tile[r]
-    equals base, so no row is reduced mod q, and as base runs over every high
-    combination so does -base. Rows are padded to whole uint64 words, so the
-    matches of a step are one ``scan.weights`` of the bytes of ``tile == base``;
+    coefficient digits (``tile_digits``) are precomputed once as a (q^L, width)
+    uint8 tile of all their combinations, width being q^n rounded up to whole
+    uint64 words. The other digits run in the modular q-ary Gray order, an
+    odometer in which every step bumps one digit by one and so adds one table,
+    mod q, into a running base. Row r of a step stands for the codeword
+    tile[r] - base: its weight is q^n minus the points where tile[r] equals
+    base, so no row is reduced mod q, and as base runs over every high
+    combination so does -base. The matches of a step are one ``scan.weights``
+    of the bytes of ``tile == base``, held in a bool buffer of the tile's shape;
     the tile's pads hold q and the base's 0, so no pad ever matches. On a 2-core
     VM (3,4,2), 14.3 million codewords, takes 0.68 s, and near the value cap
     (7,5,1) and (2,15,1) take 1.2 and 0.6 s: 0.6 and 0.3 ns per scanned value
@@ -525,7 +560,7 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
                          f"the enumeration cap 2^{ENUM_VALUE_BITS}")
     width = -(-size // 8) * 8
     tables = monomial_tables(q, n, params.monomial_exponents(), width)
-    low = tile_digits(q, size, dim)
+    low = tile_digits(q, width, dim)
     tile = np.zeros((1, width), dtype=np.uint8)
     for table in tables[:low]:
         tile = np.concatenate([(tile + c * table) % q for c in range(q)])

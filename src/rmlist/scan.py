@@ -53,7 +53,9 @@ from .boolfunc import AnfPolynomial, CodeParams, _low_block_mask, monomial_table
 from .caps import SCAN_WORD_BITS
 from .errors import ScaleError
 
-TILE_BYTES = 1 << 16  # bound on the tile of low combinations
+# Bound on the tile of low combinations; ``grm``'s F_q walk keeps a bool
+# buffer of its tile's shape beside it, so holds up to twice this.
+TILE_BYTES = 1 << 16
 # Inside a uint64 word x + e_i is 2^i points up, for i < 6; masks of the points with x_i = 0.
 _WORD_MASKS = tuple(np.uint64(_low_block_mask(6, i)) for i in range(6))
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -256,10 +257,15 @@ class TestEvaluateAgainstPerPointOracle:
         for q in (2, 3, 5, 7):
             assert GrmPolynomial(q, 2).evaluate_table() == GrmTable(q, 2, (0,) * q**2)
 
+    @pytest.mark.parametrize("tile_bytes", [None, 1])
     @pytest.mark.parametrize("q,n", [(2, 8), (3, 4), (7, 2)])
-    def test_dense_sums_reduce_before_the_byte_wraps(self, q, n):
+    def test_dense_sums_reduce_before_the_byte_wraps(self, q, n, tile_bytes, monkeypatch):
         # Every exponent at coefficient q-1: 256, 81 and 49 terms of up to (q-1)^2,
-        # far more than one uint8 sum holds between reductions.
+        # far more than one uint8 sum holds between reductions. With
+        # ``scan.TILE_BYTES`` at 1 each term is a block of its own, and the
+        # table is the sum of those parts.
+        if tile_bytes is not None:
+            monkeypatch.setattr(scan, "TILE_BYTES", tile_bytes)
         p = GrmPolynomial(q, n, {e: q - 1 for e in itertools.product(range(q), repeat=n)})
         assert p.evaluate_table() == evaluate_per_point(p)
 
@@ -306,10 +312,10 @@ class TestTileWalkAgainstOdometer:
                                                            (2, 5, 1), (2, 6, 1)])
     def test_every_split_matches_odometer(self, q, n, d, split, monkeypatch):
         params = GrmParams(q, n, d)
-        dim, size = params.dimension, params.block_length
+        dim, width = params.dimension, -(-params.block_length // 8) * 8
         low = {"all high": 0, "half": dim // 2, "all low": dim}[split]
-        monkeypatch.setattr(scan, "TILE_BYTES", q**low * size)
-        assert grm.tile_digits(q, size, dim) == low
+        monkeypatch.setattr(scan, "TILE_BYTES", q**low * width)
+        assert grm.tile_digits(q, width, dim) == low
         counts = grm_enumerate_weights(params).counts
         assert counts == odometer_enumerator(q, n, d)
         assert all(type(w) is int and type(c) is int for w, c in counts.items())
@@ -332,15 +338,44 @@ CONSTRUCT_SPECS = [(3, 3, 2, 1), (3, 3, 2, 2), (3, 4, 3, 2), (5, 2, 3, 3), (5, 3
 
 
 class TestConstructions:
-    @pytest.mark.parametrize("limit", [64, 1])
+    # With ``scan.TILE_BYTES`` at 1 the monomial blocks hold ``limit`` tables,
+    # so members span several blocks.
+    @pytest.mark.parametrize("limit,tile_bytes", [(64, None), (1, None), (3, 1), (1, 1)])
     @pytest.mark.parametrize("q,n,d,k", CONSTRUCT_SPECS)
-    def test_members_match_per_point_evaluation(self, q, n, d, k, limit):
+    def test_members_match_per_point_evaluation(self, q, n, d, k, limit, tile_bytes,
+                                                monkeypatch):
+        if tile_bytes is not None:
+            monkeypatch.setattr(scan, "TILE_BYTES", tile_bytes)
         fam = construct_grm_family(q, n, d, k, limit=limit)
         assert 1 <= fam.distinct_count <= limit
         assert len({p.sort_key() for p, _ in fam.members}) == fam.distinct_count
         for p, t in fam.members:
             assert t == evaluate_per_point(p)
             assert t.values.dtype == np.uint8 and not t.values.flags.writeable
+
+    def test_high_degree_evaluation_stays_within_the_members_tables(self, monkeypatch):
+        # (2,14,10,1): 16 members of 2,048 terms over 3,072 exponents, whose
+        # tables as one matrix would take 48 MiB. Blocks of at most the members'
+        # own 16 x 2^14 bytes keep the evaluation under 4 x limit x q^n = 4 MiB.
+        q, n, d, k = 2, 14, 10, 1
+        evaluate, peaks = grm.evaluate_polynomials, []
+
+        def traced(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tables = evaluate(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return tables
+
+        monkeypatch.setattr(grm, "evaluate_polynomials", traced)
+        tracemalloc.start()
+        try:
+            fam = construct_grm_family(q, n, d, k)
+        finally:
+            tracemalloc.stop()
+        exponents = {e for p, _ in fam.members for e in p.coeffs}
+        assert (fam.distinct_count, len(exponents)) == (16, 3072)
+        assert len(peaks) == 1 and peaks[0] < 4 * 64 * q**n
 
     def test_ternary_k1(self):
         fam = construct_grm_family(3, 3, 2, 1)
