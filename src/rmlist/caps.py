@@ -61,11 +61,11 @@ EXHAUSTIVE_TUPLE_BITS = 24
 # Prime fields up to F_7 keep value tables small. ``grm._require_field``.
 MAX_FIELD = 7
 # q^n <= 2^20 points: a ``GrmTable`` holds one uint8 per point, and ``grm
-# construct`` keeps one per member and writes each as a line of digits; its 64
-# default members at the cap, (q,n,d,k) = (2,20,2,1), take 0.7-0.85 s at a
-# 295 MiB peak RSS (a 67 MB CSV) on a 2-core VM, (7,7,13,2) 1.1 s at
-# 239 MiB, and (2,20,10,1), whose members use 4,096 monomials of degree up
-# to 10, 38-41 s at 357 MiB. ``grm.GrmParams``.
+# construct`` keeps one per member and streams each as a line of digits; its
+# 64 default members at the cap, (q,n,d,k) = (2,20,2,1), take 0.64-0.79 s at a
+# 116 MiB peak RSS (a 67 MB CSV; whole process, 2-core VM), (7,7,13,2)
+# 1.2 s at 123 MiB, and (2,20,10,1), whose members use 4,096 monomials of
+# degree up to 10, 40-50 s at 286 MiB. ``grm.GrmParams``.
 GRM_POINT_BITS = 20
 # q^dimension <= 2^24 codewords: once q^(n+1) passes ``scan.TILE_BYTES`` the
 # tile is one row and the walk takes a Python step per codeword; (3,4,2),

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
+import types
 from pathlib import Path
 
 from . import __version__
@@ -45,9 +47,9 @@ from .formats import (
     ball_csv,
     enumerator_csv,
     family_to_text,
+    function_from_text,
     grm_table_from_text,
     parse_fraction,
-    read_function_file,
 )
 from .grm import (
     GrmParams,
@@ -74,45 +76,40 @@ def _resolve_out(out: str) -> Path:
         base = os.environ.get(OUT_DIR_ENV)
         if base:
             path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _run_enum(params: dict, out: Path) -> dict:
-    code = CodeParams(params["n"], params["d"])
-    alphas = {f"A({text})": parse_fraction(text) for text in params.get("alphas", [])}
-    for alpha in alphas.values():  # every alpha is range-checked before the CSV is written
+def _run_enum(out: Path, *, n: int, d: int, shards: int = 1, workers: int = 1,
+              alphas: list[str] = []) -> dict:  # the default list is never mutated
+    code = CodeParams(n, d)
+    queries = {f"A({text})": parse_fraction(text) for text in alphas}
+    for alpha in queries.values():  # every alpha is range-checked before the CSV is written
         flip_budget(alpha, code.block_length)
-    enum = enumerate_weights(
-        code, shards=params.get("shards", 1), workers=params.get("workers", 1)
-    )
+    enum = enumerate_weights(code, shards=shards, workers=workers)
     out.write_text(enumerator_csv(enum))
-    return {key: accumulative(enum, alpha) for key, alpha in alphas.items()}
+    return {key: accumulative(enum, alpha) for key, alpha in queries.items()}
 
 
-def _run_listdecode(params: dict, out: Path) -> dict:
-    code = CodeParams(params["n"], params["d"])
-    center = FunctionTable(params["n"], int(params["center_bits_hex"], 16))
-    alpha = parse_fraction(params["alpha"])
-    if alpha >= 1 and not params.get("allow_full", False):
+def _run_listdecode(out: Path, *, n: int, d: int, alpha: str, center_bits_hex: str,
+                    allow_full: bool = False) -> dict:
+    code = CodeParams(n, d)
+    center = FunctionTable(n, int(center_bits_hex, 16))
+    radius = parse_fraction(alpha)
+    if radius >= 1 and not allow_full:
         raise InputError(
             "alpha >= 1 lists the entire code; pass --allow-full to confirm"
         )
-    result = ball(center, alpha, code)
+    result = ball(center, radius, code)
     out.write_text(ball_csv(result))
     return {"members": result.size}
 
 
-def _run_approx(params: dict, out: Path) -> dict:
-    f = FunctionTable(params["n"], int(params["function_bits_hex"], 16))
-    ap = ApproximatorParams(
-        k=params["k"],
-        eps=parse_fraction(params["eps"]),
-        delta=parse_fraction(params["delta"]),
-        seed=params["seed"],
-        m=params.get("m"),
-        retry_budget=params.get("retries", 10),
-    )
+def _run_approx(out: Path, *, n: int, function_bits_hex: str, k: int, eps: str,
+                delta: str, seed: int = 0, retries: int = 10,
+                m: int | None = None) -> dict:
+    f = FunctionTable(n, int(function_bits_hex, 16))
+    ap = ApproximatorParams(k=k, eps=parse_fraction(eps), delta=parse_fraction(delta),
+                            seed=seed, m=m, retry_budget=retries)
     result = build_approximator(f, ap)
     out.write_text(
         approximator_json(result.approximator, result.achieved_distance,
@@ -125,44 +122,36 @@ def _run_approx(params: dict, out: Path) -> dict:
     }
 
 
-def _run_verify(params: dict, out: Path) -> dict:
-    identity = params["identity"]
-    if identity == "single-der":
-        if params.get("exhaustive"):
-            report = verify_single_derivative_exhaustive(params["n"]).as_dict()
-        else:
-            g = FunctionTable(params["n"], int(params["function_bits_hex"], 16))
-            report = single_derivative_identity(g).as_dict()
-    elif identity == "representation":
-        f = FunctionTable(params["n"], int(params["function_bits_hex"], 16))
-        report = verify_derivative_representation(
-            f, params["k"], parse_fraction(params["eps"])
-        ).as_dict()
-    elif identity == "bias-bounds":
-        f = FunctionTable(params["n"], int(params["function_bits_hex"], 16))
-        result = check_bias_bounds(
-            f,
-            params["k"],
-            parse_fraction(params["eps"]),
-            samples=params.get("samples", 2000),
-            seed=params.get("seed", 0),
-        )
-        report = result.as_dict()
-        if result.violation_count:
-            out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-            raise InvariantFailure(
-                f"{result.violation_count} bias lower-bound violations"
-            )
-    else:
+def _run_verify(out: Path, *, identity: str, n: int, exhaustive: bool = False,
+                function_bits_hex: str | None = None, k: int | None = None,
+                eps: str | None = None, samples: int = 2000, seed: int = 0) -> dict:
+    f = None if function_bits_hex is None else FunctionTable(n, int(function_bits_hex, 16))
+    violations = 0
+    if identity == "single-der" and exhaustive:
+        report = verify_single_derivative_exhaustive(n).as_dict()
+    elif identity not in ("single-der", "representation", "bias-bounds"):
         raise InputError(f"unknown identity {identity!r}")
+    elif f is None:
+        raise InputError(f"verify {identity} needs --function")
+    elif identity == "single-der":
+        report = single_derivative_identity(f).as_dict()
+    elif k is None or eps is None:
+        raise InputError(f"verify {identity} needs --k and --eps")
+    elif identity == "representation":
+        report = verify_derivative_representation(f, k, parse_fraction(eps)).as_dict()
+    else:
+        result = check_bias_bounds(f, k, parse_fraction(eps), samples=samples, seed=seed)
+        report, violations = result.as_dict(), result.violation_count
     out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if violations:  # the report and its manifest stay for inspection
+        raise InvariantFailure(f"{violations} bias lower-bound violations")
     return report
 
 
-def _run_bounds(params: dict, out: Path) -> dict:
-    n, d, k = params["n"], params["d"], params["k"]
-    eps = parse_fraction(params["eps"])
-    a_bound, l_bound = accumulative_weight_bound(n, d, k, eps), list_size_bound(n, d, k, eps)
+def _run_bounds(out: Path, *, n: int, d: int, k: int, eps: str) -> dict:
+    fraction = parse_fraction(eps)
+    a_bound, l_bound = (accumulative_weight_bound(n, d, k, fraction),
+                        list_size_bound(n, d, k, fraction))
     for b in (a_bound, l_bound):  # both caps before either value is built
         b.require_value_bits()
     lines = ["formula,n,d,k,eps,log2_value,terms,value_hex"]
@@ -181,10 +170,8 @@ def _run_bounds(params: dict, out: Path) -> dict:
     }
 
 
-def _run_construct(params: dict, out: Path) -> dict:
-    family = construct_low_weight_family(
-        params["n"], params["d"], params["k"], limit=params.get("limit")
-    )
+def _run_construct(out: Path, *, n: int, d: int, k: int, limit: int | None = None) -> dict:
+    family = construct_low_weight_family(n, d, k, limit=limit)
     out.write_text(family_to_text(family))
     return {
         "distinct": family.distinct_count,
@@ -192,8 +179,8 @@ def _run_construct(params: dict, out: Path) -> dict:
     }
 
 
-def _run_grm_thresholds(params: dict, out: Path) -> dict:
-    rows = weight_thresholds(params["q"], params["d"])
+def _run_grm_thresholds(out: Path, *, q: int, d: int) -> dict:
+    rows = weight_thresholds(q, d)
     lines = ["k,a,b,threshold"]
     for t in rows:
         lines.append(f"{t.k},{'' if t.a is None else t.a},"
@@ -202,33 +189,29 @@ def _run_grm_thresholds(params: dict, out: Path) -> dict:
     return {f"r_{t.k}": str(t.value) for t in rows}
 
 
-def _run_grm_enum(params: dict, out: Path) -> dict:
-    gp = GrmParams(params["q"], params["n"], params["d"])
-    enum = grm_enumerate_weights(gp)
+def _run_grm_enum(out: Path, *, q: int, n: int, d: int) -> dict:
+    enum = grm_enumerate_weights(GrmParams(q, n, d))
     out.write_text(enumerator_csv(enum))
     return {"codewords": enum.total()}
 
 
-def _run_grm_construct(params: dict, out: Path) -> dict:
-    family = construct_grm_family(
-        params["q"], params["n"], params["d"], params["k"],
-        limit=params.get("limit", 64),
-    )
-    lines = ["index,weight,degree,values,polynomial"]
-    for i, (p, table) in enumerate(family.members):
-        digits = (table.values + ord("0")).tobytes().decode("ascii")
-        lines.append(f"{i},{family.claimed_weight},{p.degree},{digits},{p}")
-    out.write_text("\n".join(lines) + "\n")
+def _run_grm_construct(out: Path, *, q: int, n: int, d: int, k: int,
+                       limit: int = 64) -> dict:
+    family = construct_grm_family(q, n, d, k, limit=limit)
+    with out.open("w") as csv:  # one line per member: the digits alone are q^n bytes
+        csv.write("index,weight,degree,values,polynomial\n")
+        for i, (p, table) in enumerate(family.members):
+            digits = (table.values + ord("0")).tobytes().decode("ascii")
+            csv.write(f"{i},{family.claimed_weight},{p.degree},{digits},{p}\n")
     return {
         "distinct": family.distinct_count,
         "claimed_weight": str(family.claimed_weight),
     }
 
 
-def _run_grm_bias_scan(params: dict, out: Path) -> dict:
-    table = grm_table_from_text(params["table_text"])
-    eps = parse_fraction(params["eps"]) if params.get("eps") else None
-    report = bias_scaling_scan(table, eps=eps)
+def _run_grm_bias_scan(out: Path, *, table_text: str, eps: str | None = None) -> dict:
+    table = grm_table_from_text(table_text)
+    report = bias_scaling_scan(table, eps=parse_fraction(eps) if eps else None)
     payload = {
         "weight": str(report.weight),
         "residue_counts": [list(b.residue_counts) for b in report.biases],
@@ -259,13 +242,58 @@ RUNNERS = {
 }
 
 
+@functools.cache
+def _declared(command: str) -> dict[str, inspect.Parameter]:
+    """The runner's keyword-only parameters: the one declaration of a command's
+    params, with their types and defaults."""
+    signature = inspect.signature(RUNNERS[command], eval_str=True)
+    return {name: p for name, p in signature.parameters.items() if p.kind is p.KEYWORD_ONLY}
+
+
+def _conforms(value, kind) -> bool:
+    """Exact types, as JSON gives them back: a bool is no int, a list of ints no
+    ``list[str]``."""
+    if isinstance(kind, types.UnionType):
+        return any(_conforms(value, k) for k in kind.__args__)
+    if isinstance(kind, types.GenericAlias):
+        return type(value) is kind.__origin__ and all(_conforms(v, *kind.__args__)
+                                                       for v in value)
+    return type(value) is kind
+
+
+def _full_params(command: str, params: dict) -> dict:
+    """``params`` with every declared default filled in, or ``InputError`` naming
+    the first param the runner does not declare, lacks, or gets with a wrong type."""
+    declared = _declared(command)
+    for key in params:
+        if key not in declared:
+            raise InputError(f"{command} has no param {key!r}")
+    full = {}
+    for key, p in declared.items():
+        value = params.get(key, p.default)
+        if value is p.empty:
+            raise InputError(f"{command} params have no {key!r}")
+        if not _conforms(value, p.annotation):
+            kind = p.annotation
+            expected = (f"a {kind.__origin__.__name__} of {kind.__args__[0].__name__}"
+                        if isinstance(kind, types.GenericAlias)
+                        else getattr(kind, "__name__", str(kind)))
+            raise InputError(f"{command} param {key!r} must be {expected}, got {value!r}")
+        full[key] = value
+    return full
+
+
 def execute(command: str, params: dict, out: Path) -> dict:
     """Run a command, write its output and manifest, return stdout-able results.
 
-    An earlier output and manifest at ``out`` are removed first, so a manifest
-    always describes an output this run wrote; a run that fails before it
-    writes leaves neither.
+    ``params`` are checked against the runner's declaration and completed with
+    its defaults before any file is touched, so the manifest records the full
+    set. An earlier output and manifest at ``out`` are then removed, so a
+    manifest always describes an output this run wrote; a run that fails
+    before it writes leaves neither.
     """
+    params = _full_params(command, params)
+    out.parent.mkdir(parents=True, exist_ok=True)
     manifest_path = Path(f"{out}.manifest.json")
     for stale in (out, manifest_path):
         stale.unlink(missing_ok=True)
@@ -276,9 +304,8 @@ def execute(command: str, params: dict, out: Path) -> dict:
         version=__version__,
         started_utc=utc_now(),
     )
-    runner = RUNNERS[command]
     try:
-        results = runner(params, out)
+        results = RUNNERS[command](out, **params)
     finally:
         manifest.finished_utc = utc_now()
         if out.exists():
@@ -287,50 +314,18 @@ def execute(command: str, params: dict, out: Path) -> dict:
     return results
 
 
-# The type of each param as ``_params_from_args`` records it: a flag is a bool
-# and ``enum``'s repeatable ``--alpha`` a list of str. Only the (command, param)
-# pairs in ``NULLABLE`` may also be null, as their parsers' defaults are.
-PARAM_TYPES = {
-    **dict.fromkeys(("n", "d", "k", "q", "shards", "workers", "seed", "retries", "m",
-                     "samples", "limit"), int),
-    **dict.fromkeys(("alpha", "eps", "delta", "identity", "center_bits_hex",
-                     "function_bits_hex", "table_text"), str),
-    "allow_full": bool,
-    "exhaustive": bool,
-    "alphas": list,
-}
-NULLABLE = {("construct", "limit"), ("grm-bias-scan", "eps")}
-
-
-def _check_param_types(command: str, params: dict) -> None:
-    """``InputError`` naming the first param whose value has the wrong type."""
-    for key, value in params.items():
-        kind = PARAM_TYPES.get(key)
-        if kind is None or (value is None and (command, key) in NULLABLE):
-            continue
-        if type(value) is not kind or (kind is list
-                                       and not all(type(v) is str for v in value)):
-            expected = "a list of str" if kind is list else kind.__name__
-            raise InputError(f"manifest param {key!r} must be {expected}, got {value!r}")
-
-
 def replay(manifest_path: Path, out_dir: Path) -> dict:
     manifest = load_manifest(manifest_path)
     if manifest.command not in RUNNERS:
         raise InputError(f"manifest names unknown command {manifest.command!r}")
-    _check_param_types(manifest.command, manifest.params)
     if len(manifest.outputs) != 1:
         raise InputError("manifest must record exactly one output")
     name, recorded = next(iter(manifest.outputs.items()))
     # A plain file name, so the run deletes and writes only inside ``out_dir``.
     if name in ("", "..") or "\0" in name or Path(name).name != name:
         raise InputError(f"manifest output {name!r} is not a plain file name")
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / name
-    try:
-        execute(manifest.command, manifest.params, out)
-    except KeyError as exc:
-        raise InputError(f"manifest params have no {exc.args[0]!r}") from None
+    execute(manifest.command, manifest.params, out)
     actual = sha256_file(out)
     if actual != recorded:
         raise InvariantFailure(
@@ -341,6 +336,8 @@ def replay(manifest_path: Path, out_dir: Path) -> dict:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags only: a flag left out is absent from the namespace, so the runner's
+    declared default applies. ``--out`` and ``--out-dir`` name files, not params."""
     parser = argparse.ArgumentParser(
         prog="rmlist",
         description="Exact analysis of degree-bounded binary codes: weight "
@@ -349,16 +346,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enum", help="weight enumerator CSV and A(alpha) queries")
+    def command(subparsers, name: str, help: str) -> argparse.ArgumentParser:
+        return subparsers.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = command(sub, "enum", "weight enumerator CSV and A(alpha) queries")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--alpha", action="append", default=[],
+    p.add_argument("--shards", type=int)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--alpha", dest="alphas", action="append", metavar="ALPHA",
                    help="exact fraction a/b; may repeat")
     p.add_argument("--out", default="enum.csv")
 
-    p = sub.add_parser("listdecode", help="list all codewords within alpha of a word")
+    p = command(sub, "listdecode", "list all codewords within alpha of a word")
     p.add_argument("--center", required=True, help="function file")
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -366,18 +366,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-full", action="store_true")
     p.add_argument("--out", default="ball.csv")
 
-    p = sub.add_parser("approx", help="build a sampled weighted-majority approximator")
+    p = command(sub, "approx", "build a sampled weighted-majority approximator")
     p.add_argument("--function", required=True, help="function file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--delta", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=10)
-    p.add_argument("--m", type=int, default=None,
-                   help="override sample count (must meet the minimum)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--retries", type=int)
+    p.add_argument("--m", type=int, help="override sample count (must meet the minimum)")
     p.add_argument("--out", default="approximator.json")
 
-    p = sub.add_parser("verify", help="check a derivative identity exactly")
+    p = command(sub, "verify", "check a derivative identity exactly")
     p.add_argument("identity", choices=["single-der", "representation", "bias-bounds"])
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
@@ -385,50 +384,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", help="function file")
     p.add_argument("--exhaustive", action="store_true",
                    help="single-der: sweep every function on n variables")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="verify.json")
 
-    p = sub.add_parser("bounds", help="explicit counting bounds with constituents")
+    p = command(sub, "bounds", "explicit counting bounds with constituents")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--out", default="bounds.csv")
 
-    p = sub.add_parser("construct", help="stream low-weight codeword families")
-    p.add_argument("--family", choices=["lower-bound"], default="lower-bound")
+    p = command(sub, "construct", "stream low-weight codeword families")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int)
     p.add_argument("--out", default="family.txt")
 
     pg = sub.add_parser("grm", help="prime-field analogues")
     gsub = pg.add_subparsers(dest="grm_command", required=True)
 
-    p = gsub.add_parser("thresholds", help="distance cut-offs r_1..r_d")
+    p = command(gsub, "thresholds", "distance cut-offs r_1..r_d")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", default="thresholds.csv")
 
-    p = gsub.add_parser("enum", help="exhaustive weight enumerator over F_q")
+    p = command(gsub, "enum", "exhaustive weight enumerator over F_q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", default="grm_enum.csv")
 
-    p = gsub.add_parser("construct", help="threshold-weight constructions over F_q")
+    p = command(gsub, "construct", "threshold-weight constructions over F_q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, default=64)
+    p.add_argument("--limit", type=int)
     p.add_argument("--out", default="grm_family.csv")
 
-    p = gsub.add_parser("bias-scan", help="bias of every scalar multiple of a table")
+    p = command(gsub, "bias-scan", "bias of every scalar multiple of a table")
     p.add_argument("--table", required=True, help="value-table file")
-    p.add_argument("--eps", default=None)
+    p.add_argument("--eps")
     p.add_argument("--out", default="bias_scan.json")
 
     p = sub.add_parser("replay", help="re-run a manifest and verify outputs")
@@ -438,75 +436,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, ValueError) as exc:  # absent, unreadable, or not text
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
-    cmd = args.command
-    if cmd == "enum":
-        return cmd, {
-            "n": args.n, "d": args.d, "shards": args.shards,
-            "workers": args.workers, "alphas": list(args.alpha),
-        }
-    if cmd == "listdecode":
-        center = read_function_file(args.center)
-        if center.n != args.n:
-            raise InputError(
-                f"center file has n={center.n}, command asked for n={args.n}"
-            )
-        return cmd, {
-            "n": args.n, "d": args.d, "alpha": args.alpha,
-            "allow_full": args.allow_full,
-            "center_bits_hex": f"{center.bits:x}",
-        }
-    if cmd == "approx":
-        f = read_function_file(args.function)
-        params = {
-            "n": f.n, "k": args.k, "eps": args.eps, "delta": args.delta,
-            "seed": args.seed, "retries": args.retries,
-            "function_bits_hex": f"{f.bits:x}",
-        }
-        if args.m is not None:
-            params["m"] = args.m
-        return cmd, params
-    if cmd == "verify":
-        params = {
-            "identity": args.identity,
-            "exhaustive": args.exhaustive,
-            "samples": args.samples,
-            "seed": args.seed,
-        }
-        if args.identity == "single-der" and args.exhaustive:
-            if args.n is None:
-                raise InputError("verify single-der --exhaustive needs --n")
-            params["n"] = args.n
-        else:
-            if not args.function:
-                raise InputError(f"verify {args.identity} needs --function")
-            f = read_function_file(args.function)
-            params["n"] = f.n
-            params["function_bits_hex"] = f"{f.bits:x}"
-            if args.identity in ("representation", "bias-bounds"):
-                if args.k is None or args.eps is None:
-                    raise InputError(f"verify {args.identity} needs --k and --eps")
-                params["k"] = args.k
-                params["eps"] = args.eps
-        return cmd, params
-    if cmd == "bounds":
-        return cmd, {"n": args.n, "d": args.d, "k": args.k, "eps": args.eps}
-    if cmd == "construct":
-        return cmd, {"n": args.n, "d": args.d, "k": args.k, "limit": args.limit}
-    if cmd == "grm":
-        gcmd = f"grm-{args.grm_command}"
-        if args.grm_command == "thresholds":
-            return gcmd, {"q": args.q, "d": args.d}
-        if args.grm_command == "enum":
-            return gcmd, {"q": args.q, "n": args.n, "d": args.d}
-        if args.grm_command == "construct":
-            return gcmd, {"q": args.q, "n": args.n, "d": args.d, "k": args.k,
-                          "limit": args.limit}
-        if args.grm_command == "bias-scan":
-            table_text = Path(args.table).read_text()
-            grm_table_from_text(table_text)  # validate early
-            return gcmd, {"table_text": table_text, "eps": args.eps}
-    raise InputError(f"unknown command {cmd!r}")
+    """The command and the params its flags give, with each input file read into
+    the params it stands for."""
+    params = dict(vars(args))
+    command = params.pop("command")
+    if command == "grm":
+        command = f"grm-{params.pop('grm_command')}"
+    del params["out"]
+    for flag in ("center", "function"):  # a function file gives n and its bits
+        if flag in params:
+            f = function_from_text(_read(params.pop(flag)))
+            if params.setdefault("n", f.n) != f.n:
+                raise InputError(
+                    f"{flag} file has n={f.n}, command asked for n={params['n']}"
+                )
+            params[f"{flag}_bits_hex"] = f"{f.bits:x}"
+    if "table" in params:
+        params["table_text"] = _read(params.pop("table"))
+        grm_table_from_text(params["table_text"])  # a bad table touches no file
+    return command, params
 
 
 def main(argv: list[str] | None = None) -> int:

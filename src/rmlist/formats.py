@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from pathlib import Path
 
 import numpy as np
 
@@ -63,10 +62,6 @@ def _parse_fields(text: str, expected: set[str]) -> dict[str, str]:
     if missing:
         raise InputError(f"record missing fields: {sorted(missing)}")
     return fields
-
-
-def read_function_file(path: Path | str) -> FunctionTable:
-    return function_from_text(Path(path).read_text())
 
 
 def polynomial_to_text(p: AnfPolynomial) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rmlist import AnfPolynomial, FunctionTable, __version__, anf_to_table
-from rmlist.cli import _build_parser, main
+from rmlist.cli import RUNNERS, _build_parser, main
 from rmlist.errors import (
     ApproximationFailure,
     InputError,
@@ -94,6 +95,16 @@ class TestExitCodes:
         code = run("approx", "--function", "ones.txt", "--k", "1",
                    "--eps", "1/2", "--delta", "1/4", "--out", "a.json")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("listdecode", "--center", "absent.txt", "--alpha", "1/4", "--n", "4", "--d", "2"),
+        ("approx", "--function", "absent.txt", "--k", "1", "--eps", "1/2", "--delta", "1/4"),
+        ("grm", "bias-scan", "--table", "absent.txt"),
+    ], ids=["center", "function", "table"])
+    def test_missing_input_file(self, outdir, capsys, argv):
+        assert run(*argv, "--out", "out.txt") == 2
+        assert "cannot read absent.txt" in capsys.readouterr().err
+        assert not Path("out.txt").exists()
 
     def test_float_alpha_rejected(self, outdir):
         assert run("enum", "--n", "2", "--d", "1", "--alpha", "0.5",
@@ -259,6 +270,12 @@ class TestVerifyCommand:
         assert run("verify", "bias-bounds", "--function", "f.txt",
                    "--k", "1", "--eps", "1/2", "--out", "v.json") == 2
 
+    def test_function_file_and_n_disagree(self, outdir, capsys):
+        write_function_file("f.txt", FunctionTable.zero(3))
+        assert run("verify", "single-der", "--function", "f.txt", "--n", "4",
+                   "--exhaustive", "--out", "v.json") == 2
+        assert "function file has n=3, command asked for n=4" in capsys.readouterr().err
+
     def test_missing_function_flag(self, outdir):
         assert run("verify", "representation", "--k", "1", "--eps", "1/2",
                    "--out", "v.json") == 2
@@ -399,8 +416,8 @@ class TestBoundsOutputDigests:
 
 class TestConstructCommand:
     def test_family_stream(self, outdir, capsys):
-        assert run("construct", "--family", "lower-bound", "--n", "6",
-                   "--d", "2", "--k", "1", "--out", "family.txt") == 0
+        assert run("construct", "--n", "6", "--d", "2", "--k", "1",
+                   "--out", "family.txt") == 0
         out = capsys.readouterr().out
         assert "distinct: 1024" in out
         assert "weight: 1/2" in out
@@ -546,11 +563,36 @@ class TestReplay:
     ], ids=["enum-alphas", "listdecode", "listdecode-full", "approx-m", "sweep",
             "bias-bounds", "bounds", "construct-no-limit", "grm-construct", "bias-scan-no-eps"])
     def test_recorded_param_types_replay(self, outdir, argv):
-        # Every param type a run records passes replay's type check.
+        # Every run records its runner's full param set, and every param type a
+        # run records passes replay's type check.
         write_function_file("f.txt", table_of(4, [1, 2, 3]))
         Path("t.txt").write_text("q 3\nn 1\nvalues 012\n")
         assert run(*argv, "--out", "out.txt") == 0
+        manifest = load_manifest("out.txt.manifest.json")
+        declared = inspect.signature(RUNNERS[manifest.command]).parameters
+        assert set(manifest.params) == {name for name in declared if name != "out"}
         assert run("replay", "out.txt.manifest.json", "--out-dir", "again") == 0
+        assert Path("out.txt").read_bytes() == (Path("again") / "out.txt").read_bytes()
+
+    @pytest.mark.parametrize("argv,recorded", [
+        (("approx", "--function", "f.txt", "--k", "1", "--eps", "1/2", "--delta", "1/4"),
+         {"n", "k", "eps", "delta", "seed", "retries", "function_bits_hex"}),
+        (("verify", "single-der", "--n", "2", "--exhaustive"),
+         {"identity", "exhaustive", "samples", "seed", "n"}),
+        (("construct", "--n", "4", "--d", "2", "--k", "1"), {"n", "d", "k", "limit"}),
+        (("enum", "--n", "3", "--d", "1", "--alpha", "1/4"),
+         {"n", "d", "shards", "workers", "alphas"}),
+    ], ids=["approx-no-m", "sweep", "construct-null-limit", "enum"])
+    def test_manifest_of_fewer_params_replays(self, outdir, argv, recorded):
+        # Manifests that record only these keys, as runs did before every default
+        # was recorded, replay byte-identically.
+        write_function_file("f.txt", table_of(4, [1, 2, 3]))
+        assert run(*argv, "--out", "out.txt") == 0
+        path = Path("out.txt.manifest.json")
+        data = json.loads(path.read_text())
+        data["params"] = {key: data["params"][key] for key in recorded}
+        path.write_text(json.dumps(data))
+        assert run("replay", str(path), "--out-dir", "again") == 0
         assert Path("out.txt").read_bytes() == (Path("again") / "out.txt").read_bytes()
 
     def test_approx_replay(self, outdir):
@@ -627,7 +669,10 @@ class TestReplayRejects:
         ({"n": 4, "d": 1, "alphas": [1]}, "param 'alphas' must be a list of str"),
         ({"n": True, "d": 1}, "param 'n' must be int, got True"),
         ({"n": 4, "d": None}, "param 'd' must be int, got None"),
-    ], ids=["str-for-int", "str-for-list", "int-in-list", "bool-for-int", "null-for-int"])
+        ({"d": 1}, "params have no 'n'"),
+        ({"n": 4, "d": 1, "shardz": "garbage"}, "has no param 'shardz'"),
+    ], ids=["str-for-int", "str-for-list", "int-in-list", "bool-for-int", "null-for-int",
+            "missing", "unknown"])
     def test_param_of_the_wrong_type(self, outdir, capsys, params, message):
         # Refused before replay deletes the stale output or writes anything.
         stale = Path("again") / "e.csv"
