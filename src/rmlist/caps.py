@@ -9,6 +9,7 @@ as its scan runs, so ``BALL_MEMBER_CAP`` is checked while the hits are
 collected, before any row is built. Two entries only choose a method:
 ``EXHAUSTIVE_DECODE_DIMENSION`` and ``EXHAUSTIVE_TUPLE_BITS``. Each is
 compared in the one function named beside it; none is configurable.
+``grm_max_degree`` derives a bound from ``GRM_POINT_BITS`` and adds no number.
 """
 
 # A truth table is one Python int of 2^n bits: 128 MiB at n=30.
@@ -67,13 +68,30 @@ MAX_FIELD = 7
 # 1.2 s at 123 MiB, and (2,20,10,1), whose members use 4,096 monomials of
 # degree up to 10, 40-50 s at 286 MiB. ``grm.GrmParams``.
 GRM_POINT_BITS = 20
+
+
+def grm_max_degree(q: int) -> int:
+    """n(q-1) for the largest n with q^n <= 2^``GRM_POINT_BITS``: the largest degree
+    of any F_q code ``grm.GrmParams`` admits (20, 24, 32 and 42 for q = 2, 3, 5, 7).
+    ``grm thresholds`` asks for no code, so this bounds its d: at q = 7, d = 20,000
+    wrote a 28.5 MB CSV in 2.4 s, and d = 50,000 passed Python's int-to-str digit
+    limit. ``grm.weight_thresholds``."""
+    n = 0
+    while q ** (n + 1) <= 1 << GRM_POINT_BITS:
+        n += 1
+    return n * (q - 1)
+
+
 # q^dimension <= 2^24 codewords: once q^(n+1) passes ``scan.TILE_BYTES`` the
-# tile is one row and the walk takes a Python step per codeword; (3,4,2),
-# 3^15 codewords, takes 0.68 s on a 2-core VM. ``grm.grm_enumerate_weights``.
+# tile is one row and the walk takes a Python step per codeword up to scalar
+# multiples; (3,4,2), 3^15 codewords, takes 0.35-0.37 s on a 2-core VM.
+# ``grm.grm_enumerate_weights``.
 ENUM_CAP_BITS = 24
-# q^dimension * q^n <= 2^32 scanned values: near the cap the tile walk costs
-# 0.3 to 0.6 ns per value; (7,5,1) and (2,15,1), 2^30.9 and 2^31 values, take
-# 1.2 and 0.6 s on a 2-core VM. ``grm.grm_enumerate_weights``.
+# q^dimension * q^n <= 2^32 codeword values: near the cap the walk compares
+# one codeword in q - 1 at about 0.6 ns per value, 0.1 to 0.3 ns per value
+# covered; (7,5,1), 2^30.9 values, takes 0.19-0.21 s on a 2-core VM. At q = 2
+# the enumerator is a closed form: (2,15,1), 2^31 values, takes 7 us.
+# ``grm.grm_enumerate_weights``.
 ENUM_VALUE_BITS = 32
 # A counting bound's integer value is built while samples x (bits per sample)
 # <= 2^24; the 12.1-Mbit accumulative value of RM(5,2) at k=1, eps=1/10 takes

@@ -18,6 +18,7 @@ import functools
 import inspect
 import json
 import os
+import re
 import sys
 import types
 from pathlib import Path
@@ -70,6 +71,11 @@ from .manifest import (
 OUT_DIR_ENV = "RMLIST_OUT_DIR"
 
 
+class HexBits(str):
+    """Annotates a param that holds a truth table's bits as hex digits, as
+    ``f"{bits:x}"`` writes them; the value itself is a plain str."""
+
+
 def _resolve_out(out: str) -> Path:
     path = Path(out)
     if not path.is_absolute():
@@ -90,7 +96,7 @@ def _run_enum(out: Path, *, n: int, d: int, shards: int = 1, workers: int = 1,
     return {key: accumulative(enum, alpha) for key, alpha in queries.items()}
 
 
-def _run_listdecode(out: Path, *, n: int, d: int, alpha: str, center_bits_hex: str,
+def _run_listdecode(out: Path, *, n: int, d: int, alpha: str, center_bits_hex: HexBits,
                     allow_full: bool = False) -> dict:
     code = CodeParams(n, d)
     center = FunctionTable(n, int(center_bits_hex, 16))
@@ -104,7 +110,7 @@ def _run_listdecode(out: Path, *, n: int, d: int, alpha: str, center_bits_hex: s
     return {"members": result.size}
 
 
-def _run_approx(out: Path, *, n: int, function_bits_hex: str, k: int, eps: str,
+def _run_approx(out: Path, *, n: int, function_bits_hex: HexBits, k: int, eps: str,
                 delta: str, seed: int = 0, retries: int = 10,
                 m: int | None = None) -> dict:
     f = FunctionTable(n, int(function_bits_hex, 16))
@@ -123,7 +129,7 @@ def _run_approx(out: Path, *, n: int, function_bits_hex: str, k: int, eps: str,
 
 
 def _run_verify(out: Path, *, identity: str, n: int, exhaustive: bool = False,
-                function_bits_hex: str | None = None, k: int | None = None,
+                function_bits_hex: HexBits | None = None, k: int | None = None,
                 eps: str | None = None, samples: int = 2000, seed: int = 0) -> dict:
     f = None if function_bits_hex is None else FunctionTable(n, int(function_bits_hex, 16))
     violations = 0
@@ -258,7 +264,17 @@ def _conforms(value, kind) -> bool:
     if isinstance(kind, types.GenericAlias):
         return type(value) is kind.__origin__ and all(_conforms(v, *kind.__args__)
                                                        for v in value)
+    if kind is HexBits:  # ``int(value, 16)`` would also take "0x", "_" and spaces
+        return type(value) is str and re.fullmatch("[0-9a-fA-F]+", value) is not None
     return type(value) is kind
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, types.UnionType):
+        return " | ".join(_describe(k) for k in kind.__args__)
+    if isinstance(kind, types.GenericAlias):
+        return f"a {kind.__origin__.__name__} of {kind.__args__[0].__name__}"
+    return {HexBits: "hex digits", type(None): "None"}.get(kind, kind.__name__)
 
 
 def _full_params(command: str, params: dict) -> dict:
@@ -274,11 +290,8 @@ def _full_params(command: str, params: dict) -> dict:
         if value is p.empty:
             raise InputError(f"{command} params have no {key!r}")
         if not _conforms(value, p.annotation):
-            kind = p.annotation
-            expected = (f"a {kind.__origin__.__name__} of {kind.__args__[0].__name__}"
-                        if isinstance(kind, types.GenericAlias)
-                        else getattr(kind, "__name__", str(kind)))
-            raise InputError(f"{command} param {key!r} must be {expected}, got {value!r}")
+            raise InputError(f"{command} param {key!r} must be "
+                             f"{_describe(p.annotation)}, got {value!r}")
         full[key] = value
     return full
 

@@ -439,6 +439,19 @@ class TestGrmCommands:
         assert "r_1: 1/3" in out
         assert "r_2: 2/3" in out
 
+    @pytest.mark.parametrize("q,bound", [(2, 20), (7, 42)])
+    def test_thresholds_past_the_largest_admitted_degree_exit_3(self, outdir, capsys, q,
+                                                                 bound):
+        assert run("grm", "thresholds", "--q", str(q), "--d", str(bound),
+                   "--out", "thr.csv") == 0
+        assert f"r_{bound}: {q - 1}/{q}" in capsys.readouterr().out
+        for d in (bound + 1, 50_000):
+            assert run("grm", "thresholds", "--q", str(q), "--d", str(d),
+                       "--out", "past.csv") == 3
+            assert f"exceeds {bound}" in capsys.readouterr().err
+            assert not Path("past.csv").exists()
+            assert not Path("past.csv.manifest.json").exists()
+
     def test_enum(self, outdir, capsys):
         assert run("grm", "enum", "--q", "3", "--n", "2", "--d", "2",
                    "--out", "g.csv") == 0
@@ -685,6 +698,31 @@ class TestReplayRejects:
         assert message in capsys.readouterr().err
         assert sorted(outdir.rglob("*")) == before
         assert stale.read_text() == "keep"
+
+    @pytest.mark.parametrize("argv,key", [
+        (("listdecode", "--center", "f.txt", "--alpha", "1/4", "--n", "4", "--d", "1"),
+         "center_bits_hex"),
+        (("approx", "--function", "f.txt", "--k", "1", "--eps", "1/2", "--delta", "1/4",
+          "--m", "17746"), "function_bits_hex"),
+        (("verify", "single-der", "--function", "f.txt"), "function_bits_hex"),
+    ], ids=["listdecode", "approx", "verify"])
+    def test_bits_that_are_not_hex(self, outdir, capsys, argv, key):
+        # Refused before replay deletes the stale output or writes anything.
+        write_function_file("f.txt", table_of(4, [1, 2, 3]))
+        assert run(*argv, "--out", "out.txt") == 0
+        stale = Path("again") / "out.txt"
+        stale.parent.mkdir()
+        stale.write_text("keep")
+        data = json.loads(Path("out.txt.manifest.json").read_text())
+        for bits in ("zz", "0x1f", " 1f", ""):
+            data["params"][key] = bits
+            Path("m.json").write_text(json.dumps(data))
+            before = sorted(outdir.rglob("*"))
+            capsys.readouterr()
+            assert run("replay", "m.json", "--out-dir", "again") == 2
+            assert f"param {key!r} must be hex digits" in capsys.readouterr().err
+            assert sorted(outdir.rglob("*")) == before
+            assert stale.read_text() == "keep"
 
 
 class TestRepeatedCalls:

@@ -107,6 +107,29 @@ def odometer_enumerator(q: int, n: int, d: int) -> dict[int, int]:
     return counts
 
 
+def binary_brute_force(n: int, d: int) -> dict[int, int]:
+    """Oracle: every codeword of RM(n,d), n <= 6, listed as one uint64 word of its
+    2^n values (the list doubles by XOR with each monomial table), then popcounted."""
+    words = np.zeros(1, dtype=np.uint64)
+    for row in grm.monomial_tables(2, n, GrmParams(2, n, d).monomial_exponents()):
+        table = np.uint64(sum(int(v) << i for i, v in enumerate(row)))
+        words = np.concatenate([words, words ^ table])
+    counts = np.bincount(np.bitwise_count(words))
+    return {w: int(c) for w, c in enumerate(counts) if c}
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to append to the returned list on every call."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def x1_over_f3() -> GrmTable:
     return GrmPolynomial.variable(3, 1, 1).evaluate_table()
 
@@ -196,6 +219,16 @@ class TestThresholds:
             for d in range(1, 7):
                 vals = [t.value for t in weight_thresholds(q, d)]
                 assert vals == sorted(vals)
+
+    @pytest.mark.parametrize("q,bound", [(2, 20), (3, 24), (5, 32), (7, 42)])
+    def test_degree_cap_is_the_largest_admitted_degree(self, q, bound):
+        n = bound // (q - 1)
+        GrmParams(q, n, bound)  # admitted: the largest degree on the most points
+        with pytest.raises(InputError, match="points exceed"):
+            GrmParams(q, n + 1, 1)
+        assert [t.k for t in weight_thresholds(q, bound)] == list(range(1, bound + 1))
+        with pytest.raises(ScaleError, match=f"d = {bound + 1} exceeds {bound}"):
+            weight_thresholds(q, bound + 1)
 
     def test_rejects_bad_field(self):
         with pytest.raises(InputError):
@@ -305,7 +338,8 @@ class TestGrmEnumerateAgainstBruteForce:
 
 
 class TestTileWalkAgainstOdometer:
-    """The tile walk equals the per-codeword odometer at every split of the digits."""
+    """The tile walk equals the per-codeword odometer at every split of the digits,
+    in one step for base 0 and one per scalar class of the high digits."""
 
     @pytest.mark.parametrize("split", ["all high", "half", "all low"])
     @pytest.mark.parametrize("q,n,d", BRUTE_FORCE_CODES + [(2, 3, 2), (2, 4, 2), (2, 4, 3),
@@ -316,9 +350,46 @@ class TestTileWalkAgainstOdometer:
         low = {"all high": 0, "half": dim // 2, "all low": dim}[split]
         monkeypatch.setattr(scan, "TILE_BYTES", q**low * width)
         assert grm.tile_digits(q, width, dim) == low
+        steps = count_calls(monkeypatch, scan, "weights")
         counts = grm_enumerate_weights(params).counts
         assert counts == odometer_enumerator(q, n, d)
         assert all(type(w) is int and type(c) is int for w, c in counts.items())
+        # Many rows have 3 to 7 high digits. A q = 2 code takes the binary closed
+        # form (``TestBinaryRoute``), so its rows assert that no split reaches the walk.
+        high = dim - low
+        assert len(steps) == (0 if q == 2 else 1 + (q**high - 1) // (q - 1))
+
+
+# Every GRM(2,n,d) with n <= 6 inside the enumeration caps.
+ADMITTED_BINARY_CODES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
+                         (4, 3), (4, 4), (5, 1), (5, 2), (6, 1), (6, 2)]
+
+
+class TestBinaryRoute:
+    """GRM(2,n,d) is RM(n,d): its enumerator is the binary closed form, and no F_q
+    walk step runs."""
+
+    def test_admitted_codes_are_listed(self):
+        admitted = []
+        for n in range(1, 7):
+            for d in range(1, n + 1):
+                try:
+                    grm_enumerate_weights(GrmParams(2, n, d))
+                    admitted.append((n, d))
+                except ScaleError:
+                    pass
+        assert admitted == ADMITTED_BINARY_CODES
+
+    @pytest.mark.parametrize("n,d", ADMITTED_BINARY_CODES)
+    def test_matches_odometer_and_brute_force(self, n, d, monkeypatch):
+        params = GrmParams(2, n, d)
+        steps = count_calls(monkeypatch, scan, "weights")
+        enum = grm_enumerate_weights(params)
+        assert steps == []
+        assert enum.params == params
+        assert enum.counts == binary_brute_force(n, d)
+        if params.dimension <= 16:  # the odometer takes a numpy step per codeword
+            assert enum.counts == odometer_enumerator(2, n, d)
 
 
 class TestOneRowTile:
