@@ -6,10 +6,10 @@ for the variable and field counts and the F_q block length, ``InputError``
 ``value`` is capped, by ``BOUND_VALUE_BITS``, and ``bounds`` checks both
 bounds before it multiplies either out. A ball's member count is known only
 as its scan runs, so ``BALL_MEMBER_CAP`` is checked while the hits are
-collected, before any row is built. Two entries only choose a method:
-``EXHAUSTIVE_DECODE_DIMENSION`` and ``EXHAUSTIVE_TUPLE_BITS``. Each is
-compared in the one function named beside it; none is configurable.
-``grm_max_degree`` derives a bound from ``GRM_POINT_BITS`` and adds no number.
+collected, before any row is built. One entry only chooses a method:
+``EXHAUSTIVE_DECODE_DIMENSION``. Each is compared in the one function named
+beside it; none is configurable. ``grm_max_degree`` derives a bound from
+``GRM_POINT_BITS`` and adds no number.
 """
 
 # A truth table is one Python int of 2^n bits: 128 MiB at n=30.
@@ -50,15 +50,12 @@ EXHAUSTIVE_DECODE_DIMENSION = 11
 ALL_FUNCTIONS_VARS = 4
 # Derivative-table bits one call derives: m * 2^n for an approximator, 4^n for
 # the single-derivative identity, 2^(n(k+1)) for the representation check,
-# 2^(nk) for the exhaustive bias-bounds walk and (k-1) * samples * 2^n for the
-# sampled one. This bounds time: a k=2 approximator at the cap (n=16,
-# m=65,536) builds in 5.6-7.6 s on a 2-core VM. A k=1 one derives no table and
-# builds there in 0.04 s; the cap still refuses it past m * 2^n = 2^32, so that
-# every k admits the same (m, n). ``derivatives.require_derived_bits``.
+# 2^(nk) for the bias-bounds walk, taken wherever it fits, and else (k-1) *
+# samples * 2^n for the sampled check. This bounds time: a k=2 approximator at
+# the cap (n=16, m=65,536) builds in 5.6-7.6 s on a 2-core VM. A k=1 one derives
+# no table and builds there in 0.04 s; the cap still refuses it past m * 2^n =
+# 2^32, so every k admits the same (m, n). ``derivatives.derived_bits_refusal``.
 DERIVED_TABLE_BITS_CAP = 1 << 32
-# ``check_bias_bounds`` walks every direction tuple while n*(k-1) <= 24 and
-# samples past it. ``derivatives.check_bias_bounds``.
-EXHAUSTIVE_TUPLE_BITS = 24
 # Prime fields up to F_7 keep value tables small. ``grm._require_field``.
 MAX_FIELD = 7
 # q^n <= 2^20 points: a ``GrmTable`` holds one uint8 per point, and ``grm
@@ -68,6 +65,13 @@ MAX_FIELD = 7
 # 1.2 s at 123 MiB, and (2,20,10,1), whose members use 4,096 monomials of
 # degree up to 10, 40-50 s at 286 MiB. ``grm.GrmParams``.
 GRM_POINT_BITS = 20
+# 2^a terms x q^n points <= 2^29 for the coordinate product of a full factors
+# that ``grm construct`` expands and shares among its members, each term then
+# evaluated at every point: at the cap (2,20,10,1) takes 49 s at 282 MiB and
+# (2,15,15,1) 6.2 s on a 2-core VM; past it (3,12,21,1), 2^29.02, took 9.8 s,
+# (2,16,16,1), 2^31, 34 s, and (2,20,20,1) expanded 2^20 terms in 8.3 s at
+# 471 MiB before its first table. ``grm._coordinate_product``.
+CONSTRUCT_TERM_BITS = 29
 
 
 def grm_max_degree(q: int) -> int:
@@ -82,16 +86,10 @@ def grm_max_degree(q: int) -> int:
     return n * (q - 1)
 
 
-# q^dimension <= 2^24 codewords: once q^(n+1) passes ``scan.TILE_BYTES`` the
-# tile is one row and the walk takes a Python step per codeword up to scalar
-# multiples; (3,4,2), 3^15 codewords, takes 0.35-0.37 s on a 2-core VM.
-# ``grm.grm_enumerate_weights``.
-ENUM_CAP_BITS = 24
-# q^dimension * q^n <= 2^32 codeword values: near the cap the walk compares
-# one codeword in q - 1 at about 0.6 ns per value, 0.1 to 0.3 ns per value
-# covered; (7,5,1), 2^30.9 values, takes 0.19-0.21 s on a 2-core VM. At q = 2
-# the enumerator is a closed form: (2,15,1), 2^31 values, takes 7 us.
-# ``grm.grm_enumerate_weights``.
+# q^dimension * q^n <= 2^32 codeword values, the F_q walk's one cap (q = 2 takes
+# the binary closed forms): it compares one codeword in q - 1 at about 0.6 ns per
+# value; (7,5,1), 2^30.9 values, takes 0.19-0.21 s and (3,3,3), 3^17 codewords,
+# 2.7 s on a 2-core VM. ``grm.grm_enumerate_weights``.
 ENUM_VALUE_BITS = 32
 # A counting bound's integer value is built while samples x (bits per sample)
 # <= 2^24; the 12.1-Mbit accumulative value of RM(5,2) at k=1, eps=1/10 takes

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import scan
 from .boolfunc import FunctionTable, require_all_functions, translate, weight
-from .caps import DERIVED_TABLE_BITS_CAP, EXHAUSTIVE_TUPLE_BITS
+from .caps import DERIVED_TABLE_BITS_CAP
 from .errors import (
     DegenerateBiasError,
     InputError,
@@ -233,14 +233,17 @@ class IdentityReport:
         }
 
 
+def derived_bits_refusal(bits: int) -> str | None:
+    """The refusal of ``bits`` derived table bits past ``DERIVED_TABLE_BITS_CAP``, or None."""
+    if bits > DERIVED_TABLE_BITS_CAP:  # the need rounded up to a power of 2
+        return (f"capped at 2^{DERIVED_TABLE_BITS_CAP.bit_length() - 1} "
+                f"derived table bits (needs 2^{(bits - 1).bit_length()})")
+
+
 def require_derived_bits(bits: int, what: str) -> None:
-    """``ScaleError`` before a check or an approximator derives more than
-    ``DERIVED_TABLE_BITS_CAP`` derivative-table bits."""
-    if bits > DERIVED_TABLE_BITS_CAP:
-        raise ScaleError(
-            f"{what} capped at 2^{DERIVED_TABLE_BITS_CAP.bit_length() - 1} "
-            f"derived table bits (needs 2^{bits.bit_length() - 1})"
-        )
+    """``ScaleError`` with the ``derived_bits_refusal`` before ``what`` derives ``bits``."""
+    if reason := derived_bits_refusal(bits):
+        raise ScaleError(f"{what} {reason}")
 
 
 def _max_over_parents(scales: list[Fraction], inverse: np.ndarray, size: int) -> list[Fraction]:
@@ -460,25 +463,22 @@ def check_bias_bounds(
 ) -> BiasBoundReport:
     """Check bias(f_{a_1..a_s}) >= 1 - 2^(s+1-k) (1 - eps) for every prefix length s < k.
 
-    Exhaustive over all tuples when n*(k-1) <= ``EXHAUSTIVE_TUPLE_BITS``;
-    otherwise, for each s >= 1, ``samples`` (at least 1) seeded random tuples
-    with the same assertions, their biases read from ``derivative_chunks``
-    popcounts. The exhaustive walk carries each level's distinct derivatives
-    into the next and keeps none of the last. It derives at most 2^(nk) table
-    bits, the sampled check (k-1) * samples * 2^n; either raises ``ScaleError``
-    before its first derivative past ``DERIVED_TABLE_BITS_CAP``.
+    Exhaustive over all tuples when the walk's 2^(nk) derived table bits fit
+    ``DERIVED_TABLE_BITS_CAP``: the walk carries each level's distinct
+    derivatives into the next and keeps none of the last. Otherwise, for each
+    s >= 1, ``samples`` (at least 1) seeded random tuples with the same
+    assertions, their biases read from ``derivative_chunks`` popcounts; their
+    (k-1) * samples * 2^n bits past the cap raise ``ScaleError`` before the
+    first derivative.
     Violations are reported, not raised: a non-empty list would falsify the
     underlying math and is treated as a test failure by callers.
     """
     require_low_weight(f, k, eps)
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
-    n = f.n
-    size = f.size
-    exhaustive = n * (k - 1) <= EXHAUSTIVE_TUPLE_BITS
-    if exhaustive:
-        require_derived_bits(size**k, f"exhaustive bias-bounds walk at n={n}, k={k}")
-    else:
+    n, size = f.n, f.size
+    exhaustive = derived_bits_refusal(size**k) is None
+    if not exhaustive:
         require_derived_bits((k - 1) * samples * size,
                              f"sampled bias-bounds check at n={n}, k={k}")
     rng = random.Random(seed)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import scan
 from .boolfunc import CodeParams
-from .caps import ENUM_CAP_BITS, ENUM_VALUE_BITS, GRM_POINT_BITS, MAX_FIELD, grm_max_degree
+from .caps import (CONSTRUCT_TERM_BITS, ENUM_VALUE_BITS, GRM_POINT_BITS, MAX_FIELD,
+                   grm_max_degree)
 from .enumeration import WeightEnumerator, enumerate_weights
 from .errors import InputError, InvariantFailure, ScaleError
 
@@ -293,8 +294,7 @@ class GrmPolynomial:
         """
         q = self.q
         if monomials is None:
-            rows = max(1, scan.TILE_BYTES // q**self.n)
-            return evaluate_polynomials(q, self.n, [self], rows)[0]
+            return evaluate_polynomials(q, self.n, [self])[0]
         values = np.zeros(q**self.n, dtype=np.uint8)
         bound = 0  # the largest value an entry of ``values`` may hold
         for e, c in self.coeffs.items():
@@ -353,7 +353,14 @@ def _iter_polynomials(q: int, n: int, d: int, offset: int) -> Iterator[GrmPolyno
 
 
 def _coordinate_product(q: int, n: int, a: int, b: int) -> GrmPolynomial:
-    """prod_{i <= a, 1 <= j < q} (x_i - j) * prod_{1 <= j <= b} (x_{a+1} - j)."""
+    """prod_{i <= a, 1 <= j < q} (x_i - j) * prod_{1 <= j <= b} (x_{a+1} - j).
+
+    Each full factor is x_i^(q-1) - 1, so the product has 2^a terms or more; past
+    2^a q^n = 2^``CONSTRUCT_TERM_BITS`` it raises ``ScaleError`` before it expands.
+    """
+    if _exceeds(q, n, CONSTRUCT_TERM_BITS - a):
+        raise ScaleError(f"construction of 2^{a} terms x {q}^{n} points exceeds "
+                         f"the cap 2^{CONSTRUCT_TERM_BITS}")
     factors = [(i, j) for i in range(1, a + 1) for j in range(1, q)]
     factors += [(a + 1, j) for j in range(1, b + 1)]
     p = GrmPolynomial.constant(q, n, 1)
@@ -362,11 +369,11 @@ def _coordinate_product(q: int, n: int, a: int, b: int) -> GrmPolynomial:
     return p
 
 
-def evaluate_polynomials(q: int, n: int, polynomials: Sequence[GrmPolynomial],
-                         rows: int) -> list[GrmTable]:
-    """The value tables of ``polynomials``, from blocks of at most ``rows`` of the
-    monomial tables they use: each block is built once, every polynomial evaluates
-    its terms there, and a polynomial spread over several blocks sums its parts."""
+def evaluate_polynomials(q: int, n: int, polynomials: Sequence[GrmPolynomial]) -> list[GrmTable]:
+    """The value tables of ``polynomials``, from blocks of the monomial tables they use,
+    each no larger than the polynomials' own tables or one ``scan.TILE_BYTES``: a block is
+    built once, every polynomial evaluates its terms there and sums its parts."""
+    rows = max(len(polynomials), scan.TILE_BYTES // q**n)
     exponents = sorted({e for p in polynomials for e in p.coeffs})
     index = {e: i for i, e in enumerate(exponents)}
     # Each polynomial's exponents in block order, and how many are evaluated.
@@ -402,7 +409,8 @@ def construct_grm_family(
     adding multiples of unused variables. 2 <= k <= d-1: coordinate products
     times (x_{a+2} + g) for g of degree <= k on the remaining variables.
     k=d: x_1 + g for g of degree <= d on the rest. Every member's weight and
-    degree are verified exactly.
+    degree are verified exactly. A coordinate product past its cap raises
+    ``ScaleError`` before any polynomial is multiplied (``_coordinate_product``).
     """
     params = GrmParams(q, n, d)
     if not 1 <= k <= d:
@@ -447,12 +455,8 @@ def construct_grm_family(
         for g in _iter_polynomials(q, n, d, offset=1):
             if not emit(x1 + g):
                 break
-    # The members share the monomial tables they use, held in blocks no larger
-    # than the members' own tables (or one scan tile).
-    size = q**n
-    rows = max(len(chosen) * size, scan.TILE_BYTES) // size
     members = []
-    for p, table in zip(chosen.values(), evaluate_polynomials(q, n, list(chosen.values()), rows)):
+    for p, table in zip(chosen.values(), evaluate_polynomials(q, n, list(chosen.values()))):
         w = grm_weight(table)
         if w != target:
             raise InvariantFailure(f"family member weight {w} != claimed {target}")
@@ -564,8 +568,8 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
     """Exact enumerator over all q^dimension codewords, as a walk over one codeword
     per scalar class.
 
-    For q = 2, GRM(2,n,d) is RM(n,d), and every such code inside the caps
-    (d <= 2 or d >= n-2) takes its closed form from ``enumerate_weights``.
+    For q = 2, GRM(2,n,d) is RM(n,d): ``enumerate_weights`` admits it as it admits
+    RM(n,d) and gives its closed form, before any F_q cap is asked.
 
     Otherwise a codeword is sum_j c_j T_j mod q over the monomial tables T_j.
     The first L coefficient digits (``tile_digits``) are precomputed once as a
@@ -584,16 +588,17 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
     steps for the h high digits, not q^h. On a 2-core VM (3,4,2), 14.3 million
     codewords, takes 0.35-0.37 s, and near the value cap (7,5,1) and (5,3,2)
     take 0.19-0.21 and 0.25 s: 0.1 to 0.3 ns per codeword value covered (0.6 ns
-    per value compared), 0.2 to 3.4 ns on small codes.
+    per value compared), 0.2 to 3.4 ns on small codes; (3,3,3), 3^17 codewords
+    and 22 weights, 2.7 s. The one cap is ``ENUM_VALUE_BITS``, and every count
+    is checked against the first moment q^n (q - 1) q^(dimension - 1) before
+    it is returned (``InvariantFailure`` on a miss).
     """
     q, n, dim, size = params.q, params.n, params.dimension, params.block_length
-    if _exceeds(q, dim, ENUM_CAP_BITS):
-        raise ScaleError(f"q^dimension = {q}^{dim} exceeds the enumeration cap 2^{ENUM_CAP_BITS}")
+    if q == 2:
+        return WeightEnumerator(params, enumerate_weights(CodeParams(n, params.d)).counts)
     if _exceeds(q, dim + n, ENUM_VALUE_BITS):
         raise ScaleError(f"q^(dimension + n) = {q}^{dim + n} scanned values exceed "
                          f"the enumeration cap 2^{ENUM_VALUE_BITS}")
-    if q == 2:
-        return WeightEnumerator(params, enumerate_weights(CodeParams(n, params.d)).counts)
     width = -(-size // 8) * 8
     tables = monomial_tables(q, n, params.monomial_exponents(), width)
     low = tile_digits(q, width, dim)
@@ -615,4 +620,10 @@ def grm_enumerate_weights(params: GrmParams) -> WeightEnumerator:
     batch, bases = size // len(tile) + 1, _class_bases(tables[low:], q)
     while steps := [weights(base) for base in itertools.islice(bases, batch)]:
         counts += (q - 1) * np.bincount(np.concatenate(steps), minlength=size + 1)
-    return WeightEnumerator(params, {w: c for w, c in enumerate(counts.tolist()) if c})
+    # The constant monomial is in the code, so each point is nonzero on (q - 1)
+    # q^(dimension - 1) codewords, and that is each point's share of the weights.
+    counts, expected = counts.tolist(), size * (q - 1) * q ** (dim - 1)
+    if (moment := sum(w * c for w, c in enumerate(counts))) != expected:
+        raise InvariantFailure(f"GRM({q},{n},{params.d}) enumerator's first moment {moment} "
+                               f"!= q^n (q - 1) q^(dimension - 1) = {expected}")
+    return WeightEnumerator(params, {w: c for w, c in enumerate(counts) if c})

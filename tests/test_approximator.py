@@ -785,8 +785,10 @@ class TestSerialization:
 
     def test_table_bits_cap(self):
         # m = 17745 tables of 2^20 bits pass the 2^32-bit cap; nothing is built.
+        # The need, 2^34.1 bits, is reported rounded up.
         params = ApproximatorParams(k=1, eps=Fraction(1, 2), delta=Fraction(1, 4), seed=0)
-        with pytest.raises(ScaleError):
+        with pytest.raises(ScaleError, match=r"^approximator at m=17745, n=20 capped at "
+                                             r"2\^32 derived table bits \(needs 2\^35\)$"):
             build_approximator(FunctionTable.zero(20), params)
 
     def test_json_matches_json_dumps(self):

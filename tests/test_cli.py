@@ -75,6 +75,8 @@ class TestExitCodes:
             # 7^12 points, past the 2^20 block-length cap.
             (("enum", "--q", "7", "--n", "12", "--d", "1"), 2),
             (("construct", "--q", "2", "--n", "21", "--d", "2", "--k", "1"), 2),
+            # a coordinate product of 2^15 terms x 2^16 points, past 2^29
+            (("construct", "--q", "2", "--n", "16", "--d", "16", "--k", "1"), 3),
         ],
     )
     def test_grm_cap_exits(self, outdir, argv, code):
@@ -255,9 +257,19 @@ class TestVerifyCommand:
         report = json.loads(Path("v.json").read_text())
         assert report["violations"] == 0
 
+    def test_bias_bounds_samples_past_the_walk(self, outdir):
+        # 2^(17*2) walk bits pass the cap, so the check samples: 2000 * 2^17 bits.
+        write_function_file("f.txt", FunctionTable(17, 1))
+        assert run("verify", "bias-bounds", "--function", "f.txt", "--k", "2",
+                   "--eps", "1/2", "--out", "v.json") == 0
+        report = json.loads(Path("v.json").read_text())
+        assert not report["exhaustive"] and report["violations"] == 0
+        assert [c["tuples_checked"] for c in report["checks"]] == [1, 2000]
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_bias_bounds_samples_below_one(self, outdir, capsys, samples):
-        # n*(k-1) = 26 > 24 selects the sampled path, where no sample checks nothing.
+        # 2^(nk) = 2^39 walk bits past the cap select the sampled path, where no
+        # sample checks nothing.
         write_function_file("f.txt", FunctionTable(13, 1))
         assert run("verify", "bias-bounds", "--function", "f.txt", "--k", "3",
                    "--eps", "1/2", "--samples", samples, "--out", "v.json") == 2
@@ -307,8 +319,8 @@ class TestVerifyCommand:
             # 2^(n(k+1)) derived table bits: 2^(12*3), then 2^(17*2)
             ("representation", 12, ("--k", "2", "--eps", "1/2")),
             ("representation", 17, ("--k", "1", "--eps", "1/2")),
-            # the exhaustive walk's 2^(nk) = 2^(17*2) derived table bits
-            ("bias-bounds", 17, ("--k", "2", "--eps", "1/2")),
+            # 2^(17*2) bits do not fit the walk, so n=17, k=2 samples: 40,000 * 2^17
+            ("bias-bounds", 17, ("--k", "2", "--eps", "1/2", "--samples", "40000")),
             # the sampled check's (k-1) * samples * 2^n = 2 * 2000 * 2^21
             ("bias-bounds", 21, ("--k", "3", "--eps", "1/2")),
         ],
@@ -457,6 +469,15 @@ class TestGrmCommands:
                    "--out", "g.csv") == 0
         assert "codewords: 729" in capsys.readouterr().out
         assert Path("g.csv").read_text().startswith("# q=3,n=2,d=2,dimension=6")
+
+    def test_binary_enum_past_the_fq_value_cap(self, outdir, capsys):
+        # GRM(2,16,1) is RM(16,1): 2^33 values, once refused, take its closed form.
+        assert run("grm", "enum", "--q", "2", "--n", "16", "--d", "1", "--out", "g.csv") == 0
+        assert run("enum", "--n", "16", "--d", "1", "--out", "e.csv") == 0
+        assert "codewords: 131072" in capsys.readouterr().out
+        rows = Path("g.csv").read_text().splitlines()
+        assert rows[0].startswith("# q=2,n=16,d=1,dimension=17")
+        assert rows[1:] == Path("e.csv").read_text().splitlines()[1:]
 
     def test_construct(self, outdir, capsys):
         assert run("grm", "construct", "--q", "3", "--n", "3", "--d", "2",

@@ -656,7 +656,7 @@ class TestBiasBounds:
         assert report.checks[0].min_bias == bias(f) == Fraction(3, 4)
 
     def test_sampled_mode(self):
-        # n*(k-1) = 26 > 24 selects seeded samples.
+        # 2^(nk) = 2^39 walk bits past the cap select seeded samples.
         f = table_of(13, [1, 2, 3, 4])
         report = check_bias_bounds(f, 3, Fraction(1, 4), samples=50, seed=11)
         assert not report.exhaustive
@@ -689,20 +689,29 @@ class TestBiasBounds:
             check_bias_bounds(FunctionTable.ones(3), 1, Fraction(1, 2))
 
     def test_exhaustive_walk_cap(self, monkeypatch):
+        # The walk runs exactly where its 2^(nk) derived table bits fit 2^32. At
+        # n <= 5, k >= 6 the weight gate admits only f = 0, walked at any k.
+        for n, k in [(8, 4), (4, 8), (5, 6), (1, 32)]:
+            f = FunctionTable.zero(n)
+            report = check_bias_bounds(f, k, Fraction(1, 2))
+            assert report.exhaustive
+            assert report == exhaustive_bias_bounds(f, k, Fraction(1, 2))
+
         def no_derive(*args):
             raise AssertionError("derived past the cap")
 
         monkeypatch.setattr(derivatives, "derive", no_derive)
-        # n*(k-1) <= 24 selects the walk; 2^(nk) derived table bits pass 2^32.
-        with pytest.raises(ScaleError, match="needs 2\\^34"):
-            check_bias_bounds(FunctionTable(17, 1), 2, Fraction(1, 2))
-        with pytest.raises(ScaleError, match="needs 2\\^33"):
-            check_bias_bounds(FunctionTable(11, 1), 3, Fraction(1, 2))
-        with pytest.raises(ScaleError):
-            check_bias_bounds(FunctionTable(20, 1), 2, Fraction(1, 2))
+        # Past it the check samples: at 2^34, 2^33 and 2^36 bits, where a walk chosen
+        # by n*(k-1) <= 24 was once refused, and for f = 0 at 2^35.
+        for n, k in [(17, 2), (11, 3), (12, 3), (5, 7)]:
+            f = FunctionTable(n, 1) if n > 5 else FunctionTable.zero(n)
+            report = check_bias_bounds(f, k, Fraction(1, 2), samples=30, seed=n)
+            assert not report.exhaustive
+            assert [c.tuples_checked for c in report.checks] == [1] + [30] * (k - 1)
+            assert report == sampled_bias_bounds(f, k, Fraction(1, 2), 30, n)
 
     def test_samples_past_the_tuple_bits(self):
-        # n*(k-1) = 26 > 24: seeded samples, not the walk.
+        # 2^(nk) = 2^39 walk bits past the cap: seeded samples, not the walk.
         report = check_bias_bounds(FunctionTable(13, 1), 3, Fraction(1, 2), samples=20)
         assert not report.exhaustive
         assert [c.tuples_checked for c in report.checks] == [1, 20, 20]
@@ -724,7 +733,7 @@ class TestBiasBounds:
         assert report == sampled_bias_bounds(f, 3, Fraction(1, 2), 40, 3)
 
     def test_sampled_draws_match_the_oracle_over_seeds(self, monkeypatch):
-        # n*(k-1) > 24 on every case. The tuples come from one draw per prefix
+        # nk > 32 on every case. The tuples come from one draw per prefix
         # length; the report, violation tuples as Python ints included, is the
         # oracle's on every seed.
         rng = random.Random(76)
@@ -778,8 +787,12 @@ class TestBiasBounds:
         for seam in ("derive", "derivative_chunks"):
             monkeypatch.setattr(derivatives, seam, no_kernel)
         # (k-1) * samples * 2^n derived table bits: 2 * 2000 * 2^21 passes 2^32,
-        # and so does 2000 * 2^25 at k = 2, which samples only from n = 25.
+        # and so do 2000 * 2^25 and 2000 * 2^22 at k = 2, which samples from n = 17.
         with pytest.raises(ScaleError, match="sampled bias-bounds check at n=21, k=3"):
             check_bias_bounds(FunctionTable(21, 1), 3, Fraction(1, 2))
-        with pytest.raises(ScaleError, match="needs 2\\^35"):
+        # 2000 * 2^25 is 2^35.97 and 2000 * 2^22 is 2^32.97 bits, reported rounded up.
+        with pytest.raises(ScaleError, match="needs 2\\^36"):
             check_bias_bounds(FunctionTable(25, 1), 2, Fraction(1, 2))
+        with pytest.raises(ScaleError, match=r"^sampled bias-bounds check at n=22, k=2 capped "
+                                             r"at 2\^32 derived table bits \(needs 2\^33\)$"):
+            check_bias_bounds(FunctionTable(22, 1), 2, Fraction(1, 2))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from rmlist import (
     GrmPolynomial,
     GrmTable,
     InputError,
+    InvariantFailure,
     ScaleError,
     anf_to_table,
     bias,
@@ -370,6 +372,8 @@ class TestBinaryRoute:
     walk step runs."""
 
     def test_admitted_codes_are_listed(self):
+        # The word-list oracle's codes, and RM(5,3): its 2^26 codewords are past
+        # that oracle, and ``test_admitted_exactly_as_rm`` checks its counts.
         admitted = []
         for n in range(1, 7):
             for d in range(1, n + 1):
@@ -378,7 +382,26 @@ class TestBinaryRoute:
                     admitted.append((n, d))
                 except ScaleError:
                     pass
-        assert admitted == ADMITTED_BINARY_CODES
+        assert admitted == sorted(ADMITTED_BINARY_CODES + [(5, 3)])
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_admitted_exactly_as_rm(self, n, monkeypatch):
+        # No F_q cap applies at q = 2: GRM(2,n,d) has RM(n,d)'s counts, or its
+        # refusal. (16,1), 2^33 values, (20,2) and (5,3), 2^26 codewords, were
+        # refused by the F_q caps.
+        steps = count_calls(monkeypatch, scan, "weights")
+        admitted = set()
+        for d in range(1, n + 1):
+            try:
+                binary = enumerate_weights(CodeParams(n, d)).counts
+            except ScaleError as refusal:
+                with pytest.raises(ScaleError, match=f"^{re.escape(str(refusal))}$"):
+                    grm_enumerate_weights(GrmParams(2, n, d))
+            else:
+                assert grm_enumerate_weights(GrmParams(2, n, d)).counts == binary
+                admitted.add(d)
+        assert steps == []
+        assert {1, min(n, 2)} <= admitted and (n != 5 or 3 in admitted)
 
     @pytest.mark.parametrize("n,d", ADMITTED_BINARY_CODES)
     def test_matches_odometer_and_brute_force(self, n, d, monkeypatch):
@@ -447,6 +470,29 @@ class TestConstructions:
         exponents = {e for p, _ in fam.members for e in p.coeffs}
         assert (fam.distinct_count, len(exponents)) == (16, 3072)
         assert len(peaks) == 1 and peaks[0] < 4 * 64 * q**n
+
+    @pytest.mark.parametrize("q,n,d,k", [(2, 16, 16, 1), (2, 18, 18, 1), (2, 20, 20, 1),
+                                         (2, 20, 20, 2), (3, 12, 21, 1)])
+    def test_construction_cap_raises_before_any_product(self, q, n, d, k, monkeypatch):
+        # 2^a terms x q^n points past 2^29: 2^31, 2^35, 2^39, 2^37 and 2^29.02.
+        def no_product(*args):
+            raise AssertionError("a polynomial multiplied past the cap")
+
+        monkeypatch.setattr(GrmPolynomial, "__mul__", no_product)
+        start = time.perf_counter()
+        with pytest.raises(ScaleError, match=r"construction of 2\^\d+ terms x"):
+            construct_grm_family(q, n, d, k)
+        assert time.perf_counter() - start < 0.5
+
+    def test_construction_cap_admits_the_documented_runs(self):
+        # The shared factors of (2,20,2,1), (7,7,13,2) and (2,20,10,1), the last at
+        # 2^9 x 2^20 = 2^29 exactly; one more full factor passes the cap.
+        for q, n, d, k in [(2, 20, 2, 1), (7, 7, 13, 2), (2, 20, 10, 1)]:
+            a, b = grm._split_degree(q, d if k == 1 else d - k)
+            product = grm._coordinate_product(q, n, a, 0 if k == 1 else b)
+            assert 2**a <= len(product.coeffs) <= 2**a * q
+        with pytest.raises(ScaleError):
+            grm._coordinate_product(2, 20, 10, 0)
 
     def test_ternary_k1(self):
         fam = construct_grm_family(3, 3, 2, 1)
@@ -577,31 +623,57 @@ class TestGrmEnumerate:
         assert accumulative(enum, Fraction(1, 3) - Fraction(1, 100)) == 1
 
     def test_scale_cap(self):
-        with pytest.raises(ScaleError):
-            grm_enumerate_weights(GrmParams(5, 3, 4))
-        # The smallest codes past 2^24 codewords: 2^26 and 3^17.
-        for q, n, d in [(2, 5, 3), (3, 3, 3)]:
-            with pytest.raises(ScaleError):
+        # 5^(21+3) scanned values; and the smallest codes past 2^32 values at each
+        # q > 2 with d = 2.
+        for q, n, d in [(5, 3, 4), (3, 5, 2), (5, 4, 2), (7, 3, 2)]:
+            with pytest.raises(ScaleError, match="scanned values"):
                 grm_enumerate_weights(GrmParams(q, n, d))
+        for q, n, d in [(3, 4, 2), (5, 3, 2), (7, 2, 2)]:
+            assert not grm._exceeds(q, GrmParams(q, n, d).dimension + n, 32)
+
+    def test_largest_walk_under_the_value_cap(self):
+        # (3,3,3): 3^17 codewords and 3^20 values, the one F_q code a codeword cap
+        # of 2^24 refused under the value cap; its enumerator passes the first-moment check.
+        params = GrmParams(3, 3, 3)
+        enum = grm_enumerate_weights(params)
+        assert params.dimension == 17 and enum.total() == 3**17 and len(enum.counts) == 22
+        assert sum(w * c for w, c in enum.counts.items()) == 27 * 2 * 3**16
+        assert enum.counts[0] == 1 and min(w for w in enum.counts if w) == 6
+
+    @pytest.mark.parametrize("q,n,d", [(3, 2, 2), (5, 2, 1), (7, 2, 1), (3, 3, 1)])
+    def test_counts_not_taken_q_minus_1_times_fail_the_first_moment(self, q, n, d,
+                                                                   monkeypatch):
+        # With one-row tiles every digit is walked; a walk whose class counts are
+        # not multiplied by q - 1 raises.
+        class Unscaled(np.ndarray):
+            def __rmul__(self, scalar):
+                return self.view(np.ndarray)
+
+        monkeypatch.setattr(scan, "TILE_BYTES", 1)
+        params = GrmParams(q, n, d)
+        assert grm_enumerate_weights(params).counts == brute_force_enumerator(params)
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: real(*a, **kw).view(Unscaled))
+        with pytest.raises(InvariantFailure, match="first moment"):
+            grm_enumerate_weights(params)
 
     @pytest.mark.parametrize(
-        "q,n,d,cap",
+        "q,n,d,past",
         [
-            # Just past 2^32 scanned values: 2^(17+16), 3^(11+10), 5^(8+7), 7^(7+6).
-            (2, 16, 1, "values"), (3, 10, 1, "values"), (5, 7, 1, "values"),
-            (7, 6, 1, "values"), (3, 12, 1, "values"), (7, 7, 1, "values"),
-            # Past 2^24 codewords by far, at the block-length cap.
-            (2, 20, 20, "codewords"), (7, 7, 42, "codewords"),
+            # Just past 2^32 scanned values: 3^(11+10), 5^(8+7), 7^(7+6).
+            (3, 10, 1, "values"), (5, 7, 1, "values"), (7, 6, 1, "values"),
+            (3, 12, 1, "values"), (7, 7, 1, "values"),
+            # Past 2^32 values by its codewords alone, at the block-length cap.
+            (7, 7, 42, "codewords"),
         ],
     )
-    def test_caps_raise_before_any_table(self, q, n, d, cap, monkeypatch):
+    def test_caps_raise_before_any_table(self, q, n, d, past, monkeypatch):
         def no_tables(*args):
             raise AssertionError("monomial tables built past a cap")
 
         monkeypatch.setattr(grm, "monomial_tables", no_tables)
         start = time.perf_counter()
-        message = "scanned values" if cap == "values" else "codewords|q\\^dimension ="
-        with pytest.raises(ScaleError, match=message):
+        with pytest.raises(ScaleError, match="scanned values"):
             grm_enumerate_weights(GrmParams(q, n, d))
         assert time.perf_counter() - start < 0.5
 
