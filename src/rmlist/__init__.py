@@ -15,7 +15,6 @@ from .boolfunc import (
     complement,
     degree,
     distance,
-    evaluate,
     monomial_table,
     table_to_anf,
     translate,

@@ -27,8 +27,10 @@ def _require_variables(n: int) -> None:
 
 
 def require_all_functions(n: int, what: str) -> None:
-    """``ScaleError`` unless every function on n variables may be walked."""
-    if not 1 <= n <= ALL_FUNCTIONS_VARS:
+    """``InputError`` for a variable count outside [1, ``MAX_VARIABLES``], else
+    ``ScaleError`` unless every function on n variables may be walked."""
+    _require_variables(n)
+    if n > ALL_FUNCTIONS_VARS:
         raise ScaleError(f"{what} capped at n <= {ALL_FUNCTIONS_VARS}")
 
 
@@ -154,12 +156,6 @@ def _low_block_mask(n: int, i: int) -> int:
     the n cap a full level set would pin gigabytes.
     """
     return (_low_block_mask_cached if n <= 20 else _low_block_mask_cached.__wrapped__)(n, i)
-
-
-def evaluate(f: FunctionTable, x: int) -> int:
-    if not 0 <= x < f.size:
-        raise InputError(f"point {x} out of range for n={f.n}")
-    return (f.bits >> x) & 1
 
 
 def _binary_moebius(bits: int, n: int) -> int:

@@ -72,6 +72,14 @@ GRM_POINT_BITS = 20
 # (2,16,16,1), 2^31, 34 s, and (2,20,20,1) expanded 2^20 terms in 8.3 s at
 # 471 MiB before its first table. ``grm._coordinate_product``.
 CONSTRUCT_TERM_BITS = 29
+# limit x q^n <= 2^26 bytes of member tables for ``grm construct``, one uint8 per
+# point of each of up to ``limit`` members, checked before any polynomial is
+# built. At the cap, (2,20,2,1) with the default 64 members takes 0.5 s at a
+# 116 MiB peak RSS, (2,16,2,1) with 1,024 members 0.9 s at 104 MiB and (7,7,13,2)
+# 1.1 s at 123 MiB (in-process, 2-core VM); past it, peak RSS grows with the
+# limit: (2,16,2,1) takes 1.9 s at 173 MiB with 2,048 members and 2.3 s at
+# 307 MiB with 4,096. ``grm.construct_grm_family``.
+CONSTRUCT_TABLE_BYTES = 1 << 26
 
 
 def grm_max_degree(q: int) -> int:

@@ -7,17 +7,17 @@ The central objects, whose uint64 word-row kernels all come from ``scan``:
   along many direction tuples at once, as uint64 tables with their prefix weights.
 * ``_level`` - the same kernel one level at a time: every table of a batch derived
   along all 2^n directions, as per-point counts of ones and, if asked, the children.
+* ``_require_identity`` - the integer single-derivative identity, the one comparison
+  of the three checks below, each of which raises on a miss.
 * ``verify_derivative_representation`` - checks exactly, over all 2^(nk) direction
   tuples and all 2^n points, that a low-weight function is the expectation of its
-  order-k derivatives, each weighted by the product of its inverse prefix biases.
-  It needs only integers: the identity follows, by induction on the depth, from the
-  integer single-derivative identity sum_a (-1)^{g_a(x)} = (2^n - 2 wt(g)) (-1)^{g(x)}
-  at every distinct prefix derivative g of depth below k. The walk takes one
-  ``_level`` per depth and keeps only the distinct children for the next.
+  order-k derivatives, each weighted by the product of its inverse prefix biases: by
+  induction on the depth, ``_require_identity`` at every distinct prefix derivative
+  of depth below k implies it. One ``_level`` per depth keeps the distinct children.
 * ``check_bias_bounds`` - the prefix-bias lower bounds that make the coefficients finite.
-* ``single_derivative_identity`` - the order-1 identity for any non-balanced function,
-  one ``_level`` of its one table.
-* ``verify_single_derivative_exhaustive`` - the order-1 identity for every function on
+* ``single_derivative_identity`` - ``_require_identity`` for any non-balanced
+  function, one ``_level`` of its one table.
+* ``verify_single_derivative_exhaustive`` - ``_require_identity`` for every function on
   n <= 4 variables at once, point-major: each direction XORs and adds contiguous rows.
 * ``unit_derivative_counts`` - the derivatives of one table along every set of
   ``order`` unit vectors, counted on one point per coset: the subcube parities that
@@ -219,10 +219,10 @@ def require_low_weight(f: FunctionTable, k: int, eps: Fraction) -> None:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    max_deviation: Fraction
     max_abs_coefficient: Fraction
     tuples_checked: int
     points_checked: int
+    max_deviation = Fraction(0)  # a report exists only once ``_require_identity`` passed
 
     def as_dict(self) -> dict:
         return {
@@ -246,6 +246,28 @@ def require_derived_bits(bits: int, what: str) -> None:
         raise ScaleError(f"{what} {reason}")
 
 
+def _require_identity(ones: np.ndarray, bits: np.ndarray, biases: np.ndarray, size: int,
+                      where: str) -> None:
+    """sum_a (-1)^{g_a(x)} = B(g) (-1)^{g(x)}, B(g) = 2^n - 2 wt(g), at every point x of
+    every g, or ``InvariantFailure`` naming ``where``.
+
+    With ``ones`` the directions a that have g_a(x) = 1 and ``bits`` g(x), it reads
+    size - 2 ones == B (1 - 2 bits). It holds for every g, balanced or not, so a miss
+    is a kernel bug. ``biases`` broadcasts B against both, in the signed dtype of the
+    in-place comparison.
+    """
+    acc = ones.astype(biases.dtype)
+    acc *= -2
+    acc += size
+    signs = bits.astype(biases.dtype)
+    signs *= -2
+    signs += 1
+    signs *= biases
+    acc -= signs
+    if acc.any():
+        raise InvariantFailure(f"single-derivative identity failed {where}")
+
+
 def _max_over_parents(scales: list[Fraction], inverse: np.ndarray, size: int) -> list[Fraction]:
     """Per distinct child, the largest scale of a parent whose extension derives it."""
     values = sorted(set(scales))
@@ -260,15 +282,9 @@ def verify_derivative_representation(
 ) -> IdentityReport:
     """Check (-1)^f(x) == E over all order-k tuples of [coeff * (-1)^derivative(x)].
 
-    The check is exact and uses only integers. At a prefix g with bias
-    numerator B(g) = 2^n - 2 wt(g) != 0, the single-derivative identity
-    sum_a (-1)^{g_a(x)} = B(g) (-1)^{g(x)} is an equality of integers. By
-    induction on the depth, the average over the tuples below g of
-    coeff * (-1)^derivative equals (-1)^g whenever that equality holds at g
-    and at every distinct prefix below it, so ``max_deviation`` is 0 once every
-    level of distinct prefixes, depth 0 to k-1, passes. A level that fails
-    can only be a kernel bug and raises ``InvariantFailure``; a zero B raises
-    ``DegenerateBiasError``.
+    Exact and in integers: by induction on the depth, it holds once
+    ``_require_identity`` passes on each level of distinct prefixes, depth 0 to
+    k-1. A zero prefix bias raises ``DegenerateBiasError``.
 
     ``max_abs_coefficient`` is the largest product of 2^n/|B| along a path
     of prefixes, carried as one ``Fraction`` per distinct prefix.
@@ -288,16 +304,12 @@ def verify_derivative_representation(
             )
         scales = [s * Fraction(size, abs(b)) for s, b in zip(scales, biases.tolist())]
         ones, children = _level(tables, n, keep=depth + 1 < k)
-        signs = 1 - 2 * scan.point_bits(tables, n).astype(np.int64)
-        if not np.array_equal(size - 2 * ones, biases[:, None] * signs):
-            raise InvariantFailure(
-                f"single-derivative identity failed at a depth-{depth} prefix"
-            )
+        _require_identity(ones, scan.point_bits(tables, n), biases[:, None], size,
+                          f"at a depth-{depth} prefix")
         if children is not None:
             tables, inverse = scan.unique_rows(children)
             scales = _max_over_parents(scales, inverse, size)
     return IdentityReport(
-        max_deviation=Fraction(0),
         max_abs_coefficient=max(scales),
         tuples_checked=size**k,
         points_checked=size,
@@ -305,26 +317,18 @@ def verify_derivative_representation(
 
 
 def single_derivative_identity(g: FunctionTable) -> IdentityReport:
-    """Check (-1)^g(x) == (1/bias(g)) * E_a[(-1)^{g_a(x)}] at every point.
-
-    The direction average is accumulated honestly, so the check is not
-    circular: ``_level`` builds one derivative table per direction a in
-    [0, 2^n), and at each point x the sum over a of (-1)^{g_a(x)} is 2^n
-    minus twice the number of those tables that are 1 at x. Those tables
-    total 4^n bits, under ``DERIVED_TABLE_BITS_CAP``.
-    """
+    """``_require_identity`` for one g, derived by ``_level`` along every direction
+    (4^n table bits, under ``DERIVED_TABLE_BITS_CAP``). A balanced g raises
+    ``ZeroBiasError`` first: the normalized identity divides by its bias."""
     size = g.size
     bias_num = size - 2 * g.bits.bit_count()
     if bias_num == 0:
         raise ZeroBiasError("balanced function: identity undefined")
     require_derived_bits(size * size, f"single-derivative identity at n={g.n}")
     table = scan.to_words([g.bits], g.n)
-    ones = _level(table, g.n, keep=False)[0][0]
-    signs = 1 - 2 * point_counts(table, g.n)
-    # (acc/size) / bias - sign = (acc - sign*bias_num) / bias_num, acc = size - 2*ones
-    max_num = int(np.abs(size - 2 * ones - signs * bias_num).max())
+    _require_identity(_level(table, g.n, keep=False)[0], scan.point_bits(table, g.n),
+                      np.int64(bias_num), size, f"at n={g.n}")
     return IdentityReport(
-        max_deviation=Fraction(max_num, abs(bias_num)),
         max_abs_coefficient=Fraction(size, abs(bias_num)),
         tuples_checked=size,
         points_checked=size,
@@ -336,8 +340,8 @@ class SweepReport:
     n: int
     functions_checked: int
     zero_bias_skipped: int
-    max_deviation: Fraction
     points_checked: int
+    max_deviation = Fraction(0)  # a report exists only once ``_require_identity`` passed
 
     def as_dict(self) -> dict:
         return {
@@ -374,43 +378,19 @@ def _sweep_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verify_single_derivative_exhaustive(n: int) -> SweepReport:
-    """Run the single-derivative identity over every function on n variables.
-
-    Vectorized over the 2^(2^n) functions at once and point-major:
-    ``_sweep_counts`` accumulates, per point, the direction sum of every
-    function's derivatives, and the deviations are taken in the same layout.
-    All arithmetic is integer-exact in small dtypes (tables and counts in
-    uint8, at most 2^n = 16 per point, signed values in int16), so the
-    reported deviation is exact. Capped at ``ALL_FUNCTIONS_VARS`` variables.
-    """
+    """``_require_identity`` for all 2^(2^n) functions on n <= ``ALL_FUNCTIONS_VARS``
+    variables at once, point-major from ``_sweep_counts``, in int16. The balanced ones
+    count as ``zero_bias_skipped``: the normalized identity divides by their bias."""
     require_all_functions(n, "exhaustive function sweep")
     size = 1 << n
-    count = 1 << size
     table_bits, ones = _sweep_counts(n)
     bias_num = size - 2 * table_bits.sum(axis=0, dtype=np.int16)
-    # |acc - sign * bias_num| in place, with acc = size - 2 * ones the direction
-    # sum of (-1)^{g_a(x)} and sign = 1 - 2 * g(x).
-    dev_num = ones.astype(np.int16)
-    dev_num *= -2
-    dev_num += size
-    signs = table_bits.astype(np.int16)
-    signs *= -2
-    signs += 1
-    signs *= bias_num
-    dev_num -= signs
-    np.abs(dev_num, out=dev_num)
-    nonzero = bias_num != 0
-    max_dev = Fraction(0)
-    row_max = dev_num.max(axis=0)[nonzero]
-    if row_max.any():
-        denom = np.abs(bias_num[nonzero])
-        fracs = [Fraction(int(a), int(b)) for a, b in zip(row_max, denom) if a]
-        max_dev = max(fracs)
+    _require_identity(ones, table_bits, bias_num, size, f"among the functions on n={n}")
+    balanced = int(np.count_nonzero(bias_num == 0))
     return SweepReport(
         n=n,
-        functions_checked=int(nonzero.sum()),
-        zero_bias_skipped=int(count - nonzero.sum()),
-        max_deviation=max_dev,
+        functions_checked=(1 << size) - balanced,
+        zero_bias_skipped=balanced,
         points_checked=size,
     )
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import scan
 from .boolfunc import CodeParams
-from .caps import (CONSTRUCT_TERM_BITS, ENUM_VALUE_BITS, GRM_POINT_BITS, MAX_FIELD,
-                   grm_max_degree)
+from .caps import (CONSTRUCT_TABLE_BYTES, CONSTRUCT_TERM_BITS, ENUM_VALUE_BITS,
+                   GRM_POINT_BITS, MAX_FIELD, grm_max_degree)
 from .enumeration import WeightEnumerator, enumerate_weights
 from .errors import InputError, InvariantFailure, ScaleError
 
@@ -409,14 +409,18 @@ def construct_grm_family(
     adding multiples of unused variables. 2 <= k <= d-1: coordinate products
     times (x_{a+2} + g) for g of degree <= k on the remaining variables.
     k=d: x_1 + g for g of degree <= d on the rest. Every member's weight and
-    degree are verified exactly. A coordinate product past its cap raises
-    ``ScaleError`` before any polynomial is multiplied (``_coordinate_product``).
+    degree are verified exactly. Past ``CONSTRUCT_TABLE_BYTES`` of member tables,
+    limit x q^n, or a coordinate product past its cap (``_coordinate_product``),
+    it raises ``ScaleError`` before any polynomial is built.
     """
     params = GrmParams(q, n, d)
     if not 1 <= k <= d:
         raise InputError(f"k must be in [1, d={d}], got {k}")
     if limit < 1:
         raise InputError(f"limit must be >= 1, got {limit}")
+    if limit * params.block_length > CONSTRUCT_TABLE_BYTES:
+        raise ScaleError(f"{limit} member tables of {q}^{n} points exceed the cap of "
+                         f"2^{CONSTRUCT_TABLE_BYTES.bit_length() - 1} bytes")
     target = {t.k: t.value for t in weight_thresholds(q, d)}[k]
     chosen: dict[tuple, GrmPolynomial] = {}  # by sort key, first kept
 

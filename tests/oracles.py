@@ -1,14 +1,15 @@
 """Test-only helpers and slow reference paths shared by several test modules.
 
 Conversions between 0/1 value lists, packed truth tables and F_2 value
-tables, the XOR of two tables, a function file's text and its writer, an
-enumerator's minimum positive weight, the F_q distance, the bigint iterated
-derivative that checks the batched derivative kernel, the ``Fraction``
-coefficient walk that checks the approximator's integer coefficients, the
-default approximator parameters of a code, the dict walk that checks the
-exhaustive bias-bounds check, and the codeword scan, sharded and pooled, that
-checks the closed-form weight enumerators. The library itself needs none of
-them.
+tables, a table's value at one point, the XOR of two tables, a function
+file's text and its writer, an enumerator's minimum positive weight, the F_q
+distance, the bigint iterated derivative that checks the batched derivative
+kernel, a derivative count off by one that the identity checks must catch,
+the ``Fraction`` coefficient walk that checks the approximator's integer
+coefficients, the default approximator parameters of a code, the dict walk
+that checks the exhaustive bias-bounds check, and the codeword scan, sharded
+and pooled, that checks the closed-form weight enumerators. The library
+itself needs none of them.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def table_from_values(values) -> FunctionTable:
             raise InputError("table values must be bits")
         bits |= b << v
     return FunctionTable(n, bits)
+
+
+def evaluate(f: FunctionTable, x: int) -> int:
+    """f(x), or ``InputError`` for a point outside [0, 2^n)."""
+    if not 0 <= x < f.size:
+        raise InputError(f"point {x} out of range for n={f.n}")
+    return (f.bits >> x) & 1
 
 
 def table_values(f: FunctionTable) -> list[int]:
@@ -113,6 +121,19 @@ class RepresentationCoefficient:
 
     value: Fraction
     prefix_biases: tuple[Fraction, ...]
+
+
+def miscounted(counts, index: int, at: tuple[int, int]):
+    """``counts``, ``derivatives._level`` or ``_sweep_counts``, with one more one at
+    ``at`` in the counts it returns as item ``index``: a kernel bug that every
+    single-derivative check must catch."""
+
+    def wrapped(*args, **kwargs):
+        result = counts(*args, **kwargs)
+        result[index][at] += 1
+        return result
+
+    return wrapped
 
 
 def representation_coefficient(

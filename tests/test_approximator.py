@@ -26,7 +26,6 @@ from rmlist import (
     bias,
     build_approximator,
     distance,
-    evaluate,
     monomial_table,
     sample_count,
     table_to_anf,
@@ -41,6 +40,7 @@ from conftest import random_table, random_table_below_weight, table_of
 from oracles import (
     approximator_params_for_code,
     derive_iterated,
+    evaluate,
     representation_coefficient,
     xor_tables,
 )

@@ -17,7 +17,6 @@ from rmlist import (
     complement,
     degree,
     distance,
-    evaluate,
     monomial_table,
     table_to_anf,
     translate,
@@ -28,7 +27,7 @@ from rmlist import boolfunc
 from rmlist.boolfunc import monomial_masks
 
 from conftest import random_table, table_of
-from oracles import table_from_values, table_values, xor_tables
+from oracles import evaluate, table_from_values, table_values, xor_tables
 
 
 def tables(max_n: int = 8):

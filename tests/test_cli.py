@@ -18,7 +18,7 @@ from rmlist.errors import (
 from rmlist.manifest import load_manifest, sha256_file
 
 from conftest import table_of
-from oracles import write_function_file
+from oracles import miscounted, write_function_file
 
 
 @pytest.fixture
@@ -77,6 +77,9 @@ class TestExitCodes:
             (("construct", "--q", "2", "--n", "21", "--d", "2", "--k", "1"), 2),
             # a coordinate product of 2^15 terms x 2^16 points, past 2^29
             (("construct", "--q", "2", "--n", "16", "--d", "16", "--k", "1"), 3),
+            # 2,048 member tables x 2^16 points, past 2^26 bytes
+            (("construct", "--q", "2", "--n", "16", "--d", "2", "--k", "1",
+              "--limit", "2048"), 3),
         ],
     )
     def test_grm_cap_exits(self, outdir, argv, code):
@@ -310,6 +313,54 @@ class TestVerifyCommand:
                    "--k", k, "--eps", eps, "--out", "v.json") == 0
         assert sha256_file("v.json") == digest
         assert load_manifest("v.json.manifest.json").outputs == {"v.json": digest}
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "5cabd7dbbbdc83b09165ff746b03d4d78dcd949dce01bdbf557f8d2fde851802"),
+            (2, "4b9f8f95314adec7161bf0e52d0dfbfe0c67e7bacc5d5cf9467be2ee6eef57d4"),
+            (3, "55cb115d6cd5b457b32046476ec3a10dd693f68712608faa88d5511f0f971f62"),
+            (4, "393a90e5da14f0bedc99566fba186530d244574f6ea4e3fb9d0fb6e24c57987f"),
+        ],
+    )
+    def test_exhaustive_single_derivative_bytes_unchanged(self, outdir, n, digest):
+        # Digests of the sweep that reported a Fraction deviation per function.
+        assert run("verify", "single-der", "--n", str(n), "--exhaustive",
+                   "--out", "v.json") == 0
+        assert sha256_file("v.json") == digest
+        assert load_manifest("v.json.manifest.json").outputs == {"v.json": digest}
+
+    @pytest.mark.parametrize(
+        "function,digest",
+        [
+            (FunctionTable(2, 8),  # x1x2
+             "91c5cb1b45d96bef6436535636e0aaea59aa730a4461f9397f7005e4227037c5"),
+            (FunctionTable(9, (0x1F << 496) | 3),
+             "c2df73665cb18ffa9c89f826003b060d210b9090bd6ea8d63a8186c06b82965d"),
+        ],
+    )
+    def test_single_derivative_bytes_unchanged(self, outdir, function, digest):
+        write_function_file("f.txt", function)
+        assert run("verify", "single-der", "--function", "f.txt", "--out", "v.json") == 0
+        assert sha256_file("v.json") == digest
+        assert load_manifest("v.json.manifest.json").outputs == {"v.json": digest}
+
+    @pytest.mark.parametrize("n,code", [("0", 2), ("-1", 2), ("31", 2), ("5", 3)])
+    def test_exhaustive_variable_count_exits(self, outdir, capsys, n, code):
+        # Outside [1, 30] a variable count is an input error; past n = 4 the sweep is capped.
+        assert run("verify", "single-der", "--exhaustive", "--n", n, "--out", "v.json") == code
+        assert capsys.readouterr().out == ""
+        assert not Path("v.json").exists()
+        assert not Path("v.json.manifest.json").exists()
+
+    def test_single_derivative_miss_exits_5_and_writes_nothing(self, outdir, monkeypatch):
+        from rmlist import derivatives
+
+        monkeypatch.setattr(derivatives, "_level", miscounted(derivatives._level, 0, (0, 0)))
+        write_function_file("f.txt", FunctionTable(3, 0b1000_0001))
+        assert run("verify", "single-der", "--function", "f.txt", "--out", "v.json") == 5
+        assert not Path("v.json").exists()
+        assert not Path("v.json.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "identity,n,extra",

@@ -21,7 +21,6 @@ from rmlist import (
     check_bias_bounds,
     degree,
     derive,
-    evaluate,
     single_derivative_identity,
     verify_derivative_representation,
     verify_single_derivative_exhaustive,
@@ -44,7 +43,9 @@ from rmlist.scan import from_point_bits, point_bits, to_words, word_count
 from conftest import random_table, random_table_below_weight, table_of
 from oracles import (
     derive_iterated,
+    evaluate,
     exhaustive_bias_bounds,
+    miscounted,
     representation_coefficient,
     table_from_values,
 )
@@ -166,8 +167,9 @@ class TestRepresentationCoefficient:
                 assert abs(c.value) <= Fraction(10) / eps
 
 
-def int64_sweep(n: int) -> SweepReport:
-    """Oracle: the exhaustive single-derivative sweep as sums of +-1 in int64."""
+def int64_sweep(n: int) -> tuple[SweepReport, Fraction]:
+    """Oracle: the exhaustive single-derivative sweep as sums of +-1 in int64, and
+    its own largest deviation from the identity over the non-balanced functions."""
     size = 1 << n
     count = 1 << size
     funcs = np.arange(count, dtype=np.uint32)
@@ -186,7 +188,7 @@ def int64_sweep(n: int) -> SweepReport:
                       for a, b in zip(row_max, np.abs(bias_num[nonzero])) if a)
     return SweepReport(n=n, functions_checked=int(nonzero.sum()),
                        zero_bias_skipped=int(count - nonzero.sum()),
-                       max_deviation=max_dev, points_checked=size)
+                       points_checked=size), max_dev
 
 
 class TestSingleDerivativeIdentity:
@@ -222,7 +224,9 @@ class TestSingleDerivativeIdentity:
 
     def test_sweep_matches_int64_sweep(self):
         for n in range(1, 5):
-            assert verify_single_derivative_exhaustive(n) == int64_sweep(n)
+            report, deviation = int64_sweep(n)
+            assert deviation == 0
+            assert verify_single_derivative_exhaustive(n) == report
 
     def test_sweep_counts_match_the_level_kernel(self):
         # Every function at n = 4: the sweep's point-major counts of ones per
@@ -242,6 +246,28 @@ class TestSingleDerivativeIdentity:
     def test_sweep_rejects_large_n(self):
         with pytest.raises(ScaleError):
             verify_single_derivative_exhaustive(5)
+
+
+class TestIdentityMisses:
+    """One count off in the derivative kernels fails every check of the identity."""
+
+    def test_one_function(self, monkeypatch):
+        monkeypatch.setattr(derivatives, "_level", miscounted(derivatives._level, 0, (0, 5)))
+        with pytest.raises(InvariantFailure, match="single-derivative identity failed"):
+            single_derivative_identity(table_of(3, [1, 2]))
+
+    def test_representation_walk(self, monkeypatch):
+        monkeypatch.setattr(derivatives, "_level", miscounted(derivatives._level, 0, (0, 0)))
+        with pytest.raises(InvariantFailure, match="at a depth-0 prefix"):
+            verify_derivative_representation(FunctionTable.zero(3), 2, Fraction(1, 2))
+
+    @pytest.mark.parametrize("n,column", [(2, 0b0011), (4, 0b1111_0000_1111_0000), (3, 1)])
+    def test_sweep(self, monkeypatch, n, column):
+        # 0b0011 and the n = 4 column are balanced functions: the sweep checks them too.
+        counts = miscounted(derivatives._sweep_counts, 1, (1, column))
+        monkeypatch.setattr(derivatives, "_sweep_counts", counts)
+        with pytest.raises(InvariantFailure, match=f"functions on n={n}"):
+            verify_single_derivative_exhaustive(n)
 
 
 def kernel_rows(f: FunctionTable, directions) -> tuple[list[int], list[list[int]]]:
@@ -377,8 +403,10 @@ def naive_representation_check(f: FunctionTable, k: int, eps: Fraction):
     return max_dev, max_abs
 
 
-def fraction_representation(f: FunctionTable, k: int, eps: Fraction) -> IdentityReport:
-    """Oracle: the identity averaged prefix by prefix in ``Fraction`` arithmetic, memoised by table."""
+def fraction_representation(f: FunctionTable, k: int,
+                            eps: Fraction) -> tuple[IdentityReport, Fraction]:
+    """Oracle: the identity averaged prefix by prefix in ``Fraction`` arithmetic, memoised
+    by table, and its own largest deviation from (-1)^f over the points."""
     derivatives.require_low_weight(f, k, eps)
     n = f.n
     if n * k > 24 or n > 12:  # the guard of the implementation this oracle froze
@@ -420,12 +448,16 @@ def fraction_representation(f: FunctionTable, k: int, eps: Fraction) -> Identity
 
     values, max_coeff = level(f.bits, k)
     expected = signs(f.bits)
-    return IdentityReport(
-        max_deviation=max(abs(values[x] - expected[x]) for x in range(size)),
-        max_abs_coefficient=max_coeff,
-        tuples_checked=size**k,
-        points_checked=size,
-    )
+    report = IdentityReport(max_abs_coefficient=max_coeff, tuples_checked=size**k,
+                            points_checked=size)
+    return report, max(abs(values[x] - expected[x]) for x in range(size))
+
+
+def fraction_report(f: FunctionTable, k: int, eps: Fraction) -> IdentityReport:
+    """``fraction_representation``'s report, once its own deviation reads 0."""
+    report, deviation = fraction_representation(f, k, eps)
+    assert deviation == 0
+    return report
 
 
 def outcome(check, *args):
@@ -503,7 +535,7 @@ class TestVerifyRepresentation:
         checked = 0
         for f, k, eps in low_weight_corpus(70, CORPUS):
             report = verify_derivative_representation(f, k, eps)
-            assert report == fraction_representation(f, k, eps)
+            assert report == fraction_report(f, k, eps)
             checked += f.bits != 0
         assert checked >= 25  # small n at larger k admits only f = 0
 
@@ -523,7 +555,7 @@ class TestVerifyRepresentation:
             layouts.clear()
             for f, k, eps in low_weight_corpus(71, {(5, 2): 4, (7, 1): 3, (4, 3): 3}):
                 report = verify_derivative_representation(f, k, eps)
-                assert report == fraction_representation(f, k, eps)
+                assert report == fraction_report(f, k, eps)
             assert layouts == expected
 
     def test_zero_bias_raises_like_oracle(self, monkeypatch):
@@ -536,7 +568,7 @@ class TestVerifyRepresentation:
                 for _ in range(6):
                     f = random_table(n, rng)
                     new = outcome(verify_derivative_representation, f, k, Fraction(1, 2))
-                    assert new == outcome(fraction_representation, f, k, Fraction(1, 2))
+                    assert new == outcome(fraction_report, f, k, Fraction(1, 2))
                     kinds.add(new[0] if isinstance(new, tuple) else IdentityReport)
         assert kinds == {DegenerateBiasError, IdentityReport}
 
@@ -603,7 +635,6 @@ class TestVerifyRepresentation:
         f = FunctionTable(13, sum(1 << x for x in random.Random(74).sample(range(8192), 2047)))
         report = verify_derivative_representation(f, 1, Fraction(1, 2))
         assert report == IdentityReport(
-            max_deviation=Fraction(0),
             max_abs_coefficient=Fraction(8192, 8192 - 2 * 2047),
             tuples_checked=8192,
             points_checked=8192,

@@ -494,6 +494,34 @@ class TestConstructions:
         with pytest.raises(ScaleError):
             grm._coordinate_product(2, 20, 10, 0)
 
+    @pytest.mark.parametrize("q,n,d,k,limit", [(2, 16, 2, 1, 1025), (2, 20, 2, 1, 65),
+                                               (7, 7, 13, 2, 82), (3, 12, 2, 1, 127),
+                                               (2, 20, 2, 2, 1 << 40)])
+    def test_table_cap_raises_before_any_polynomial(self, q, n, d, k, limit, monkeypatch):
+        # limit x q^n bytes of member tables just past 2^26, and far past it.
+        def no_work(*args):
+            raise AssertionError("built a polynomial past the cap")
+
+        monkeypatch.setattr(GrmPolynomial, "__mul__", no_work)
+        monkeypatch.setattr(grm, "evaluate_polynomials", no_work)
+        with pytest.raises(ScaleError, match=r"member tables of .* exceed the cap of 2\^26 bytes"):
+            construct_grm_family(q, n, d, k, limit=limit)
+
+    @pytest.mark.parametrize("q,n,d,k,limit", [(2, 16, 2, 1, 1024), (2, 20, 2, 1, 64),
+                                               (7, 7, 13, 2, 81), (3, 12, 2, 1, 126),
+                                               (2, 20, 10, 1, 64)])
+    def test_table_cap_admits_the_documented_runs(self, q, n, d, k, limit, monkeypatch):
+        # Each reaches its first coordinate product, past the table cap.
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(grm, "_coordinate_product", reached)
+        with pytest.raises(Reached):
+            construct_grm_family(q, n, d, k, limit=limit)
+
     def test_ternary_k1(self):
         fam = construct_grm_family(3, 3, 2, 1)
         assert fam.claimed_weight == Fraction(1, 3)

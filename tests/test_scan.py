@@ -30,7 +30,6 @@ from rmlist import (
     ball_size,
     enumerate_weights,
     estimate_list_size,
-    evaluate,
     monomial_table,
     scan,
     translate,
@@ -39,7 +38,7 @@ from rmlist import (
 from rmlist.derivatives import _level, derivative_chunks
 from rmlist.listdecode import _family_centers
 
-from oracles import _shard_job, scan_enumerator
+from oracles import _shard_job, evaluate, scan_enumerator
 
 SMALL_CODES = [
     (n, d) for n in range(1, 16) for d in range(1, n + 1)
